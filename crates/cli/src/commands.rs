@@ -835,10 +835,14 @@ mod tests {
         v.iter().map(|s| s.to_string()).collect()
     }
 
+    /// A fresh corpus file per call: tests run on parallel threads in one
+    /// process and each removes its file when done.
     fn temp_log() -> std::path::PathBuf {
+        static NEXT: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
+        let n = NEXT.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
         let dir = std::env::temp_dir().join("mithrilog-cli-tests");
         std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join(format!("log-{}.txt", std::process::id()));
+        let path = dir.join(format!("log-{}-{n}.txt", std::process::id()));
         let ds = generate(&DatasetSpec {
             profile: DatasetProfile::Liberty2,
             target_bytes: 150_000,

@@ -1,44 +1,44 @@
-//! Parallel multi-pipeline execution engine (paper §5, Figure 7).
+//! The scan executor: one kernel for every query (paper §5, Figure 7).
 //!
-//! The prototype instantiates N token-filter pipelines, each fed by its own
-//! flash channel, and saturates the device's internal bandwidth by keeping
-//! all N busy. This module is the software realization of that dataflow: a
-//! fixed-size pool of scoped worker threads, one per modeled channel
-//! (`SystemConfig::query_threads`), over which the query page plan is
-//! striped round-robin — page *i* of the plan rides channel `i mod N`,
-//! exactly how pages interleave across flash channels on the device.
+//! The prototype has one datapath — flash pages → LZAH decode → N token
+//! filters — however many queries are loaded, and so does this module:
+//! [`scan_wave`] is the only page-scan entry point. It reads and
+//! decompresses each distinct page of the wave's page plans once and fans
+//! the text out to every query that planned it. A solo query is a wave of
+//! one: its plan *is* the union and every page fans out to one filter.
 //!
-//! Each worker owns a complete pipeline replica: a private
-//! [`SsdReader`] (shared-access reads with a thread-local cost ledger), a
-//! thread-local LZAH codec, and the compiled filter (shared immutably —
-//! filtering is `&self`). Workers never exchange state mid-scan.
+//! **Worker pool.** The union is striped round-robin over a fixed pool of
+//! scoped worker threads, one per modeled flash channel
+//! (`SystemConfig::query_threads`): slot *i* rides channel `i mod N`,
+//! exactly how pages interleave across channels on the device. Each worker
+//! owns a complete pipeline replica — a private [`SsdReader`] with its own
+//! cost ledger, an LZAH codec and decoder workspace, one [`HashFilter`] per
+//! hardware-engine query — and appends what it finds to flat per-worker
+//! buffers. Workers never exchange state mid-scan; one worker runs inline.
 //!
-//! **Determinism invariant:** the merged result is byte-identical to a
-//! sequential scan for every worker count. Three properties guarantee it:
+//! **Determinism invariant:** every query's result is byte-identical for
+//! every worker count and every wave it could have ridden in. Three
+//! properties guarantee it:
 //!
-//! 1. page outcomes (matched line ranges, skip decisions, retry counts) are
-//!    pure per-page functions — no cross-page state exists in the scan;
-//! 2. results merge in plan order (by slot), so matched lines and
-//!    `skipped_pages` keep exactly the sequential order;
-//! 3. ledger counters are additive, so per-worker ledgers merged in any
-//!    order sum to the sequential totals.
+//! 1. slot outcomes (matched lines, skip decisions, retry counts) are pure
+//!    per-page functions — no cross-page or cross-query state exists;
+//! 2. plans ascend by page id, so walking the union in slot order visits
+//!    every query's pages in that query's plan order;
+//! 3. ledger counters are additive: each query is charged, as if solo, the
+//!    exact cost of every slot it was live on, in any merge order.
 //!
-//! **Zero-allocation steady state:** each worker owns a [`ScanScratch`] —
-//! the LZAH decoder workspace, a reusable [`HashFilter`], and the matched
-//! range vector — reused across the page loop. After warm-up, a page with
-//! no matches is scanned without a single heap allocation; a page with k
-//! matches allocates exactly the k output `String`s. The per-page `Vec`s
-//! the old path allocated (decoder table, decompressed text, kept-line
-//! vectors) are gone.
+//! What sharing changes is physical only and lives on the device ledger:
+//! each union page is read once, the duplicates avoided are counted in
+//! `shared_reads`, and pages served by the [`PageCache`] in
+//! `cache_hits`/`cache_bytes_saved` (a hit still charges the consumer the
+//! full read it replaced).
 //!
-//! **Page cache:** when the system configures a [`PageCache`], both scan
-//! entry points consult it before touching the device. A hit charges the
-//! consumer's as-if-solo ledger exactly what a fresh read would have
-//! (pages_read + bytes_read of the stored page) and records the physical
-//! saving as `cache_hits`/`cache_bytes_saved` on the device-bound ledger —
-//! so outcomes and modeled times are byte-identical with and without the
-//! cache, like `shared_reads`.
+//! **Allocation-free page loop:** scratch and output buffers are reused
+//! across a worker's slots, so after warm-up a page with no matches is
+//! scanned without a heap allocation, for any number of queries; a page
+//! with k matches allocates exactly the k output `String`s.
 
+use std::borrow::Cow;
 use std::collections::HashMap;
 use std::ops::Range;
 use std::sync::Arc;
@@ -51,6 +51,7 @@ use mithrilog_storage::{CostLedger, PageId, PageStore, SimSsd, SsdReader, Storag
 
 use crate::cache::PageCache;
 use crate::control::CancelToken;
+use crate::outcome::ScanAttribution;
 
 /// Whether a storage error is survivable by skipping the affected page:
 /// corruption, exhausted transient retries, and quarantined pages lose one
@@ -65,10 +66,11 @@ pub(crate) fn page_is_skippable(e: &StorageError) -> bool {
     )
 }
 
-/// The filtering engine a scan runs with: the compiled hardware pipeline
+/// The filtering engine a query scans with: the compiled hardware pipeline
 /// when the query fit the filter's resources, or the software evaluator
-/// otherwise. Shared immutably across workers; each evaluation builds its
-/// own per-line filter state, so `&self` access is enough.
+/// otherwise. Both are read-only here and shared by every worker; the
+/// mutable per-line state of the hardware model is the [`HashFilter`] each
+/// worker keeps per query.
 pub(crate) enum Engine<'q> {
     /// Offloaded path: the cuckoo-hash filter model.
     Hardware(&'q FilterPipeline),
@@ -87,7 +89,7 @@ pub(crate) enum Engine<'q> {
 #[derive(Clone, Copy, Debug)]
 pub(crate) enum GenMap<'c> {
     /// Every page shares one generation. Production scans always carry the
-    /// per-page map; the uniform form keeps the scan kernels testable
+    /// per-page map; the uniform form keeps the scan kernel testable
     /// without a system.
     #[cfg(test)]
     Uniform(u64),
@@ -124,329 +126,11 @@ fn cache_store(cache: CacheView<'_>, page: u64, text: &[u8], raw_len: u64) {
     }
 }
 
-/// Outcome of scanning one page.
-enum Scanned {
-    /// The page decompressed and was filtered.
-    Page(PageScan),
-    /// The page was skipped (corrupt, unreadable, or undecompressible).
-    Skipped(u64),
-}
-
-/// One filtered page: its matched lines (materialized inside the scan, so
-/// page text never outlives the page loop) plus per-page stats.
-struct PageScan {
-    /// Matching lines of this page, in line order.
-    lines: Vec<String>,
-    /// Decompressed length of the page.
-    bytes: u64,
-    lines_scanned: u64,
-}
-
-/// Per-worker reusable scan state: the decoder workspace, the hash-filter
-/// evaluation state (hardware engines only), and the matched-range vector.
-/// One of these per worker turns the page loop allocation-free.
-struct ScanScratch<'q> {
-    lzah: LzahScratch,
-    filter: Option<HashFilter<'q>>,
-    ranges: Vec<Range<usize>>,
-}
-
-impl<'q> ScanScratch<'q> {
-    fn for_engine(engine: &Engine<'q>) -> Self {
-        ScanScratch {
-            lzah: LzahScratch::new(),
-            filter: match engine {
-                Engine::Hardware(pipeline) => Some(HashFilter::new(pipeline.compiled())),
-                Engine::Software(_) => None,
-            },
-            ranges: Vec::new(),
-        }
-    }
-}
-
-/// Per-worker tally of page-cache hits, folded into the as-if-solo and
-/// physical ledgers once the worker joins.
-#[derive(Debug, Clone, Copy, Default)]
-struct HitTally {
-    pages: u64,
-    bytes: u64,
-}
-
-impl HitTally {
-    /// The as-if-solo charge for the hits: exactly what fresh reads of the
-    /// same pages would have recorded.
-    fn solo_charge(&self, base: CostLedger) -> CostLedger {
-        CostLedger {
-            pages_read: base.pages_read + self.pages,
-            bytes_read: base.bytes_read + self.bytes,
-            ..base
-        }
-    }
-
-    /// The physical record of the hits: device work avoided.
-    fn physical_charge(&self, base: CostLedger) -> CostLedger {
-        CostLedger {
-            cache_hits: base.cache_hits + self.pages,
-            cache_bytes_saved: base.cache_bytes_saved + self.bytes,
-            ..base
-        }
-    }
-}
-
-/// Merged result of a (possibly parallel) page scan.
-pub(crate) struct ScanResult {
-    /// Matching lines in plan order.
-    pub lines: Vec<String>,
-    /// Source page id of each matching line, parallel to `lines`. The
-    /// attribution lets a multi-device merge reconstruct global storage
-    /// order without re-scanning.
-    pub line_pages: Vec<u64>,
-    /// Skipped page ids, in plan order.
-    pub skipped_pages: Vec<u64>,
-    /// Lines examined across all scanned pages.
-    pub lines_scanned: u64,
-    /// Decompressed bytes pushed through the filter.
-    pub bytes_filtered: u64,
-    /// Pages that decompressed and were filtered (excludes skips).
-    pub pages_filtered: u64,
-    /// As-if-solo charges: cache hits are charged as the full page reads
-    /// they replaced, so this ledger is byte-identical to an uncached run.
-    pub ledger: CostLedger,
-    /// Physical device charges plus `cache_hits`/`cache_bytes_saved`; fold
-    /// into the device with [`SimSsd::merge_ledger`]. Equal to `ledger`
-    /// when no cache is in play.
-    pub physical: CostLedger,
-    /// First non-survivable storage error, by plan position. The ledger
-    /// above still accounts every read issued before workers stopped.
-    pub error: Option<StorageError>,
-}
-
-/// Scans `pages` through `engine`, striped across `threads` workers.
-///
-/// `threads == 1` runs the identical per-page code inline (no threads
-/// spawned); any `threads >= 1` produces byte-identical results — see the
-/// module docs for the determinism argument.
-///
-/// `cancel` is checked at every page boundary: once the token trips, each
-/// worker stops before its next page, so the scan quiesces within one page
-/// per worker. Pages scanned before the trip are charged exactly as usual;
-/// unvisited pages charge nothing and produce nothing.
-pub(crate) fn scan_pages<S: PageStore>(
-    ssd: &SimSsd<S>,
-    lzah: LzahConfig,
-    engine: &Engine<'_>,
-    pages: &[PageId],
-    threads: usize,
-    cache: CacheView<'_>,
-    cancel: Option<&CancelToken>,
-) -> ScanResult {
-    let workers = threads.max(1).min(pages.len().max(1));
-    let mut slots: Vec<Option<Scanned>> = Vec::with_capacity(pages.len());
-    slots.resize_with(pages.len(), || None);
-    let mut ledger = CostLedger::default();
-    let mut physical = CostLedger::default();
-    // (plan position, error) pairs; the earliest plan position wins so the
-    // propagated error does not depend on worker interleaving.
-    let mut errors: Vec<(usize, StorageError)> = Vec::new();
-
-    if workers <= 1 {
-        let mut reader = ssd.reader();
-        let codec = Lzah::new(lzah);
-        let mut scratch = ScanScratch::for_engine(engine);
-        let mut hits = HitTally::default();
-        for (slot, page) in pages.iter().enumerate() {
-            if cancel.is_some_and(CancelToken::is_cancelled) {
-                break;
-            }
-            match scan_one(
-                &mut reader,
-                &codec,
-                engine,
-                *page,
-                cache,
-                &mut scratch,
-                &mut hits,
-            ) {
-                Ok(scanned) => slots[slot] = Some(scanned),
-                Err(e) => {
-                    errors.push((slot, e));
-                    break;
-                }
-            }
-        }
-        let reads = reader.into_ledger();
-        ledger.merge(&hits.solo_charge(reads));
-        physical.merge(&hits.physical_charge(reads));
-    } else {
-        let outputs: Vec<WorkerOutput> = thread::scope(|scope| {
-            let handles: Vec<_> = (0..workers)
-                .map(|w| {
-                    scope.spawn(move || {
-                        let mut out = WorkerOutput::default();
-                        let mut reader = ssd.reader();
-                        let codec = Lzah::new(lzah);
-                        let mut scratch = ScanScratch::for_engine(engine);
-                        let mut hits = HitTally::default();
-                        for slot in (w..pages.len()).step_by(workers) {
-                            if cancel.is_some_and(CancelToken::is_cancelled) {
-                                break;
-                            }
-                            match scan_one(
-                                &mut reader,
-                                &codec,
-                                engine,
-                                pages[slot],
-                                cache,
-                                &mut scratch,
-                                &mut hits,
-                            ) {
-                                Ok(scanned) => out.scans.push((slot, scanned)),
-                                Err(e) => {
-                                    out.error = Some((slot, e));
-                                    break;
-                                }
-                            }
-                        }
-                        let reads = reader.into_ledger();
-                        out.ledger = hits.solo_charge(reads);
-                        out.physical = hits.physical_charge(reads);
-                        out
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("scan worker panicked"))
-                .collect()
-        });
-        for out in outputs {
-            ledger.merge(&out.ledger);
-            physical.merge(&out.physical);
-            for (slot, scanned) in out.scans {
-                slots[slot] = Some(scanned);
-            }
-            if let Some(err) = out.error {
-                errors.push(err);
-            }
-        }
-    }
-    errors.sort_by_key(|(slot, _)| *slot);
-    let error = errors.into_iter().next().map(|(_, e)| e);
-
-    // Order-preserving merge: matched lines were materialized inside the
-    // page loop, so the merge only moves them into plan order.
-    let mut result = ScanResult {
-        lines: Vec::new(),
-        line_pages: Vec::new(),
-        skipped_pages: Vec::new(),
-        lines_scanned: 0,
-        bytes_filtered: 0,
-        pages_filtered: 0,
-        ledger,
-        physical,
-        error,
-    };
-    for (slot, scanned) in slots.into_iter().enumerate() {
-        let Some(scanned) = scanned else { continue };
-        match scanned {
-            Scanned::Page(p) => {
-                result.lines_scanned += p.lines_scanned;
-                result.bytes_filtered += p.bytes;
-                result.pages_filtered += 1;
-                let total = result.line_pages.len() + p.lines.len();
-                result.line_pages.resize(total, pages[slot].0);
-                result.lines.extend(p.lines);
-            }
-            Scanned::Skipped(page) => result.skipped_pages.push(page),
-        }
-    }
-    result
-}
-
-#[derive(Default)]
-struct WorkerOutput {
-    scans: Vec<(usize, Scanned)>,
-    ledger: CostLedger,
-    physical: CostLedger,
-    error: Option<(usize, StorageError)>,
-}
-
-/// One worker step: (cache lookup →) read → decompress → filter a single
-/// page. Pure in the page id given the device contents — the cache serves
-/// only text a fresh read of the same generation would produce — so
-/// striping cannot change results.
-#[allow(clippy::too_many_arguments)]
-fn scan_one<'q, S: PageStore>(
-    reader: &mut SsdReader<'_, S>,
-    codec: &Lzah,
-    engine: &Engine<'q>,
-    page: PageId,
-    cache: CacheView<'_>,
-    scratch: &mut ScanScratch<'q>,
-    hits: &mut HitTally,
-) -> Result<Scanned, StorageError> {
-    let ScanScratch {
-        lzah,
-        filter,
-        ranges,
-    } = scratch;
-    // Quarantine is checked before the cache: a scrub may quarantine a page
-    // after its text was cached, and the skip decision must match what an
-    // uncached read would produce (an up-front `Quarantined` error with
-    // zero ledger charges) so cached and uncached runs stay byte-identical.
-    if reader.is_quarantined(page) {
-        return Ok(Scanned::Skipped(page.0));
-    }
-    if let Some(cached) = cache_lookup(cache, page.0) {
-        hits.pages += 1;
-        hits.bytes += cached.raw_len;
-        return Ok(Scanned::Page(filter_to_scan(
-            engine,
-            &cached.text,
-            filter,
-            ranges,
-        )));
-    }
-    let raw = match reader.read(page) {
-        Ok(raw) => raw,
-        Err(e) if page_is_skippable(&e) => return Ok(Scanned::Skipped(page.0)),
-        Err(e) => return Err(e),
-    };
-    // Corruption the checksum missed (or pages written before the sidecar
-    // existed) still gets caught by the decoder's internal consistency
-    // checks; one bad page is not worth the query.
-    let text = match codec.decompress_into(&raw, lzah) {
-        Ok(text) => text,
-        Err(_) => return Ok(Scanned::Skipped(page.0)),
-    };
-    cache_store(cache, page.0, text, raw.len() as u64);
-    Ok(Scanned::Page(filter_to_scan(engine, text, filter, ranges)))
-}
-
-/// Filters one page's decompressed text and materializes the matched lines.
-/// Pure in `text`, so the same page fanned out to N queries (or served from
-/// the cache) produces exactly what N solo scans would have.
-fn filter_to_scan<'q>(
-    engine: &Engine<'q>,
-    text: &[u8],
-    filter: &mut Option<HashFilter<'q>>,
-    ranges: &mut Vec<Range<usize>>,
-) -> PageScan {
-    let lines_scanned = filter_page_into(engine, text, filter, ranges);
-    let mut lines = Vec::with_capacity(ranges.len());
-    for range in ranges.iter() {
-        lines.push(String::from_utf8_lossy(&text[range.clone()]).into_owned());
-    }
-    PageScan {
-        lines,
-        bytes: text.len() as u64,
-        lines_scanned,
-    }
-}
-
 /// The filter half of a page scan: run `engine` over decompressed `text`,
 /// filling `ranges` with the matched line ranges (cleared first) and
-/// returning the number of lines examined.
+/// returning the number of lines examined. Pure in `text`, so a page fanned
+/// out to N queries (or served from the cache) yields exactly what N solo
+/// scans would have.
 fn filter_page_into<'q>(
     engine: &Engine<'q>,
     text: &[u8],
@@ -490,12 +174,34 @@ fn filter_page_into<'q>(
     }
 }
 
-/// Per-query result of a cross-query shared scan ([`scan_pages_fanout`]).
+/// One query's contribution to a wave: its filtering engine, its page plan,
+/// and an optional cancellation token. A query whose token trips mid-wave
+/// drops out of every subsequent union slot — it is neither filtered nor
+/// charged for pages it never reached, and a slot every planner has
+/// abandoned is not read at all.
+pub(crate) struct FanQuery<'q> {
+    /// The filtering engine this query scans with.
+    pub engine: Engine<'q>,
+    /// The query's page plan: ascending page ids, no duplicates.
+    pub pages: &'q [PageId],
+    /// Cooperative cancellation, checked at each union-slot boundary.
+    pub cancel: Option<&'q CancelToken>,
+}
+
+impl FanQuery<'_> {
+    fn is_cancelled(&self) -> bool {
+        self.cancel.is_some_and(CancelToken::is_cancelled)
+    }
+}
+
+/// One query's result of a wave scan.
+#[derive(Default)]
 pub(crate) struct FanoutQueryScan {
     /// Matching lines in this query's plan order, materialized once.
     pub lines: Vec<String>,
-    /// Source page id of each matching line, parallel to `lines` (see
-    /// [`ScanResult::line_pages`]).
+    /// Source page id of each matching line, parallel to `lines`. The
+    /// attribution lets a multi-device merge reconstruct global storage
+    /// order without re-scanning.
     pub line_pages: Vec<u64>,
     /// Skipped page ids, in this query's plan order.
     pub skipped_pages: Vec<u64>,
@@ -505,73 +211,184 @@ pub(crate) struct FanoutQueryScan {
     pub bytes_filtered: u64,
     /// Pages that decompressed and were filtered for this query.
     pub pages_filtered: u64,
-    /// As-if-solo charges: every page this query planned is charged in
-    /// full, exactly as a solo scan would have, even when the physical read
-    /// was shared. Shared-read savings live on the device ledger instead.
+    /// As-if-solo charges: every page this query reached is charged in
+    /// full, exactly as a solo uncached scan would have, even when the
+    /// physical read was shared or served from the cache. The savings live
+    /// on the device ledger instead.
     pub ledger: CostLedger,
+    /// How this query's plan overlapped the rest of the wave (the
+    /// `pruned_*` fields are the planner's and stay zero here).
+    pub attribution: ScanAttribution,
 }
 
-/// Merged result of a cross-query shared scan.
+/// Merged result of a wave scan.
 pub(crate) struct FanoutResult {
     /// One scan result per input query, in input order.
     pub queries: Vec<FanoutQueryScan>,
+    /// Distinct pages across the wave's plans.
+    pub union_pages: u64,
     /// Physical device charges: each union page read once, plus
-    /// `shared_reads` counting every duplicate read the fan-out avoided.
-    /// Fold into the device with [`SimSsd::merge_ledger`].
+    /// `shared_reads` counting every duplicate read the fan-out avoided and
+    /// the cache-hit counters. Fold into the device with
+    /// [`SimSsd::merge_ledger`].
     pub device_ledger: CostLedger,
-    /// First non-survivable storage error, by union plan position.
+    /// First non-survivable storage error, by union position, so it does
+    /// not depend on worker interleaving. The ledger above still accounts
+    /// every read issued before workers stopped.
     pub error: Option<StorageError>,
 }
 
-/// One query's contribution to a fan-out scan: its filtering engine, its
-/// page plan, and an optional cancellation token. A query whose token trips
-/// mid-wave drops out of every subsequent union slot — it is neither
-/// filtered nor charged for pages it never reached, and a slot every
-/// planner has abandoned is not read at all.
-pub(crate) struct FanQuery<'q> {
-    /// The filtering engine this query scans with.
-    pub engine: Engine<'q>,
-    /// The query's page plan, in plan order.
-    pub pages: Vec<PageId>,
-    /// Cooperative cancellation, checked at each union-slot boundary.
-    pub cancel: Option<CancelToken>,
+/// The union of a wave's page plans as flat arrays: the distinct pages in
+/// ascending order and, per page, the indexes of the queries that planned
+/// it (`members[offsets[i]..offsets[i + 1]]`, ascending).
+struct Union<'p> {
+    pages: Cow<'p, [PageId]>,
+    offsets: Vec<usize>,
+    members: Vec<usize>,
 }
 
-impl<'q> FanQuery<'q> {
-    fn is_cancelled(&self) -> bool {
-        self.cancel.as_ref().is_some_and(CancelToken::is_cancelled)
+impl<'p> Union<'p> {
+    /// K-way merge of the (ascending, deduplicated) plans.
+    fn of(queries: &[FanQuery<'p>]) -> Self {
+        for fq in queries {
+            assert!(
+                fq.pages.windows(2).all(|w| w[0] < w[1]),
+                "page plans ascend without duplicates"
+            );
+        }
+        if let [only] = queries {
+            // A fan of one: the plan is the union and query 0 is every
+            // slot's only member, so nothing is built.
+            return Union {
+                pages: Cow::Borrowed(only.pages),
+                offsets: Vec::new(),
+                members: Vec::new(),
+            };
+        }
+        let longest = queries.iter().map(|fq| fq.pages.len()).max().unwrap_or(0);
+        let mut pages = Vec::with_capacity(longest);
+        let mut offsets = Vec::with_capacity(longest + 1);
+        let mut members = Vec::with_capacity(queries.iter().map(|fq| fq.pages.len()).sum());
+        let mut cursors = vec![0usize; queries.len()];
+        offsets.push(0);
+        while let Some(&page) = queries
+            .iter()
+            .zip(&cursors)
+            .filter_map(|(fq, &c)| fq.pages.get(c))
+            .min()
+        {
+            for (q, (fq, c)) in queries.iter().zip(&mut cursors).enumerate() {
+                if fq.pages.get(*c) == Some(&page) {
+                    members.push(q);
+                    *c += 1;
+                }
+            }
+            pages.push(page);
+            offsets.push(members.len());
+        }
+        Union {
+            pages: Cow::Owned(pages),
+            offsets,
+            members,
+        }
+    }
+
+    fn members(&self, slot: usize) -> &[usize] {
+        if self.offsets.is_empty() {
+            &[0]
+        } else {
+            &self.members[self.offsets[slot]..self.offsets[slot + 1]]
+        }
     }
 }
 
-/// Outcome of loading one union page in a fan-out scan.
-enum FanBody {
-    /// The page decompressed; `per_query` holds, for each query index live
-    /// at scan time, the matched lines (materialized inside the page loop,
-    /// so page text never outlives it) and the lines examined.
-    Scanned {
-        bytes: u64,
-        per_query: Vec<(usize, Vec<String>, u64)>,
-    },
-    /// The page is survivably lost for every live query that planned it
-    /// (`interested` holds those query indexes).
-    Skipped { interested: Vec<usize> },
-    /// Every query that planned this page was cancelled before its slot
-    /// came up: no read was issued and nothing is charged to anyone.
-    Abandoned,
+/// How a union slot ended.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum SlotKind {
+    /// The page was read (or served from the cache), decompressed and
+    /// filtered for every live member.
+    Scanned,
+    /// A read was issued but the page is survivably lost (corrupt,
+    /// unreadable after retries, or undecompressible): every live member
+    /// skips it and pays what the attempt cost.
+    Lost,
+    /// No read was issued for anyone: the page is quarantined, or every
+    /// member was cancelled before the slot came up. Costs nothing.
+    Unread,
 }
 
-/// Per-worker reusable fan-out scan state: one decoder workspace and
-/// matched-range vector (pages process serially within a worker), plus one
-/// [`HashFilter`] per hardware-engine query.
-struct FanScratch<'q> {
+/// One processed union slot.
+struct SlotOut {
+    kind: SlotKind,
+    /// The exact device cost of loading the page — what a solo scan of it
+    /// pays. A cache hit replays the read it replaced.
+    cost: CostLedger,
+    /// Decompressed length of the page (0 unless scanned).
+    bytes: u64,
+    /// Members live when the slot ran; that many `FanOut`s follow in the
+    /// worker's `fans`.
+    live: usize,
+}
+
+/// One live member's share of a slot.
+struct FanOut {
+    query: usize,
+    lines_scanned: u64,
+    /// Matched lines; that many `String`s follow in the worker's `lines`.
+    matched: usize,
+}
+
+/// What one worker produced, flat and in the order it visited its slots.
+struct WorkerOut {
+    slots: Vec<SlotOut>,
+    fans: Vec<FanOut>,
+    lines: Vec<String>,
+    /// Physical charges: the reader's ledger plus the cache-hit counters.
+    physical: CostLedger,
+    error: Option<(usize, StorageError)>,
+}
+
+impl WorkerOut {
+    /// Records a slot that produced no text for its live members.
+    fn skip(&mut self, done: SlotOut, live: &[usize]) {
+        self.fans.extend(live.iter().map(|&query| FanOut {
+            query,
+            lines_scanned: 0,
+            matched: 0,
+        }));
+        self.slots.push(done);
+    }
+}
+
+/// One pipeline replica: the reader, codec and per-query filter state a
+/// worker reuses across its slots, plus its output buffers.
+struct Worker<'a, 'q, S> {
+    queries: &'a [FanQuery<'q>],
+    cache: CacheView<'a>,
+    reader: SsdReader<'a, S>,
+    codec: Lzah,
     lzah: LzahScratch,
+    /// One [`HashFilter`] per hardware-engine query.
     filters: Vec<Option<HashFilter<'q>>>,
     ranges: Vec<Range<usize>>,
+    /// The slot's members not cancelled when it came up.
+    live: Vec<usize>,
+    out: WorkerOut,
 }
 
-impl<'q> FanScratch<'q> {
-    fn for_queries(queries: &[FanQuery<'q>]) -> Self {
-        FanScratch {
+impl<'a, 'q, S: PageStore> Worker<'a, 'q, S> {
+    fn new(
+        ssd: &'a SimSsd<S>,
+        lzah: LzahConfig,
+        queries: &'a [FanQuery<'q>],
+        cache: CacheView<'a>,
+        slots: usize,
+    ) -> Self {
+        Worker {
+            queries,
+            cache,
+            reader: ssd.reader(),
+            codec: Lzah::new(lzah),
             lzah: LzahScratch::new(),
             filters: queries
                 .iter()
@@ -581,290 +398,213 @@ impl<'q> FanScratch<'q> {
                 })
                 .collect(),
             ranges: Vec::new(),
+            live: Vec::new(),
+            out: WorkerOut {
+                slots: Vec::with_capacity(slots),
+                fans: Vec::with_capacity(slots),
+                lines: Vec::new(),
+                physical: CostLedger::default(),
+                error: None,
+            },
         }
     }
-}
 
-/// Fans one decompressed page out to every interested query: filter, then
-/// materialize the matched lines. Pure in `text`, so each query's share is
-/// exactly what its solo scan of the page would have produced.
-fn fan_filter<'q>(
-    queries: &[FanQuery<'q>],
-    interested: &[usize],
-    text: &[u8],
-    filters: &mut [Option<HashFilter<'q>>],
-    ranges: &mut Vec<Range<usize>>,
-) -> Vec<(usize, Vec<String>, u64)> {
-    let mut per_query = Vec::with_capacity(interested.len());
-    for &q in interested {
-        let lines_scanned = filter_page_into(&queries[q].engine, text, &mut filters[q], ranges);
-        let mut lines = Vec::with_capacity(ranges.len());
-        for range in ranges.iter() {
-            lines.push(String::from_utf8_lossy(&text[range.clone()]).into_owned());
+    /// One worker step: (cache lookup →) read → decompress → filter one
+    /// union page for its live members. Pure in the page id given the
+    /// device contents — the cache serves only text a fresh read of the
+    /// same generation would produce — so neither striping nor the
+    /// company a query keeps can change its results.
+    fn scan_slot(&mut self, page: PageId, members: &[usize]) -> Result<(), StorageError> {
+        let Worker {
+            queries,
+            cache,
+            reader,
+            codec,
+            lzah,
+            filters,
+            ranges,
+            live,
+            out,
+        } = self;
+        live.clear();
+        live.extend(members.iter().filter(|&&q| !queries[q].is_cancelled()));
+        let mut done = SlotOut {
+            kind: SlotKind::Unread,
+            cost: CostLedger::default(),
+            bytes: 0,
+            live: live.len(),
+        };
+        // Quarantine is checked before the cache: a scrub may quarantine a
+        // page after its text was cached, and the skip must match what an
+        // uncached read would produce (an up-front `Quarantined` error with
+        // zero charges) so cached and uncached runs stay byte-identical.
+        if live.is_empty() || reader.is_quarantined(page) {
+            out.skip(done, live);
+            return Ok(());
         }
-        per_query.push((q, lines, lines_scanned));
+        let cached = cache_lookup(*cache, page.0);
+        let text: &[u8] = if let Some(hit) = &cached {
+            out.physical.cache_hits += 1;
+            out.physical.cache_bytes_saved += hit.raw_len;
+            done.cost.pages_read = 1;
+            done.cost.bytes_read = hit.raw_len;
+            &hit.text
+        } else {
+            let before = *reader.ledger();
+            let read = reader.read(page);
+            done.cost = reader.ledger().since(&before);
+            let decoded = match read {
+                // Corruption the checksum missed (or pages written before
+                // the sidecar existed) still gets caught by the decoder's
+                // consistency checks; one bad page is not worth the wave.
+                Ok(raw) => codec
+                    .decompress_into(&raw, lzah)
+                    .ok()
+                    .inspect(|text| cache_store(*cache, page.0, text, raw.len() as u64)),
+                Err(e) if page_is_skippable(&e) => None,
+                Err(e) => return Err(e),
+            };
+            let Some(text) = decoded else {
+                done.kind = SlotKind::Lost;
+                out.skip(done, live);
+                return Ok(());
+            };
+            text
+        };
+        done.kind = SlotKind::Scanned;
+        done.bytes = text.len() as u64;
+        // Matched lines are materialized here, so page text never outlives
+        // the slot.
+        for &query in live.iter() {
+            let lines_scanned =
+                filter_page_into(&queries[query].engine, text, &mut filters[query], ranges);
+            out.lines.extend(
+                ranges
+                    .iter()
+                    .map(|r| String::from_utf8_lossy(&text[r.clone()]).into_owned()),
+            );
+            out.fans.push(FanOut {
+                query,
+                lines_scanned,
+                matched: ranges.len(),
+            });
+        }
+        out.slots.push(done);
+        Ok(())
     }
-    per_query
-}
-
-/// One processed union slot: the page body plus the exact device cost of
-/// loading it (read, retries, bytes) — the charge a solo scan of this page
-/// would have paid.
-struct FanSlot {
-    cost: CostLedger,
-    body: FanBody,
 }
 
 /// Scans the union of the queries' page plans, reading and decompressing
 /// each distinct page once and fanning its text out to every query that
 /// planned it (the paper's single flash stream feeding multiple pattern
-/// matchers). Union pages are striped across the worker pool exactly like
-/// [`scan_pages`].
+/// matchers). Union slots are striped across `threads` workers;
+/// `threads == 1` runs the identical per-slot code inline.
 ///
 /// **Determinism:** each query's output is byte-identical to scanning its
-/// plan alone — page loading and filtering are the same pure per-page
-/// functions solo scans use, and per-query results merge in that query's
-/// plan order. Only the physical read count (the device ledger) changes
-/// with sharing or cache hits. A cancelled query stops within one union
-/// slot per worker and is charged only for pages it actually reached; live
-/// co-batched queries are unaffected, because a slot's cost and filter
-/// output never depend on how many queries fanned from it.
-pub(crate) fn scan_pages_fanout<'q, S: PageStore>(
+/// plan alone, for any `threads >= 1` — see the module docs. A cancelled
+/// query stops within one union slot per worker and is charged only for
+/// pages it actually reached; live co-batched queries are unaffected,
+/// because a slot's cost and filter output never depend on how many queries
+/// fanned from it.
+pub(crate) fn scan_wave<'q, S: PageStore>(
     ssd: &SimSsd<S>,
     lzah: LzahConfig,
     queries: &[FanQuery<'q>],
     threads: usize,
     cache: CacheView<'_>,
 ) -> FanoutResult {
-    // Union of all plans, ascending by page id, with the interested query
-    // indexes per page (ascending, since we insert in query order).
-    let mut union: std::collections::BTreeMap<PageId, Vec<usize>> =
-        std::collections::BTreeMap::new();
-    for (q, fq) in queries.iter().enumerate() {
-        for page in &fq.pages {
-            union.entry(*page).or_default().push(q);
-        }
-    }
-    let union: Vec<(PageId, Vec<usize>)> = union.into_iter().collect();
-    let slot_of: std::collections::HashMap<PageId, usize> = union
-        .iter()
-        .enumerate()
-        .map(|(i, (page, _))| (*page, i))
-        .collect();
-
-    let union_len = union.len();
+    let union = Union::of(queries);
+    let union_len = union.pages.len();
     let workers = threads.max(1).min(union_len.max(1));
-    let mut slots: Vec<Option<FanSlot>> = Vec::with_capacity(union_len);
-    slots.resize_with(union_len, || None);
-    let mut device_ledger = CostLedger::default();
-    let mut errors: Vec<(usize, StorageError)> = Vec::new();
-
-    let scan_slot = |reader: &mut SsdReader<'_, S>,
-                     codec: &Lzah,
-                     slot: usize,
-                     scratch: &mut FanScratch<'q>,
-                     hits: &mut HitTally|
-     -> Result<FanSlot, StorageError> {
-        let (page, interested) = &union[slot];
-        // Queries cancelled by the time their slot comes up drop out of it:
-        // they are neither filtered nor charged, and a slot every planner
-        // abandoned is not read at all.
-        let live: Vec<usize> = interested
-            .iter()
-            .copied()
-            .filter(|&q| !queries[q].is_cancelled())
-            .collect();
-        if live.is_empty() {
-            return Ok(FanSlot {
-                cost: CostLedger::default(),
-                body: FanBody::Abandoned,
-            });
-        }
-        let before = *reader.ledger();
-        let FanScratch {
-            lzah: lz,
-            filters,
-            ranges,
-        } = scratch;
-        // Quarantine is checked before the cache so cached and uncached
-        // runs agree: an uncached read would fail up front with zero
-        // charges, so the slot skips for every live query at zero cost.
-        if reader.is_quarantined(*page) {
-            return Ok(FanSlot {
-                cost: CostLedger::default(),
-                body: FanBody::Skipped { interested: live },
-            });
-        }
-        // An as-if-solo slot charge replayed on a cache hit: the full read
-        // a fresh load of this page would have recorded.
-        let mut hit_charge = None;
-        let body = if let Some(cached) = cache_lookup(cache, page.0) {
-            hits.pages += 1;
-            hits.bytes += cached.raw_len;
-            hit_charge = Some(cached.raw_len);
-            FanBody::Scanned {
-                bytes: cached.text.len() as u64,
-                per_query: fan_filter(queries, &live, &cached.text, filters, ranges),
+    let run = |w: usize| {
+        let mut worker = Worker::new(ssd, lzah, queries, cache, union_len.div_ceil(workers));
+        for slot in (w..union_len).step_by(workers) {
+            if let Err(e) = worker.scan_slot(union.pages[slot], union.members(slot)) {
+                worker.out.error = Some((slot, e));
+                break;
             }
-        } else {
-            match reader.read(*page) {
-                Ok(raw) => match codec.decompress_into(&raw, lz) {
-                    Ok(text) => {
-                        cache_store(cache, page.0, text, raw.len() as u64);
-                        FanBody::Scanned {
-                            bytes: text.len() as u64,
-                            per_query: fan_filter(queries, &live, text, filters, ranges),
-                        }
-                    }
-                    // Corruption the checksum missed still gets caught by
-                    // the decoder; one bad page is not worth the batch.
-                    Err(_) => FanBody::Skipped { interested: live },
-                },
-                Err(e) if page_is_skippable(&e) => FanBody::Skipped { interested: live },
-                Err(e) => return Err(e),
-            }
-        };
-        let mut cost = reader.ledger().since(&before);
-        if let Some(raw_len) = hit_charge {
-            cost.pages_read += 1;
-            cost.bytes_read += raw_len;
         }
-        Ok(FanSlot { cost, body })
+        worker.out.physical.merge(&worker.reader.into_ledger());
+        worker.out
     };
-
-    if workers <= 1 {
-        let mut reader = ssd.reader();
-        let codec = Lzah::new(lzah);
-        let mut scratch = FanScratch::for_queries(queries);
-        let mut hits = HitTally::default();
-        for (slot, out) in slots.iter_mut().enumerate() {
-            match scan_slot(&mut reader, &codec, slot, &mut scratch, &mut hits) {
-                Ok(done) => *out = Some(done),
-                Err(e) => {
-                    errors.push((slot, e));
-                    break;
-                }
-            }
-        }
-        device_ledger.merge(&hits.physical_charge(reader.into_ledger()));
+    let mut outs: Vec<WorkerOut> = if workers == 1 {
+        vec![run(0)]
     } else {
-        struct FanWorker {
-            scans: Vec<(usize, FanSlot)>,
-            ledger: CostLedger,
-            error: Option<(usize, StorageError)>,
-        }
-        let outputs: Vec<FanWorker> = thread::scope(|scope| {
-            let scan_slot = &scan_slot;
-            let handles: Vec<_> = (0..workers)
-                .map(|w| {
-                    scope.spawn(move || {
-                        let mut out = FanWorker {
-                            scans: Vec::new(),
-                            ledger: CostLedger::default(),
-                            error: None,
-                        };
-                        let mut reader = ssd.reader();
-                        let codec = Lzah::new(lzah);
-                        let mut scratch = FanScratch::for_queries(queries);
-                        let mut hits = HitTally::default();
-                        for slot in (w..union_len).step_by(workers) {
-                            match scan_slot(&mut reader, &codec, slot, &mut scratch, &mut hits) {
-                                Ok(done) => out.scans.push((slot, done)),
-                                Err(e) => {
-                                    out.error = Some((slot, e));
-                                    break;
-                                }
-                            }
-                        }
-                        out.ledger = hits.physical_charge(reader.into_ledger());
-                        out
-                    })
-                })
-                .collect();
+        thread::scope(|scope| {
+            let run = &run;
+            let handles: Vec<_> = (0..workers).map(|w| scope.spawn(move || run(w))).collect();
             handles
                 .into_iter()
-                .map(|h| h.join().expect("fan-out scan worker panicked"))
+                .map(|h| h.join().expect("scan worker panicked"))
                 .collect()
-        });
-        for out in outputs {
-            device_ledger.merge(&out.ledger);
-            for (slot, done) in out.scans {
-                slots[slot] = Some(done);
+        })
+    };
+
+    let error = outs
+        .iter_mut()
+        .filter_map(|out| out.error.take())
+        .min_by_key(|(slot, _)| *slot);
+    let mut device_ledger = CostLedger::default();
+    let mut streams = Vec::with_capacity(workers);
+    for out in outs {
+        device_ledger.merge(&out.physical);
+        streams.push((
+            out.slots.into_iter(),
+            out.fans.into_iter(),
+            out.lines.into_iter(),
+        ));
+    }
+
+    // Assembly walks the union once. Plans ascend, so appending in slot
+    // order leaves every query's lines and skips in its own plan order;
+    // lines were materialized inside the page loop and only move here.
+    let mut scans: Vec<FanoutQueryScan> =
+        queries.iter().map(|_| FanoutQueryScan::default()).collect();
+    for (slot, page) in union.pages.iter().enumerate() {
+        // A shared page's physical cost splits evenly across the plans that
+        // hold it, whether or not their queries were still live.
+        let sharers = union.members(slot);
+        for &q in sharers {
+            let attr = &mut scans[q].attribution;
+            attr.planned_pages += 1;
+            if sharers.len() == 1 {
+                attr.exclusive_pages += 1;
+                attr.attributed_page_cost += 1.0;
+            } else {
+                attr.shared_pages += 1;
+                attr.attributed_page_cost += 1.0 / sharers.len() as f64;
             }
-            if let Some(err) = out.error {
-                errors.push(err);
+        }
+        let (slots, fans, lines) = &mut streams[slot % workers];
+        // A worker that stopped on a hard error never reached its later
+        // slots; the whole wave fails via `error`, so nothing to merge.
+        let Some(done) = slots.next() else { continue };
+        // A page fanned to k live queries saved k-1 physical reads — but
+        // only if a read was issued (or served from the cache) at all.
+        if done.kind != SlotKind::Unread {
+            device_ledger.shared_reads += done.live as u64 - 1;
+        }
+        for fan in fans.by_ref().take(done.live) {
+            let scan = &mut scans[fan.query];
+            scan.ledger.merge(&done.cost);
+            if done.kind == SlotKind::Scanned {
+                scan.lines_scanned += fan.lines_scanned;
+                scan.bytes_filtered += done.bytes;
+                scan.pages_filtered += 1;
+                let total = scan.line_pages.len() + fan.matched;
+                scan.line_pages.resize(total, page.0);
+                scan.lines.extend(lines.by_ref().take(fan.matched));
+            } else {
+                scan.skipped_pages.push(page.0);
             }
         }
     }
-    errors.sort_by_key(|(slot, _)| *slot);
-    let error = errors.into_iter().next().map(|(_, e)| e);
-
-    // Every processed page shared by k live queries saved k-1 physical
-    // reads; abandoned slots issued no read and saved nothing.
-    for done in slots.iter().flatten() {
-        let fanned = match &done.body {
-            FanBody::Scanned { per_query, .. } => per_query.len(),
-            FanBody::Skipped { interested } => interested.len(),
-            FanBody::Abandoned => 0,
-        };
-        device_ledger.shared_reads += (fanned as u64).saturating_sub(1);
-    }
-
-    // Per-query assembly, each in its own plan order. Lines were
-    // materialized inside the page loop, so assembly only moves them. A
-    // query absent from a slot's live set was cancelled before the slot
-    // ran: it never scanned the page, so it is not charged for it.
-    let results = queries
-        .iter()
-        .enumerate()
-        .map(|(q, fq)| {
-            let mut scan = FanoutQueryScan {
-                lines: Vec::new(),
-                line_pages: Vec::new(),
-                skipped_pages: Vec::new(),
-                lines_scanned: 0,
-                bytes_filtered: 0,
-                pages_filtered: 0,
-                ledger: CostLedger::default(),
-            };
-            for page in &fq.pages {
-                // A slot left empty means a worker stopped on a hard error;
-                // the whole batch fails via `error`, so nothing to merge.
-                let Some(done) = slots[slot_of[page]].as_mut() else {
-                    continue;
-                };
-                match &mut done.body {
-                    FanBody::Scanned { bytes, per_query } => {
-                        let Some((_, matched, lines)) =
-                            per_query.iter_mut().find(|(qi, _, _)| *qi == q)
-                        else {
-                            continue;
-                        };
-                        scan.ledger.merge(&done.cost);
-                        scan.lines_scanned += *lines;
-                        scan.bytes_filtered += *bytes;
-                        scan.pages_filtered += 1;
-                        let total = scan.line_pages.len() + matched.len();
-                        scan.line_pages.resize(total, page.0);
-                        scan.lines.extend(std::mem::take(matched));
-                    }
-                    FanBody::Skipped { interested } => {
-                        if interested.contains(&q) {
-                            scan.ledger.merge(&done.cost);
-                            scan.skipped_pages.push(page.0);
-                        }
-                    }
-                    FanBody::Abandoned => {}
-                }
-            }
-            scan
-        })
-        .collect();
 
     FanoutResult {
-        queries: results,
+        queries: scans,
+        union_pages: union_len as u64,
         device_ledger,
-        error,
+        error: error.map(|(_, e)| e),
     }
 }
 
@@ -963,28 +703,45 @@ mod tests {
         (ssd, pages)
     }
 
+    fn numbered_pages(n: usize, line: impl Fn(usize) -> String) -> (SimSsd<MemStore>, Vec<PageId>) {
+        let texts: Vec<String> = (0..n).map(line).collect();
+        let refs: Vec<&str> = texts.iter().map(String::as_str).collect();
+        ssd_with_pages(&refs)
+    }
+
+    fn hardware<'q>(pipeline: &'q FilterPipeline, pages: &'q [PageId]) -> FanQuery<'q> {
+        FanQuery {
+            engine: Engine::Hardware(pipeline),
+            pages,
+            cancel: None,
+        }
+    }
+
+    /// A wave of one: the query's scan plus the device-bound ledger.
+    fn solo(
+        ssd: &SimSsd<MemStore>,
+        query: FanQuery<'_>,
+        threads: usize,
+        cache: CacheView<'_>,
+    ) -> (FanoutQueryScan, CostLedger) {
+        let mut fan = scan_wave(ssd, LzahConfig::default(), &[query], threads, cache);
+        assert!(fan.error.is_none());
+        assert_eq!(fan.device_ledger.shared_reads, 0, "nobody to share with");
+        (fan.queries.remove(0), fan.device_ledger)
+    }
+
     #[test]
     fn parallel_scan_matches_sequential_exactly() {
-        let texts: Vec<String> = (0..12)
-            .map(|i| format!("alpha event {i}\nbeta event {i}\ngamma noise {i}\n"))
-            .collect();
-        let refs: Vec<&str> = texts.iter().map(String::as_str).collect();
-        let (ssd, pages) = ssd_with_pages(&refs);
+        let (ssd, pages) = numbered_pages(12, |i| {
+            format!("alpha event {i}\nbeta event {i}\ngamma noise {i}\n")
+        });
         let query = mithrilog_query::parse("event AND NOT beta").unwrap();
         let pipeline = FilterPipeline::compile(&query).unwrap();
-        let engine = Engine::Hardware(&pipeline);
-        let seq = scan_pages(&ssd, LzahConfig::default(), &engine, &pages, 1, None, None);
+        let (seq, _) = solo(&ssd, hardware(&pipeline, &pages), 1, None);
         for threads in [2, 3, 4, 8] {
-            let par = scan_pages(
-                &ssd,
-                LzahConfig::default(),
-                &engine,
-                &pages,
-                threads,
-                None,
-                None,
-            );
+            let (par, _) = solo(&ssd, hardware(&pipeline, &pages), threads, None);
             assert_eq!(par.lines, seq.lines, "{threads} threads");
+            assert_eq!(par.line_pages, seq.line_pages);
             assert_eq!(par.lines_scanned, seq.lines_scanned);
             assert_eq!(par.bytes_filtered, seq.bytes_filtered);
             assert_eq!(par.ledger, seq.ledger);
@@ -996,37 +753,26 @@ mod tests {
 
     #[test]
     fn fanout_matches_solo_scans_and_dedupes_device_reads() {
-        let texts: Vec<String> = (0..10)
-            .map(|i| format!("alpha event {i}\nbeta event {i}\ngamma noise {i}\n"))
-            .collect();
-        let refs: Vec<&str> = texts.iter().map(String::as_str).collect();
-        let (ssd, pages) = ssd_with_pages(&refs);
+        let (ssd, pages) = numbered_pages(10, |i| {
+            format!("alpha event {i}\nbeta event {i}\ngamma noise {i}\n")
+        });
         let qa = mithrilog_query::parse("alpha").unwrap();
         let qb = mithrilog_query::parse("event AND NOT beta").unwrap();
         let pa = FilterPipeline::compile(&qa).unwrap();
         let pb = FilterPipeline::compile(&qb).unwrap();
-        // Overlapping plans: query A wants pages [0..8), B wants [4..10).
-        let plan_a = pages[..8].to_vec();
-        let plan_b = pages[4..].to_vec();
-        let lzah = LzahConfig::default();
-
-        let solo_a = scan_pages(&ssd, lzah, &Engine::Hardware(&pa), &plan_a, 3, None, None);
-        let solo_b = scan_pages(&ssd, lzah, &Engine::Hardware(&pb), &plan_b, 3, None, None);
+        // Overlapping plans: A wants pages [0..8), B wants [4..10), and C
+        // planned nothing at all.
+        let (plan_a, plan_b) = (&pages[..8], &pages[4..]);
+        let (solo_a, _) = solo(&ssd, hardware(&pa, plan_a), 3, None);
+        let (solo_b, _) = solo(&ssd, hardware(&pb, plan_b), 3, None);
         for threads in [1, 3, 8] {
-            let fan = scan_pages_fanout(
+            let fan = scan_wave(
                 &ssd,
-                lzah,
+                LzahConfig::default(),
                 &[
-                    FanQuery {
-                        engine: Engine::Hardware(&pa),
-                        pages: plan_a.clone(),
-                        cancel: None,
-                    },
-                    FanQuery {
-                        engine: Engine::Hardware(&pb),
-                        pages: plan_b.clone(),
-                        cancel: None,
-                    },
+                    hardware(&pa, plan_a),
+                    hardware(&pb, plan_b),
+                    hardware(&pa, &[]),
                 ],
                 threads,
                 None,
@@ -1034,50 +780,44 @@ mod tests {
             assert!(fan.error.is_none());
             for (got, want) in fan.queries.iter().zip([&solo_a, &solo_b]) {
                 assert_eq!(got.lines, want.lines, "{threads} threads");
+                assert_eq!(got.line_pages, want.line_pages);
                 assert_eq!(got.lines_scanned, want.lines_scanned);
                 assert_eq!(got.bytes_filtered, want.bytes_filtered);
                 assert_eq!(got.skipped_pages, want.skipped_pages);
                 // As-if-solo charges match the solo ledger exactly.
                 assert_eq!(got.ledger, want.ledger);
             }
+            assert!(fan.queries[2].lines.is_empty());
+            assert_eq!(fan.queries[2].ledger, CostLedger::default());
             // Physically: 10 distinct pages read once; the 4 overlapping
             // pages each saved one duplicate read.
+            assert_eq!(fan.union_pages, 10);
             assert_eq!(fan.device_ledger.pages_read, 10);
             assert_eq!(fan.device_ledger.shared_reads, 4);
             assert_eq!(fan.device_ledger.demanded_reads(), 14);
-            assert!(
-                fan.device_ledger.pages_read < solo_a.ledger.pages_read + solo_b.ledger.pages_read
-            );
+            // The attribution splits each shared page between its plans.
+            let a = &fan.queries[0].attribution;
+            assert_eq!((a.exclusive_pages, a.shared_pages), (4, 4));
+            assert!((a.attributed_page_cost - 6.0).abs() < 1e-12);
+            let b = &fan.queries[1].attribution;
+            assert_eq!((b.planned_pages, b.exclusive_pages), (6, 2));
         }
     }
 
     #[test]
     fn software_engine_agrees_with_hardware_engine() {
-        let texts: Vec<String> = (0..6)
-            .map(|i| format!("RAS KERNEL INFO ok {i}\nRAS KERNEL FATAL bad {i}\n"))
-            .collect();
-        let refs: Vec<&str> = texts.iter().map(String::as_str).collect();
-        let (ssd, pages) = ssd_with_pages(&refs);
+        let (ssd, pages) = numbered_pages(6, |i| {
+            format!("RAS KERNEL INFO ok {i}\nRAS KERNEL FATAL bad {i}\n")
+        });
         let query = mithrilog_query::parse("FATAL").unwrap();
         let pipeline = FilterPipeline::compile(&query).unwrap();
-        let hw = scan_pages(
-            &ssd,
-            LzahConfig::default(),
-            &Engine::Hardware(&pipeline),
-            &pages,
-            3,
-            None,
-            None,
-        );
-        let sw = scan_pages(
-            &ssd,
-            LzahConfig::default(),
-            &Engine::Software(&query),
-            &pages,
-            3,
-            None,
-            None,
-        );
+        let software = FanQuery {
+            engine: Engine::Software(&query),
+            pages: &pages,
+            cancel: None,
+        };
+        let (hw, _) = solo(&ssd, hardware(&pipeline, &pages), 3, None);
+        let (sw, _) = solo(&ssd, software, 3, None);
         assert_eq!(hw.lines, sw.lines);
         assert_eq!(hw.lines_scanned, sw.lines_scanned);
     }
@@ -1091,32 +831,20 @@ mod tests {
         text.extend_from_slice(b"RAS KERNEL FATAL broken \xff\xfe sensor\n");
         text.extend_from_slice(b"RAS KERNEL INFO fine \xf0\x28\x8c\x28 reading\n");
         text.extend_from_slice(b"RAS KERNEL FATAL clean line\n");
-        let config = LzahConfig::default();
         let mut ssd = SimSsd::new(MemStore::new(4096), DevicePerfModel::bluedbm_prototype());
         let mut pages = Vec::new();
-        for frame in compress_paged(&text, config, 4096).pages() {
+        for frame in compress_paged(&text, LzahConfig::default(), 4096).pages() {
             pages.push(ssd.append(frame.data()).unwrap());
         }
         let query = mithrilog_query::parse("FATAL").unwrap();
         let pipeline = FilterPipeline::compile(&query).unwrap();
-        let hw = scan_pages(
-            &ssd,
-            config,
-            &Engine::Hardware(&pipeline),
-            &pages,
-            1,
-            None,
-            None,
-        );
-        let sw = scan_pages(
-            &ssd,
-            config,
-            &Engine::Software(&query),
-            &pages,
-            1,
-            None,
-            None,
-        );
+        let software = FanQuery {
+            engine: Engine::Software(&query),
+            pages: &pages,
+            cancel: None,
+        };
+        let (hw, _) = solo(&ssd, hardware(&pipeline, &pages), 1, None);
+        let (sw, _) = solo(&ssd, software, 1, None);
         assert_eq!(hw.lines, sw.lines);
         assert_eq!(hw.lines_scanned, sw.lines_scanned);
         assert_eq!(sw.lines.len(), 2);
@@ -1125,75 +853,52 @@ mod tests {
 
     #[test]
     fn cache_hits_leave_results_and_solo_ledgers_identical() {
-        let texts: Vec<String> = (0..8)
-            .map(|i| format!("alpha event {i}\nbeta event {i}\n"))
-            .collect();
-        let refs: Vec<&str> = texts.iter().map(String::as_str).collect();
-        let (ssd, pages) = ssd_with_pages(&refs);
+        let (ssd, pages) = numbered_pages(8, |i| format!("alpha event {i}\nbeta event {i}\n"));
         let query = mithrilog_query::parse("alpha").unwrap();
         let pipeline = FilterPipeline::compile(&query).unwrap();
-        let engine = Engine::Hardware(&pipeline);
-        let lzah = LzahConfig::default();
-        let cold = scan_pages(&ssd, lzah, &engine, &pages, 3, None, None);
+        let (cold, _) = solo(&ssd, hardware(&pipeline, &pages), 3, None);
 
         let cache = PageCache::new(1 << 20);
         let view: CacheView<'_> = Some((&cache, GenMap::Uniform(7)));
-        let warm_up = scan_pages(&ssd, lzah, &engine, &pages, 3, view, None);
+        let (warm_up, physical) = solo(&ssd, hardware(&pipeline, &pages), 3, view);
         assert_eq!(warm_up.lines, cold.lines);
         assert_eq!(warm_up.ledger, cold.ledger, "cold cache: identical run");
-        assert_eq!(warm_up.physical.cache_hits, 0);
+        assert_eq!(physical.cache_hits, 0);
 
-        let warm = scan_pages(&ssd, lzah, &engine, &pages, 3, view, None);
+        let (warm, physical) = solo(&ssd, hardware(&pipeline, &pages), 3, view);
         assert_eq!(warm.lines, cold.lines);
         assert_eq!(warm.lines_scanned, cold.lines_scanned);
         assert_eq!(warm.bytes_filtered, cold.bytes_filtered);
         // As-if-solo ledger is byte-identical; the physical ledger shows
         // every read served from the cache instead of the device.
         assert_eq!(warm.ledger, cold.ledger);
-        assert_eq!(warm.physical.pages_read, 0);
-        assert_eq!(warm.physical.cache_hits, pages.len() as u64);
-        assert_eq!(warm.physical.cache_bytes_saved, cold.ledger.bytes_read);
-        assert_eq!(warm.physical.demanded_reads(), cold.ledger.pages_read);
+        assert_eq!(physical.pages_read, 0);
+        assert_eq!(physical.cache_hits, pages.len() as u64);
+        assert_eq!(physical.cache_bytes_saved, cold.ledger.bytes_read);
+        assert_eq!(physical.demanded_reads(), cold.ledger.pages_read);
 
         // A different generation never sees the cached text.
         let stale: CacheView<'_> = Some((&cache, GenMap::Uniform(8)));
-        let fresh = scan_pages(&ssd, lzah, &engine, &pages, 3, stale, None);
-        assert_eq!(fresh.physical.cache_hits, 0);
-        assert_eq!(fresh.physical.pages_read, cold.ledger.pages_read);
+        let (_, fresh) = solo(&ssd, hardware(&pipeline, &pages), 3, stale);
+        assert_eq!(fresh.cache_hits, 0);
+        assert_eq!(fresh.pages_read, cold.ledger.pages_read);
     }
 
     #[test]
     fn fanout_cache_hits_preserve_solo_accounting() {
-        let texts: Vec<String> = (0..10)
-            .map(|i| format!("alpha event {i}\nbeta event {i}\n"))
-            .collect();
-        let refs: Vec<&str> = texts.iter().map(String::as_str).collect();
-        let (ssd, pages) = ssd_with_pages(&refs);
+        let (ssd, pages) = numbered_pages(10, |i| format!("alpha event {i}\nbeta event {i}\n"));
         let qa = mithrilog_query::parse("alpha").unwrap();
         let qb = mithrilog_query::parse("beta").unwrap();
         let pa = FilterPipeline::compile(&qa).unwrap();
         let pb = FilterPipeline::compile(&qb).unwrap();
-        let plan_a = pages[..8].to_vec();
-        let plan_b = pages[4..].to_vec();
         let lzah = LzahConfig::default();
-        let queries = [
-            FanQuery {
-                engine: Engine::Hardware(&pa),
-                pages: plan_a.clone(),
-                cancel: None,
-            },
-            FanQuery {
-                engine: Engine::Hardware(&pb),
-                pages: plan_b.clone(),
-                cancel: None,
-            },
-        ];
-        let cold = scan_pages_fanout(&ssd, lzah, &queries, 3, None);
+        let queries = [hardware(&pa, &pages[..8]), hardware(&pb, &pages[4..])];
+        let cold = scan_wave(&ssd, lzah, &queries, 3, None);
 
         let cache = PageCache::new(1 << 20);
         let view: CacheView<'_> = Some((&cache, GenMap::Uniform(1)));
-        let warm_up = scan_pages_fanout(&ssd, lzah, &queries, 3, view);
-        let warm = scan_pages_fanout(&ssd, lzah, &queries, 3, view);
+        let warm_up = scan_wave(&ssd, lzah, &queries, 3, view);
+        let warm = scan_wave(&ssd, lzah, &queries, 3, view);
         for run in [&warm_up, &warm] {
             for (got, want) in run.queries.iter().zip(&cold.queries) {
                 assert_eq!(got.lines, want.lines);
@@ -1211,109 +916,87 @@ mod tests {
 
     #[test]
     fn pre_cancelled_scan_visits_no_pages() {
-        let texts: Vec<String> = (0..6).map(|i| format!("alpha event {i}\n")).collect();
-        let refs: Vec<&str> = texts.iter().map(String::as_str).collect();
-        let (ssd, pages) = ssd_with_pages(&refs);
+        let (ssd, pages) = numbered_pages(6, |i| format!("alpha event {i}\n"));
         let query = mithrilog_query::parse("alpha").unwrap();
         let pipeline = FilterPipeline::compile(&query).unwrap();
-        let engine = Engine::Hardware(&pipeline);
         let token = CancelToken::new();
         token.cancel();
         for threads in [1, 4] {
-            let out = scan_pages(
-                &ssd,
-                LzahConfig::default(),
-                &engine,
-                &pages,
-                threads,
-                None,
-                Some(&token),
-            );
+            let cancelled = FanQuery {
+                cancel: Some(&token),
+                ..hardware(&pipeline, &pages)
+            };
+            let (out, physical) = solo(&ssd, cancelled, threads, None);
             assert!(out.lines.is_empty(), "{threads} threads");
             assert_eq!(out.pages_filtered, 0);
             assert_eq!(out.ledger, CostLedger::default());
-            assert!(out.error.is_none());
+            assert_eq!(physical, CostLedger::default(), "no read was issued");
         }
     }
 
     #[test]
     fn quarantined_pages_skip_at_zero_cost_even_with_a_warm_cache() {
-        let texts: Vec<String> = (0..4).map(|i| format!("alpha event {i}\n")).collect();
-        let refs: Vec<&str> = texts.iter().map(String::as_str).collect();
-        let (mut ssd, pages) = ssd_with_pages(&refs);
+        let (mut ssd, pages) = numbered_pages(4, |i| format!("alpha event {i}\n"));
         let query = mithrilog_query::parse("alpha").unwrap();
         let pipeline = FilterPipeline::compile(&query).unwrap();
-        let lzah = LzahConfig::default();
 
         // Warm the cache with every page, then quarantine one of them.
         let cache = PageCache::new(1 << 20);
         let view: CacheView<'_> = Some((&cache, GenMap::Uniform(1)));
-        {
-            let engine = Engine::Hardware(&pipeline);
-            scan_pages(&ssd, lzah, &engine, &pages, 1, view, None);
-        }
+        solo(&ssd, hardware(&pipeline, &pages), 1, view);
         let victim = pages[1];
         ssd.quarantine_page(victim.0);
 
         // Cached and uncached runs agree: the quarantined page is skipped
         // with zero charges in both, even though its text is still cached.
-        let engine = Engine::Hardware(&pipeline);
-        let cached = scan_pages(&ssd, lzah, &engine, &pages, 1, view, None);
-        let uncached = scan_pages(&ssd, lzah, &engine, &pages, 1, None, None);
+        let (cached, _) = solo(&ssd, hardware(&pipeline, &pages), 1, view);
+        let (uncached, _) = solo(&ssd, hardware(&pipeline, &pages), 1, None);
         assert_eq!(cached.skipped_pages, vec![victim.0]);
         assert_eq!(cached.lines, uncached.lines);
         assert_eq!(cached.skipped_pages, uncached.skipped_pages);
         assert_eq!(cached.ledger, uncached.ledger, "as-if-solo must agree");
         assert_eq!(uncached.ledger.pages_read, pages.len() as u64 - 1);
 
-        // Fan-out path agrees too.
-        let fan = scan_pages_fanout(
-            &ssd,
-            lzah,
-            &[FanQuery {
-                engine: Engine::Hardware(&pipeline),
-                pages: pages.clone(),
-                cancel: None,
-            }],
-            1,
-            view,
-        );
-        assert!(fan.error.is_none());
-        assert_eq!(fan.queries[0].lines, uncached.lines);
-        assert_eq!(fan.queries[0].skipped_pages, uncached.skipped_pages);
-        assert_eq!(fan.queries[0].ledger, uncached.ledger);
+        // Two queries sharing every page: the quarantined slot issued no
+        // read for anyone, so it is not an avoided read either — demanded
+        // reads equal what the two would have charged run one at a time.
+        let pair = [hardware(&pipeline, &pages), hardware(&pipeline, &pages)];
+        for cache in [None, view] {
+            let fan = scan_wave(&ssd, LzahConfig::default(), &pair, 1, cache);
+            assert!(fan.error.is_none());
+            for got in &fan.queries {
+                assert_eq!(got.lines, uncached.lines);
+                assert_eq!(got.skipped_pages, uncached.skipped_pages);
+                assert_eq!(got.ledger, uncached.ledger);
+            }
+            assert_eq!(fan.device_ledger.shared_reads, pages.len() as u64 - 1);
+            assert_eq!(
+                fan.device_ledger.demanded_reads(),
+                2 * uncached.ledger.pages_read
+            );
+        }
     }
 
     #[test]
     fn cancelled_fanout_query_leaves_live_queries_byte_identical() {
-        let texts: Vec<String> = (0..10)
-            .map(|i| format!("alpha event {i}\nbeta event {i}\n"))
-            .collect();
-        let refs: Vec<&str> = texts.iter().map(String::as_str).collect();
-        let (ssd, pages) = ssd_with_pages(&refs);
+        let (ssd, pages) = numbered_pages(10, |i| format!("alpha event {i}\nbeta event {i}\n"));
         let qa = mithrilog_query::parse("alpha").unwrap();
         let qb = mithrilog_query::parse("beta").unwrap();
         let pa = FilterPipeline::compile(&qa).unwrap();
         let pb = FilterPipeline::compile(&qb).unwrap();
-        let lzah = LzahConfig::default();
-        let solo_a = scan_pages(&ssd, lzah, &Engine::Hardware(&pa), &pages, 3, None, None);
+        let (solo_a, _) = solo(&ssd, hardware(&pa, &pages), 3, None);
 
         // Query B is cancelled before the wave starts; A shares every page.
         let cancelled = CancelToken::new();
         cancelled.cancel();
-        let fan = scan_pages_fanout(
+        let fan = scan_wave(
             &ssd,
-            lzah,
+            LzahConfig::default(),
             &[
+                hardware(&pa, &pages),
                 FanQuery {
-                    engine: Engine::Hardware(&pa),
-                    pages: pages.clone(),
-                    cancel: None,
-                },
-                FanQuery {
-                    engine: Engine::Hardware(&pb),
-                    pages: pages.clone(),
-                    cancel: Some(cancelled),
+                    cancel: Some(&cancelled),
+                    ..hardware(&pb, &pages)
                 },
             ],
             3,

@@ -157,6 +157,26 @@ pub struct RetentionReport {
     pub raw_bytes_dropped: u64,
 }
 
+impl RetentionReport {
+    /// Accumulates another pass's report (a multi-device layer sums its
+    /// members' reports). The exhaustive destructuring makes a field added
+    /// to the report a compile error here instead of a silently dropped sum.
+    pub fn merge(&mut self, other: &RetentionReport) {
+        let RetentionReport {
+            segments_dropped,
+            segments_retained,
+            pages_dropped,
+            lines_dropped,
+            raw_bytes_dropped,
+        } = *other;
+        self.segments_dropped += segments_dropped;
+        self.segments_retained += segments_retained;
+        self.pages_dropped += pages_dropped;
+        self.lines_dropped += lines_dropped;
+        self.raw_bytes_dropped += raw_bytes_dropped;
+    }
+}
+
 impl std::fmt::Display for RetentionReport {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(
@@ -316,6 +336,29 @@ pub struct ScanAttribution {
     pub pruned_by_both: u64,
 }
 
+impl ScanAttribution {
+    /// Accumulates the same query's attribution on another device: every
+    /// field is an additive count.
+    pub fn merge(&mut self, other: &ScanAttribution) {
+        let ScanAttribution {
+            planned_pages,
+            exclusive_pages,
+            shared_pages,
+            attributed_page_cost,
+            pruned_by_index,
+            pruned_by_bitmap,
+            pruned_by_both,
+        } = *other;
+        self.planned_pages += planned_pages;
+        self.exclusive_pages += exclusive_pages;
+        self.shared_pages += shared_pages;
+        self.attributed_page_cost += attributed_page_cost;
+        self.pruned_by_index += pruned_by_index;
+        self.pruned_by_bitmap += pruned_by_bitmap;
+        self.pruned_by_both += pruned_by_both;
+    }
+}
+
 /// Accounting for one shared scan over a batch of concurrently admitted
 /// queries ([`MithriLog::query_shared`]).
 ///
@@ -355,6 +398,41 @@ pub struct SharedScanReport {
 }
 
 impl SharedScanReport {
+    /// Accumulates the same batch's report from another device: counters
+    /// sum, and the per-query attributions sum row by row.
+    pub fn merge(&mut self, other: &SharedScanReport) {
+        let SharedScanReport {
+            demanded_page_reads,
+            unique_pages_read,
+            shared_reads_avoided,
+            cache_hits,
+            cache_bytes_saved,
+            pages_pruned_by_index,
+            pages_pruned_by_bitmap,
+            pages_pruned_by_both,
+            probe_node_visits_demanded,
+            probe_node_visits_physical,
+            attribution,
+        } = other;
+        self.demanded_page_reads += demanded_page_reads;
+        self.unique_pages_read += unique_pages_read;
+        self.shared_reads_avoided += shared_reads_avoided;
+        self.cache_hits += cache_hits;
+        self.cache_bytes_saved += cache_bytes_saved;
+        self.pages_pruned_by_index += pages_pruned_by_index;
+        self.pages_pruned_by_bitmap += pages_pruned_by_bitmap;
+        self.pages_pruned_by_both += pages_pruned_by_both;
+        self.probe_node_visits_demanded += probe_node_visits_demanded;
+        self.probe_node_visits_physical += probe_node_visits_physical;
+        if self.attribution.len() < attribution.len() {
+            self.attribution
+                .resize(attribution.len(), ScanAttribution::default());
+        }
+        for (mine, theirs) in self.attribution.iter_mut().zip(attribution) {
+            mine.merge(theirs);
+        }
+    }
+
     /// Index node reads the batched probe avoided versus solo probes.
     pub fn probe_node_visits_saved(&self) -> u64 {
         self.probe_node_visits_demanded
@@ -601,6 +679,53 @@ mod tests {
         let s = r.to_string();
         assert!(s.contains("dropped 2 sealed segments"), "{s}");
         assert!(s.contains("3 sealed segments retained"), "{s}");
+    }
+
+    #[test]
+    fn report_merges_sum_every_counter_and_attribution_row() {
+        let attr = ScanAttribution {
+            planned_pages: 4,
+            exclusive_pages: 1,
+            shared_pages: 3,
+            attributed_page_cost: 2.5,
+            pruned_by_index: 5,
+            pruned_by_bitmap: 6,
+            pruned_by_both: 7,
+        };
+        let one = SharedScanReport {
+            demanded_page_reads: 8,
+            unique_pages_read: 5,
+            shared_reads_avoided: 3,
+            cache_hits: 2,
+            cache_bytes_saved: 8192,
+            pages_pruned_by_index: 10,
+            pages_pruned_by_bitmap: 12,
+            pages_pruned_by_both: 14,
+            probe_node_visits_demanded: 9,
+            probe_node_visits_physical: 6,
+            attribution: vec![attr, attr],
+        };
+        let mut sum = SharedScanReport::default();
+        sum.merge(&one);
+        assert_eq!(sum, one, "merging into an empty report copies it");
+        sum.merge(&one);
+        assert_eq!(sum.demanded_page_reads, 16);
+        assert_eq!(sum.probe_node_visits_saved(), 6);
+        assert_eq!(sum.attribution.len(), 2);
+        assert_eq!(sum.attribution[1].pruned_by_both, 14);
+        assert_eq!(sum.attribution[1].attributed_page_cost, 5.0);
+
+        let pass = RetentionReport {
+            segments_dropped: 1,
+            segments_retained: 2,
+            pages_dropped: 3,
+            lines_dropped: 4,
+            raw_bytes_dropped: 5,
+        };
+        let mut total = pass;
+        total.merge(&pass);
+        assert_eq!(total.segments_retained, 4);
+        assert_eq!(total.raw_bytes_dropped, 10);
     }
 
     #[test]

@@ -197,11 +197,15 @@ struct BitmapRef {
     crc: u32,
 }
 
-/// One query's share of a wave plan (see `MithriLog::plan_wave`): the final
-/// page set (before the caller's window/budget/deadline clips), the
+/// One request's share of a wave plan (see `MithriLog::plan_wave`): the
+/// final page set, what the request's own clips dropped from it, the
 /// as-if-solo probe ledger, and the per-segment pruning classification.
 struct PlannedQuery {
+    /// Pages to scan: ascending, deduplicated, already clipped to the
+    /// request's time window, page budget and deadline.
     pages: Vec<PageId>,
+    budget_clipped: u64,
+    deadline_clipped: u64,
     plan_ledger: mithrilog_storage::CostLedger,
     used_index: bool,
     index_fallback: bool,
@@ -1644,8 +1648,7 @@ impl<S: PageStore> MithriLog<S> {
     ///
     /// Returns parse errors, storage errors, or decompression errors.
     pub fn query_str(&mut self, query_text: &str) -> Result<QueryOutcome, MithriLogError> {
-        let q = parse(query_text)?;
-        self.query(&q)
+        self.query_request(QueryRequest::parse(query_text)?)
     }
 
     /// Executes a query restricted to the time interval `[t1, t2]` using
@@ -1666,8 +1669,7 @@ impl<S: PageStore> MithriLog<S> {
         t1: u64,
         t2: u64,
     ) -> Result<QueryOutcome, MithriLogError> {
-        let (lo, hi) = self.index.time_slice(t1, t2);
-        self.query_inner(query, Some((lo, hi)))
+        self.query_request(QueryRequest::new(query.clone()).with_time_range(t1, t2))
     }
 
     /// Executes a query end to end: index plan → page stream →
@@ -1690,7 +1692,14 @@ impl<S: PageStore> MithriLog<S> {
     /// Propagates parse errors and non-survivable storage errors
     /// (out-of-range access, host I/O failure).
     pub fn query(&mut self, query: &Query) -> Result<QueryOutcome, MithriLogError> {
-        self.query_inner(query, None)
+        self.query_request(QueryRequest::new(query.clone()))
+    }
+
+    /// A solo query is a wave of one: same planner, same scan kernel, same
+    /// outcome assembly as any other wave.
+    fn query_request(&mut self, request: QueryRequest) -> Result<QueryOutcome, MithriLogError> {
+        let mut wave = self.query_shared(std::slice::from_ref(&request))?;
+        Ok(wave.outcomes.pop().expect("one outcome per request"))
     }
 
     /// Executes a batch of concurrently admitted queries as **one shared
@@ -1728,81 +1737,40 @@ impl<S: PageStore> MithriLog<S> {
         requests: &[QueryRequest],
     ) -> Result<SharedBatchOutcome, MithriLogError> {
         let wall_start = Instant::now();
-        struct Prepared {
-            pages: Vec<PageId>,
-            plan_ledger: mithrilog_storage::CostLedger,
-            used_index: bool,
-            index_fallback: bool,
-            budget_clipped: u64,
-            deadline_clipped: u64,
-            pruned_by_index: u64,
-            pruned_by_bitmap: u64,
-            pruned_by_both: u64,
-        }
-        let queries: Vec<&Query> = requests.iter().map(|r| &r.query).collect();
-        let wave = self.plan_wave(&queries)?;
-        let mut prepared: Vec<Prepared> = Vec::with_capacity(requests.len());
-        let mut pipelines: Vec<Option<FilterPipeline>> = Vec::with_capacity(requests.len());
-        for (req, planned) in requests.iter().zip(wave.queries) {
-            let window = req.time_range.map(|(t1, t2)| self.index.time_slice(t1, t2));
-            let pruned_by_index = planned.pruned_by_index();
-            let pruned_by_bitmap = planned.pruned_by_bitmap();
-            let pruned_by_both = planned.pruned_by_both();
-            let mut pages = planned.pages;
-            if let Some((lo, hi)) = window {
-                pages.retain(|p| lo.is_none_or(|l| *p >= l) && hi.is_none_or(|h| *p < h));
-            }
-            let (budget_clipped, deadline_clipped) =
-                self.clip_plan(&mut pages, req.page_budget, req.deadline);
-            pipelines.push(
+        let wave = self.plan_wave(requests)?;
+        let pipelines: Vec<Option<FilterPipeline>> = requests
+            .iter()
+            .map(|req| {
                 FilterPipeline::compile_with(
                     &req.query,
                     self.config.filter,
                     self.config.tokenizer.clone(),
                 )
-                .ok(),
-            );
-            prepared.push(Prepared {
-                pages,
-                plan_ledger: planned.plan_ledger,
-                used_index: planned.used_index,
-                index_fallback: planned.index_fallback,
-                budget_clipped,
-                deadline_clipped,
-                pruned_by_index,
-                pruned_by_bitmap,
-                pruned_by_both,
-            });
-        }
-
-        // Share counts over the post-clip plans drive the attribution split.
-        let mut share: std::collections::HashMap<PageId, u64> = std::collections::HashMap::new();
-        for prep in &prepared {
-            for page in &prep.pages {
-                *share.entry(*page).or_default() += 1;
-            }
-        }
-
-        let engines: Vec<exec::FanQuery<'_>> = requests
-            .iter()
-            .zip(&pipelines)
-            .zip(&prepared)
-            .map(|((req, pipeline), prep)| {
-                let engine = match pipeline {
-                    Some(p) => Engine::Hardware(p),
-                    None => Engine::Software(&req.query),
-                };
-                exec::FanQuery {
-                    engine,
-                    pages: prep.pages.clone(),
-                    cancel: req.cancel.clone(),
-                }
+                .ok()
             })
             .collect();
-        let fan = exec::scan_pages_fanout(
+        let fan_queries: Vec<exec::FanQuery<'_>> = requests
+            .iter()
+            .zip(&pipelines)
+            .zip(&wave.queries)
+            .map(|((req, pipeline), planned)| exec::FanQuery {
+                engine: match pipeline {
+                    Some(p) => Engine::Hardware(p),
+                    None => Engine::Software(&req.query),
+                },
+                pages: &planned.pages,
+                cancel: req.cancel.as_ref(),
+            })
+            .collect();
+        // The parallel datapath: union pages striped across the worker
+        // pool, each worker running its own read → decompress → filter
+        // pipeline with a private cost ledger (see `exec`). The device
+        // records only physical work plus the shared-read and cache-hit
+        // counters; each query is charged as if solo below.
+        let fan = exec::scan_wave(
             &self.ssd,
             self.config.lzah,
-            &engines,
+            &fan_queries,
             self.config.resolved_query_threads(),
             self.cache_view(),
         );
@@ -1813,52 +1781,40 @@ impl<S: PageStore> MithriLog<S> {
 
         let wall_time = wall_start.elapsed();
         let mut report = SharedScanReport {
-            demanded_page_reads: prepared.iter().map(|p| p.pages.len() as u64).sum(),
-            unique_pages_read: share.len() as u64,
+            unique_pages_read: fan.union_pages,
             shared_reads_avoided: fan.device_ledger.shared_reads,
             cache_hits: fan.device_ledger.cache_hits,
             cache_bytes_saved: fan.device_ledger.cache_bytes_saved,
-            pages_pruned_by_index: prepared.iter().map(|p| p.pruned_by_index).sum(),
-            pages_pruned_by_bitmap: prepared.iter().map(|p| p.pruned_by_bitmap).sum(),
-            pages_pruned_by_both: prepared.iter().map(|p| p.pruned_by_both).sum(),
             probe_node_visits_demanded: wave.probe_report.node_visits_demanded,
             probe_node_visits_physical: wave.probe_report.node_visits_physical,
             attribution: Vec::with_capacity(requests.len()),
+            ..SharedScanReport::default()
         };
         let mut outcomes = Vec::with_capacity(requests.len());
-        for ((prep, scan), pipeline) in prepared.iter().zip(fan.queries).zip(&pipelines) {
-            let mut attr = ScanAttribution {
-                planned_pages: prep.pages.len() as u64,
-                pruned_by_index: prep.pruned_by_index,
-                pruned_by_bitmap: prep.pruned_by_bitmap,
-                pruned_by_both: prep.pruned_by_both,
-                ..ScanAttribution::default()
+        for ((planned, scan), pipeline) in wave.queries.iter().zip(fan.queries).zip(&pipelines) {
+            let attribution = ScanAttribution {
+                pruned_by_index: planned.pruned_by_index(),
+                pruned_by_bitmap: planned.pruned_by_bitmap(),
+                pruned_by_both: planned.pruned_by_both(),
+                ..scan.attribution
             };
-            for page in &prep.pages {
-                let sharers = share[page];
-                if sharers <= 1 {
-                    attr.exclusive_pages += 1;
-                    attr.attributed_page_cost += 1.0;
-                } else {
-                    attr.shared_pages += 1;
-                    attr.attributed_page_cost += 1.0 / sharers as f64;
-                }
-            }
-            report.attribution.push(attr);
+            report.demanded_page_reads += attribution.planned_pages;
+            report.pages_pruned_by_index += attribution.pruned_by_index;
+            report.pages_pruned_by_bitmap += attribution.pruned_by_bitmap;
+            report.pages_pruned_by_both += attribution.pruned_by_both;
+            report.attribution.push(attribution);
 
-            let mut ledger = prep.plan_ledger;
+            // Planning charges (the as-if-solo probe replay; the physical
+            // walk already sits on the device ledger) plus the scan's.
+            let mut ledger = planned.plan_ledger;
             ledger.merge(&scan.ledger);
-            let mut degraded = DegradedRead {
-                skipped_pages: scan.skipped_pages,
-                retries: ledger.retries,
-                estimated_missed_lines: 0,
-                index_fallback: prep.index_fallback,
-                budget_clipped: prep.budget_clipped,
-                deadline_clipped: prep.deadline_clipped,
-            };
+            // Estimate what the lost pages held from *this query's*
+            // observed line density when at least one page was scanned; the
+            // global average (which counts pages from other epochs) is only
+            // a fallback for the nothing-was-scanned case.
             let lost =
-                degraded.skipped_pages.len() as u64 + prep.budget_clipped + prep.deadline_clipped;
-            degraded.estimated_missed_lines = if lost == 0 {
+                scan.skipped_pages.len() as u64 + planned.budget_clipped + planned.deadline_clipped;
+            let estimated_missed_lines = if lost == 0 {
                 0
             } else if scan.pages_filtered > 0 {
                 scan.lines_scanned.div_ceil(scan.pages_filtered) * lost
@@ -1870,14 +1826,21 @@ impl<S: PageStore> MithriLog<S> {
                 lines: scan.lines,
                 line_pages: scan.line_pages,
                 offloaded: pipeline.is_some(),
-                used_index: prep.used_index,
-                pages_scanned: prep.pages.len() as u64,
+                used_index: planned.used_index,
+                pages_scanned: planned.pages.len() as u64,
                 bytes_filtered: scan.bytes_filtered,
                 lines_scanned: scan.lines_scanned,
                 ledger,
                 modeled_time,
                 wall_time,
-                degraded,
+                degraded: DegradedRead {
+                    skipped_pages: scan.skipped_pages,
+                    retries: ledger.retries,
+                    estimated_missed_lines,
+                    index_fallback: planned.index_fallback,
+                    budget_clipped: planned.budget_clipped,
+                    deadline_clipped: planned.deadline_clipped,
+                },
             });
         }
         Ok(SharedBatchOutcome {
@@ -1886,102 +1849,11 @@ impl<S: PageStore> MithriLog<S> {
         })
     }
 
-    fn query_inner(
-        &mut self,
-        query: &Query,
-        window: Option<(Option<PageId>, Option<PageId>)>,
-    ) -> Result<QueryOutcome, MithriLogError> {
-        let wall_start = Instant::now();
-        let mut degraded = DegradedRead::default();
-
-        // The solo path is a batch of one through the shared wave planner:
-        // one code path decides index use, replays the as-if-solo probe
-        // ledger, and applies the segment-bitmap pruning, so a query run
-        // alone and the same query run inside a wave plan identically.
-        let wave = self.plan_wave(std::slice::from_ref(&query))?;
-        let planned = wave
-            .queries
-            .into_iter()
-            .next()
-            .expect("plan_wave returns one plan per query");
-        degraded.index_fallback = planned.index_fallback;
-        let used_index = planned.used_index;
-        let mut pages = planned.pages;
-        if let Some((lo, hi)) = window {
-            pages.retain(|p| lo.is_none_or(|l| *p >= l) && hi.is_none_or(|h| *p < h));
-        }
-
-        let pipeline =
-            FilterPipeline::compile_with(query, self.config.filter, self.config.tokenizer.clone());
-        let offloaded = pipeline.is_ok();
-        let engine = match &pipeline {
-            Ok(p) => Engine::Hardware(p),
-            Err(_) => Engine::Software(query),
-        };
-
-        // Planning charges: the as-if-solo probe replay ledger from the
-        // wave planner (physical walk charges already sit on the device
-        // ledger).
-        let plan_ledger = planned.plan_ledger;
-
-        // The parallel datapath: pages striped across the worker pool, each
-        // worker running its own read → decompress → filter pipeline with a
-        // private cost ledger, merged back order-preserving (see `exec`).
-        let data_pages_scanned = pages.len() as u64;
-        let scan = exec::scan_pages(
-            &self.ssd,
-            self.config.lzah,
-            &engine,
-            &pages,
-            self.config.resolved_query_threads(),
-            self.cache_view(),
-            None,
-        );
-        // The device records only physical work (plus the cache-hit
-        // counters); the query is charged as if solo below.
-        self.ssd.merge_ledger(&scan.physical);
-        if let Some(e) = scan.error {
-            return Err(e.into());
-        }
-        let lines = scan.lines;
-        let line_pages = scan.line_pages;
-        let bytes_filtered = scan.bytes_filtered;
-        let lines_scanned = scan.lines_scanned;
-        degraded.skipped_pages = scan.skipped_pages;
-
-        let mut ledger = plan_ledger;
-        ledger.merge(&scan.ledger);
-        degraded.retries = ledger.retries;
-        // Estimate what the skipped pages cost from *this query's* observed
-        // line density when at least one page was scanned; the global
-        // average (which counts pages from other epochs) is only a fallback
-        // for the every-planned-page-skipped case.
-        let skipped = degraded.skipped_pages.len() as u64;
-        degraded.estimated_missed_lines = if skipped == 0 {
-            0
-        } else if scan.pages_filtered > 0 {
-            lines_scanned.div_ceil(scan.pages_filtered) * skipped
-        } else {
-            self.avg_lines_per_page() * skipped
-        };
-        let modeled_time = self.model_query_time(&ledger, bytes_filtered, &lines);
-        Ok(QueryOutcome {
-            lines,
-            line_pages,
-            offloaded,
-            used_index,
-            pages_scanned: data_pages_scanned,
-            bytes_filtered,
-            lines_scanned,
-            ledger,
-            modeled_time,
-            wall_time: wall_start.elapsed(),
-            degraded,
-        })
-    }
-
-    /// Plans a wave of queries through one batched index probe plus the
-    /// per-segment pruning bitmaps.
+    /// Plans a wave of requests through one batched index probe plus the
+    /// per-segment pruning bitmaps, then clips each plan to its request's
+    /// own time window, page budget and deadline
+    /// ([`MithriLog::clip_to_request`]). The single request → final-plan
+    /// path: a solo query, a wave and [`MithriLog::explain`] all plan here.
     ///
     /// * Every query that wants the index (per
     ///   [`MithriLog::index_probe_is_worthwhile`]) joins a single
@@ -2002,18 +1874,17 @@ impl<S: PageStore> MithriLog<S> {
     /// # Errors
     ///
     /// Propagates non-survivable probe errors; survivable (skippable) ones
-    /// degrade the affected query to a full scan exactly like the solo
-    /// path.
-    fn plan_wave(&mut self, queries: &[&Query]) -> Result<WavePlan, MithriLogError> {
-        let wants_probe: Vec<bool> = queries
+    /// degrade the affected query to a filtered full scan.
+    fn plan_wave(&mut self, requests: &[QueryRequest]) -> Result<WavePlan, MithriLogError> {
+        let wants_probe: Vec<bool> = requests
             .iter()
-            .map(|q| self.config.use_index && self.index_probe_is_worthwhile(q))
+            .map(|r| self.config.use_index && self.index_probe_is_worthwhile(&r.query))
             .collect();
-        let probing: Vec<&Query> = queries
+        let probing: Vec<&Query> = requests
             .iter()
             .zip(&wants_probe)
             .filter(|(_, w)| **w)
-            .map(|(q, _)| *q)
+            .map(|(r, _)| &r.query)
             .collect();
         let (probed, probe_report) = if probing.is_empty() {
             (Vec::new(), mithrilog_index::BatchProbeReport::default())
@@ -2033,8 +1904,9 @@ impl<S: PageStore> MithriLog<S> {
         }
         let bitmaps_on = self.config.use_index && self.config.bitmap_buckets > 0;
         let mut probed_iter = probed.into_iter();
-        let mut planned = Vec::with_capacity(queries.len());
-        for (query, wants) in queries.iter().zip(&wants_probe) {
+        let mut planned = Vec::with_capacity(requests.len());
+        for (req, wants) in requests.iter().zip(&wants_probe) {
+            let query = &req.query;
             let mut plan_ledger = mithrilog_storage::CostLedger::default();
             let mut index_fallback = false;
             let plan = if *wants {
@@ -2122,8 +1994,11 @@ impl<S: PageStore> MithriLog<S> {
             if !dead.is_empty() {
                 pages.retain(|p| !dead.contains(&p.0));
             }
+            let (budget_clipped, deadline_clipped) = self.clip_to_request(&mut pages, req);
             planned.push(PlannedQuery {
                 pages,
+                budget_clipped,
+                deadline_clipped,
                 plan_ledger,
                 used_index,
                 index_fallback,
@@ -2136,35 +2011,28 @@ impl<S: PageStore> MithriLog<S> {
         })
     }
 
-    /// Applies the deadline clips to a planned page list — the page budget
-    /// first, then the modeled-time deadline — returning
-    /// `(budget_clipped, deadline_clipped)`. The deadline clip runs after
-    /// the budget clip: the deadline is converted into a page allowance
-    /// with the device performance model, so the clip depends only on the
-    /// request and the model — the same request replays byte-identically
-    /// anywhere.
-    fn clip_plan(
-        &self,
-        pages: &mut Vec<PageId>,
-        page_budget: Option<u64>,
-        deadline: Option<Duration>,
-    ) -> (u64, u64) {
-        let mut budget_clipped = 0u64;
-        if let Some(budget) = page_budget {
-            let keep = usize::try_from(budget)
-                .unwrap_or(usize::MAX)
-                .min(pages.len());
-            budget_clipped = (pages.len() - keep) as u64;
-            pages.truncate(keep);
+    /// Clips a planned page list to its request: the time window first
+    /// (the page-id range bracketing `[t1, t2]` on the snapshot clock), then
+    /// the page budget, then the modeled-time deadline — returning
+    /// `(budget_clipped, deadline_clipped)`. The deadline is converted into
+    /// a page allowance with the device performance model, so every clip
+    /// depends only on the request, the snapshots and the model: the same
+    /// request replays byte-identically anywhere.
+    fn clip_to_request(&self, pages: &mut Vec<PageId>, req: &QueryRequest) -> (u64, u64) {
+        if let Some((t1, t2)) = req.time_range {
+            let (lo, hi) = self.index.time_slice(t1, t2);
+            pages.retain(|p| lo.is_none_or(|l| *p >= l) && hi.is_none_or(|h| *p < h));
         }
-        let mut deadline_clipped = 0u64;
-        if let Some(deadline) = deadline {
-            let keep = usize::try_from(self.deadline_page_allowance(deadline))
-                .unwrap_or(usize::MAX)
+        let mut clip = |allowance: Option<u64>| {
+            let keep = allowance
+                .map_or(usize::MAX, |a| usize::try_from(a).unwrap_or(usize::MAX))
                 .min(pages.len());
-            deadline_clipped = (pages.len() - keep) as u64;
+            let clipped = (pages.len() - keep) as u64;
             pages.truncate(keep);
-        }
+            clipped
+        };
+        let budget_clipped = clip(req.page_budget);
+        let deadline_clipped = clip(req.deadline.map(|d| self.deadline_page_allowance(d)));
         (budget_clipped, deadline_clipped)
     }
 
@@ -2184,26 +2052,19 @@ impl<S: PageStore> MithriLog<S> {
     /// Propagates non-survivable storage errors from the probe, exactly
     /// like [`MithriLog::query`].
     pub fn explain(&mut self, req: &QueryRequest) -> Result<PlanExplain, MithriLogError> {
-        let wave = self.plan_wave(std::slice::from_ref(&&req.query))?;
+        let wave = self.plan_wave(std::slice::from_ref(req))?;
         let planned = wave
             .queries
             .into_iter()
             .next()
-            .expect("plan_wave returns one plan per query");
-        let window = req.time_range.map(|(t1, t2)| self.index.time_slice(t1, t2));
-        let mut pages = planned.pages;
-        if let Some((lo, hi)) = window {
-            pages.retain(|p| lo.is_none_or(|l| *p >= l) && hi.is_none_or(|h| *p < h));
-        }
-        let (budget_clipped, deadline_clipped) =
-            self.clip_plan(&mut pages, req.page_budget, req.deadline);
+            .expect("plan_wave returns one plan per request");
         Ok(PlanExplain {
             used_index: planned.used_index,
             index_fallback: planned.index_fallback,
             live_pages: self.data_pages.len() as u64,
-            planned_pages: pages.len() as u64,
-            budget_clipped,
-            deadline_clipped,
+            planned_pages: planned.pages.len() as u64,
+            budget_clipped: planned.budget_clipped,
+            deadline_clipped: planned.deadline_clipped,
             segments: planned.segments,
         })
     }
@@ -2644,6 +2505,38 @@ RAS KERNEL INFO generating core.2275\n";
         // The cancelled query scanned and was charged nothing.
         assert!(batch.outcomes[1].lines.is_empty());
         assert_eq!(batch.outcomes[1].ledger.pages_read, 0);
+    }
+
+    #[test]
+    fn quarantined_shared_page_is_not_counted_as_an_avoided_read() {
+        // No index, no cache: every demanded read is a data-page read.
+        let mut s = MithriLog::new(SystemConfig {
+            use_index: false,
+            page_cache_bytes: 0,
+            ..SystemConfig::for_tests()
+        });
+        s.ingest(LOG.repeat(300).as_bytes()).unwrap();
+        let pages = s.data_page_count();
+        assert!(pages > 3, "need several pages");
+        let victim = s.data_pages()[1].0;
+        s.device_mut().quarantine_page(victim);
+
+        let before = *s.device().ledger();
+        let wave = [
+            QueryRequest::parse("FATAL").unwrap(),
+            QueryRequest::parse("KERNEL").unwrap(),
+        ];
+        let batch = s.query_shared(&wave).unwrap();
+        let device = s.device().ledger().since(&before);
+        for o in &batch.outcomes {
+            assert_eq!(o.degraded.skipped_pages, vec![victim]);
+            assert_eq!(o.ledger.pages_read, pages - 1, "the skip costs nothing");
+        }
+        // The quarantined slot issued no read for either query, so the
+        // device's demand view equals the two as-if-solo ledgers summed.
+        let as_if_solo: u64 = batch.outcomes.iter().map(|o| o.ledger.pages_read).sum();
+        assert_eq!(device.demanded_reads(), as_if_solo);
+        assert_eq!(batch.shared.shared_reads_avoided, pages - 1);
     }
 
     #[test]

@@ -30,8 +30,8 @@ use std::time::Instant;
 
 use mithrilog::{
     IngestReport, MithriLog, MithriLogError, PlanExplain, PreparedIngest, QueryOutcome,
-    QueryRequest, RecoveryReport, RetentionReport, ScanAttribution, SegmentSummary,
-    SharedBatchOutcome, SharedScanReport, SystemConfig,
+    QueryRequest, RecoveryReport, RetentionReport, SegmentSummary, SharedBatchOutcome,
+    SharedScanReport, SystemConfig,
 };
 use mithrilog_storage::{MemStore, PageStore, ScrubReport, ScrubSlice};
 
@@ -453,34 +453,9 @@ impl<S: PageStore> ShardedLog<S> {
         }
         let wall_time = wall_start.elapsed();
 
-        // Merge the batch-wide shared-scan report: physical counters sum,
-        // attributions sum per query.
         let mut shared = SharedScanReport::default();
         for batch in &per_shard {
-            shared.demanded_page_reads += batch.shared.demanded_page_reads;
-            shared.unique_pages_read += batch.shared.unique_pages_read;
-            shared.shared_reads_avoided += batch.shared.shared_reads_avoided;
-            shared.cache_hits += batch.shared.cache_hits;
-            shared.cache_bytes_saved += batch.shared.cache_bytes_saved;
-            shared.pages_pruned_by_index += batch.shared.pages_pruned_by_index;
-            shared.pages_pruned_by_bitmap += batch.shared.pages_pruned_by_bitmap;
-            shared.pages_pruned_by_both += batch.shared.pages_pruned_by_both;
-            shared.probe_node_visits_demanded += batch.shared.probe_node_visits_demanded;
-            shared.probe_node_visits_physical += batch.shared.probe_node_visits_physical;
-        }
-        for q in 0..requests.len() {
-            let mut attr = ScanAttribution::default();
-            for batch in &per_shard {
-                let a = &batch.shared.attribution[q];
-                attr.planned_pages += a.planned_pages;
-                attr.exclusive_pages += a.exclusive_pages;
-                attr.shared_pages += a.shared_pages;
-                attr.attributed_page_cost += a.attributed_page_cost;
-                attr.pruned_by_index += a.pruned_by_index;
-                attr.pruned_by_bitmap += a.pruned_by_bitmap;
-                attr.pruned_by_both += a.pruned_by_both;
-            }
-            shared.attribution.push(attr);
+            shared.merge(&batch.shared);
         }
 
         let total_lines: u64 = self.shards.iter().map(|s| s.lines()).sum();
@@ -591,11 +566,7 @@ impl<S: PageStore> ShardedLog<S> {
             let r = shard
                 .apply_retention(keep)
                 .map_err(|source| ShardError::Shard { shard: i, source })?;
-            total.segments_dropped += r.segments_dropped;
-            total.segments_retained += r.segments_retained;
-            total.pages_dropped += r.pages_dropped;
-            total.lines_dropped += r.lines_dropped;
-            total.raw_bytes_dropped += r.raw_bytes_dropped;
+            total.merge(&r);
         }
         Ok(total)
     }

@@ -96,4 +96,14 @@ cargo run --release -p mithrilog-bench --quiet --bin shard_scaling -- \
 echo "==> bench report schema check (every emitted BENCH_*.json parses and carries schema)"
 cargo run --release -p mithrilog-bench --quiet --bin check_bench_json -- target/ci
 
+echo "==> bench_e2e (its own workspace: a crate API change must not break it unnoticed)"
+cargo build --release --offline --manifest-path benchmark/Cargo.toml
+(cd benchmark && cargo test --offline -q)
+BENCH_LINE=$(benchmark/run.sh --workload scan_cold --seed 42 --seconds 3 --trace 0 | tail -n 1)
+echo "$BENCH_LINE"
+case "$BENCH_LINE" in
+  *'"correct": true'*'"failed": 0,'*) ;;
+  *) echo "bench_e2e smoke: scan_cold did not report correct answers with 0 failures"; exit 1 ;;
+esac
+
 echo "==> ci.sh: all green"

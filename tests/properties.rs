@@ -1,10 +1,12 @@
 //! Property-based tests (proptest) on the core data structures and
 //! invariants: codec losslessness, query-language round trips, DNF
-//! equivalence, hardware-filter/reference agreement, and index
-//! no-false-negative guarantees.
+//! equivalence, hardware-filter/reference agreement, index
+//! no-false-negative guarantees, and the whole system against the
+//! reference line evaluator.
 
 use proptest::prelude::*;
 
+use mithrilog::{MithriLog, QueryOutcome, QueryRequest, SystemConfig};
 use mithrilog_compress::{Codec, Gzf, Lz4, Lzah, Lzrw1, Snappy};
 use mithrilog_filter::{CompiledQuery, FilterParams, HashFilter};
 use mithrilog_index::{IndexParams, InvertedIndex};
@@ -310,6 +312,119 @@ proptest! {
                 );
             }
         }
+    }
+}
+
+// ---------- whole system vs. the reference evaluator ----------
+
+/// Every `QueryOutcome` field except `wall_time`. The exhaustive
+/// destructuring makes a field added to the outcome a compile error here.
+fn outcome_sans_wall_time(o: &QueryOutcome) -> impl PartialEq + std::fmt::Debug + '_ {
+    let QueryOutcome {
+        lines,
+        line_pages,
+        offloaded,
+        used_index,
+        pages_scanned,
+        bytes_filtered,
+        lines_scanned,
+        ledger,
+        modeled_time,
+        wall_time: _,
+        degraded,
+    } = o;
+    (
+        lines,
+        line_pages,
+        offloaded,
+        used_index,
+        pages_scanned,
+        bytes_filtered,
+        lines_scanned,
+        ledger,
+        modeled_time,
+        degraded,
+    )
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    // The oracle is independent of the executor: `Query::matches_line`
+    // over the raw lines. A solo query, a wave of one and the same request
+    // inside a wave of three must all return exactly those lines, and
+    // agree with each other on every other outcome field — sharing a scan
+    // never changes what a member sees or is charged.
+    #[test]
+    fn solo_query_and_waves_agree_with_the_reference_evaluator(
+        text in arbitrary_loglike(),
+        marks in prop::collection::vec(0u8..32, 60..61),
+        batches in 1usize..4,
+        e in arbitrary_expr(),
+        knobs in 0u8..8,
+    ) {
+        // The query vocabulary is a..e: sprinkle those tokens over the
+        // corpus so random expressions select non-trivial line sets.
+        let text = String::from_utf8(text).unwrap();
+        let lines: Vec<String> = text
+            .lines()
+            .zip(&marks)
+            .map(|(line, mark)| {
+                let mut line = line.to_string();
+                for (bit, token) in ["a", "b", "c", "d", "e"].iter().enumerate() {
+                    if mark & (1 << bit) != 0 {
+                        line.push(' ');
+                        line.push_str(token);
+                    }
+                }
+                line
+            })
+            .collect();
+
+        // One page per segment, so sealed segments (and their pruning
+        // bitmaps) exist even on a corpus of a few pages.
+        let mut system = MithriLog::new(SystemConfig {
+            query_threads: if knobs & 1 == 0 { 1 } else { 3 },
+            page_cache_bytes: if knobs & 2 == 0 { 0 } else { SystemConfig::default().page_cache_bytes },
+            use_index: knobs & 4 != 0,
+            segment_pages: 1,
+            ..SystemConfig::for_tests()
+        });
+        for batch in lines.chunks(lines.len().div_ceil(batches).max(1)) {
+            let mut bytes = batch.join("\n").into_bytes();
+            bytes.push(b'\n');
+            system.ingest(&bytes).unwrap();
+        }
+
+        let q = e.to_query().unwrap();
+        let want: Vec<&String> = lines.iter().filter(|l| q.matches_line(l)).collect();
+
+        let request = QueryRequest::new(q.clone());
+        let solo = system.query(&q).unwrap();
+        let alone = system.query_shared(std::slice::from_ref(&request)).unwrap();
+        let wave = system
+            .query_shared(&[
+                // Companions with plans of their own: the first page only,
+                // and every page.
+                QueryRequest::parse("error OR kernel:")
+                    .unwrap()
+                    .with_page_budget(1),
+                request,
+                QueryRequest::parse("NOT a").unwrap(),
+            ])
+            .unwrap();
+        prop_assert_eq!(solo.lines.iter().collect::<Vec<_>>(), want);
+        prop_assert!(!solo.degraded.is_degraded());
+        prop_assert_eq!(
+            outcome_sans_wall_time(&alone.outcomes[0]),
+            outcome_sans_wall_time(&solo),
+            "wave of one"
+        );
+        prop_assert_eq!(
+            outcome_sans_wall_time(&wave.outcomes[1]),
+            outcome_sans_wall_time(&solo),
+            "inside a wave of three"
+        );
     }
 }
 

@@ -7,7 +7,9 @@
 //! O(1) per query — strictly fewer allocations than it scans pages. The
 //! pre-scratch path allocated at least a decoder table and an output
 //! buffer per page, so this bound fails loudly on any regression that
-//! reintroduces per-page allocation.
+//! reintroduces per-page allocation. The same bound holds for a wave: the
+//! solo query *is* a wave of one, and a four-request wave builds its page
+//! union and fans every page out without allocating per page either.
 //!
 //! This file intentionally holds a single `#[test]`: the allocator count
 //! is global to the test binary, and a concurrently running test would
@@ -16,7 +18,7 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use mithrilog::{MithriLog, SystemConfig};
+use mithrilog::{MithriLog, QueryRequest, SystemConfig};
 use mithrilog_loggen::{generate, DatasetProfile, DatasetSpec};
 
 /// Counts every allocation (fresh, zeroed, and growth reallocations) and
@@ -95,5 +97,25 @@ fn steady_state_scan_allocates_o1_per_query_not_per_page() {
         delta < pages,
         "a steady-state no-match scan of {pages} pages allocated {delta} \
          times — the page loop must not allocate per page"
+    );
+
+    // A wave of four full scans shares every page: building the union,
+    // tracking who is interested in which page and collecting per-slot
+    // results must all stay O(1) allocations per query, not per page.
+    let wave: Vec<QueryRequest> = (0..4)
+        .map(|i| QueryRequest::parse(&format!("zz-no-such-token-{i}-zz")).unwrap())
+        .collect();
+    let warm = system.query_shared(&wave).unwrap();
+    assert_eq!(warm.shared.unique_pages_read, pages);
+    let before = allocations();
+    let batch = system.query_shared(&wave).unwrap();
+    let delta = allocations() - before;
+    assert_eq!(batch.shared.unique_pages_read, pages);
+    assert_eq!(batch.shared.shared_reads_avoided, 3 * pages);
+    assert!(batch.outcomes.iter().all(|o| o.match_count() == 0));
+    assert!(
+        delta < pages,
+        "a steady-state 4-request no-match wave over {pages} union pages \
+         allocated {delta} times — the fan-out must not allocate per page"
     );
 }
