@@ -26,6 +26,11 @@ impl Bitmap {
         self.bits
     }
 
+    /// The `u64` limbs, bit `i` in limb `i / 64` (trailing bits zero).
+    pub(crate) fn limbs(&self) -> &[u64] {
+        &self.limbs
+    }
+
     /// Whether no bit is set.
     pub fn is_empty(&self) -> bool {
         self.limbs.iter().all(|&l| l == 0)

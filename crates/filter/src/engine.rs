@@ -1,6 +1,5 @@
 use mithrilog_tokenizer::TokenWord;
 
-use crate::bitmap::Bitmap;
 use crate::compile::CompiledQuery;
 
 /// Verdict for one completed line (the boolean the hardware emits per line).
@@ -42,25 +41,40 @@ pub struct LineVerdict {
 #[derive(Debug, Clone)]
 pub struct HashFilter<'a> {
     compiled: &'a CompiledQuery,
-    bitmaps: Vec<Bitmap>,
+    /// The per-set row bitmaps of the line in flight, set after set in one
+    /// flat buffer of `limbs` words each.
+    bitmaps: Vec<u64>,
+    limbs: usize,
     violated: u64,
+    /// Whether a token of the current line changed `bitmaps` or `violated`.
+    /// Most lines of a log hit no table row at all; they resolve to
+    /// `untouched` without a bitmap being compared or cleared.
+    touched: bool,
+    /// Verdict of a line no token of which hit the table: the first set with
+    /// an empty expected bitmap (an all-negative set), else drop.
+    untouched: LineVerdict,
     /// Assembly buffer for tokens arriving as multi-word fragments.
     pending: Vec<u8>,
     tokens_processed: u64,
-    lookups: u64,
 }
 
 impl<'a> HashFilter<'a> {
     /// Creates a filter bound to a compiled query.
     pub fn new(compiled: &'a CompiledQuery) -> Self {
-        let rows = compiled.params().rows;
+        let limbs = compiled.params().rows.div_ceil(64);
+        let matched_set = (0..compiled.set_count()).find(|&i| compiled.expected(i).is_empty());
         HashFilter {
             compiled,
-            bitmaps: vec![Bitmap::new(rows); compiled.set_count()],
+            bitmaps: vec![0; limbs * compiled.set_count()],
+            limbs,
             violated: 0,
+            touched: false,
+            untouched: LineVerdict {
+                keep: matched_set.is_some(),
+                matched_set,
+            },
             pending: Vec::new(),
             tokens_processed: 0,
-            lookups: 0,
         }
     }
 
@@ -75,16 +89,17 @@ impl<'a> HashFilter<'a> {
     /// Processes one complete token observed at zero-based `column` of the
     /// current line (the prefix-tree extension, §4.3: the tokenizer "emits
     /// an increasing column counter per token").
+    #[inline]
     pub fn accept_token_at(&mut self, token: &[u8], column: u32) {
         self.accept_token_inner(token, Some(column));
     }
 
+    #[inline]
     fn accept_token_inner(&mut self, token: &[u8], column: Option<u32>) {
         if token.is_empty() {
             return;
         }
         self.tokens_processed += 1;
-        self.lookups += 1;
         let Some((row, entry)) = self.compiled.table().lookup(token) else {
             // Token not mentioned by any query: ignore (paper: "this input
             // token can be ignored").
@@ -96,6 +111,7 @@ impl<'a> HashFilter<'a> {
                 return;
             }
         }
+        self.touched = true;
         let valid = entry.valid_mask();
         let negative = entry.negative_mask();
         // Sets where the token is a negative term: poison them.
@@ -105,8 +121,8 @@ impl<'a> HashFilter<'a> {
         while positive != 0 {
             let set = positive.trailing_zeros() as usize;
             positive &= positive - 1;
-            if set < self.bitmaps.len() {
-                self.bitmaps[set].set(row);
+            if let Some(limb) = self.bitmaps.get_mut(set * self.limbs + row / 64) {
+                *limb |= 1 << (row % 64);
             }
         }
     }
@@ -116,8 +132,12 @@ impl<'a> HashFilter<'a> {
     pub fn accept_word(&mut self, word: &TokenWord) -> Option<LineVerdict> {
         self.pending.extend_from_slice(word.token_bytes());
         if word.is_last_of_token() {
-            let token = std::mem::take(&mut self.pending);
+            // Lend the buffer out for the probe and take it back with its
+            // capacity, so a long token costs one allocation per filter.
+            let mut token = std::mem::take(&mut self.pending);
             self.accept_token_at(&token, word.column());
+            token.clear();
+            self.pending = token;
         }
         if word.is_last_of_line() {
             Some(self.end_of_line())
@@ -131,24 +151,23 @@ impl<'a> HashFilter<'a> {
     ///
     /// A set is satisfied iff it was not poisoned by a negative term and its
     /// bitmap exactly equals the compiled expected bitmap.
+    #[inline]
     pub fn end_of_line(&mut self) -> LineVerdict {
         debug_assert!(
             self.pending.is_empty(),
             "line ended mid-token; tokenizer must flag last_of_token"
         );
-        let mut matched_set = None;
-        for (i, bm) in self.bitmaps.iter().enumerate() {
-            let poisoned = self.violated & (1 << i) != 0;
-            if !poisoned && bm == self.compiled.expected(i) {
-                matched_set = Some(i);
-                break;
-            }
+        if !self.touched {
+            return self.untouched;
         }
-        for bm in &mut self.bitmaps {
-            bm.clear();
-        }
-        self.violated = 0;
-        self.pending.clear();
+        let matched_set = self
+            .bitmaps
+            .chunks_exact(self.limbs)
+            .enumerate()
+            .position(|(i, bm)| {
+                self.violated & (1 << i) == 0 && bm == self.compiled.expected(i).limbs()
+            });
+        self.reset();
         LineVerdict {
             keep: matched_set.is_some(),
             matched_set,
@@ -174,10 +193,9 @@ impl<'a> HashFilter<'a> {
     /// [`HashFilter::lookups`] counters are preserved; callers that need
     /// per-run stats take deltas around the run.
     pub fn reset(&mut self) {
-        for bm in &mut self.bitmaps {
-            bm.clear();
-        }
+        self.bitmaps.fill(0);
         self.violated = 0;
+        self.touched = false;
         self.pending.clear();
     }
 
@@ -189,7 +207,7 @@ impl<'a> HashFilter<'a> {
     /// Total hash table lookups performed (one per token in this model; the
     /// hardware probes both rows in parallel in one cycle).
     pub fn lookups(&self) -> u64 {
-        self.lookups
+        self.tokens_processed
     }
 }
 
@@ -276,6 +294,53 @@ mod tests {
             }
         }
         assert!(verdict.unwrap().keep);
+    }
+
+    #[test]
+    fn multi_word_tokens_reuse_the_assembly_buffer_and_match_whole_tokens() {
+        let long17 = "seventeen-bytes-x";
+        let long40 = "a-forty-byte-token-that-spans-three-word";
+        assert_eq!((long17.len(), long40.len()), (17, 40));
+        let cq = compiled(&format!("{long17} AND {long40} AND NOT absent"));
+        let tok = Tokenizer::new(TokenizerConfig::default());
+        let lines = [
+            format!("{long40} filler {long17}"),
+            format!("{long17} {long40}x"),
+            format!("{long40} {long17} absent"),
+            long17.to_string(),
+        ];
+        let mut by_word = HashFilter::new(&cq);
+        let mut by_token = HashFilter::new(&cq);
+        for line in &lines {
+            let words = tok.tokenize_line(line.as_bytes());
+            let verdict = words.iter().find_map(|w| by_word.accept_word(w));
+            for (col, t) in tok.tokens(line.as_bytes()).enumerate() {
+                by_token.accept_token_at(t, col as u32);
+            }
+            assert_eq!(verdict, Some(by_token.end_of_line()), "line {line:?}");
+        }
+        assert!(by_word.pending.is_empty());
+        assert!(
+            by_word.pending.capacity() >= long40.len(),
+            "the assembly buffer must survive its token"
+        );
+    }
+
+    #[test]
+    fn untouched_lines_resolve_to_the_precomputed_verdict() {
+        // No token of these lines is a query term: an all-negative set keeps
+        // them (first such set wins), a query without one drops them.
+        let keeps = compiled("(A AND B) OR (NOT C AND NOT D) OR NOT E");
+        let mut f = HashFilter::new(&keeps);
+        assert_eq!(f.evaluate_line([b"x".as_slice()]).matched_set, Some(1));
+        assert_eq!(f.evaluate_line([]).matched_set, Some(1));
+        assert_eq!(f.evaluate_line([b"C".as_slice()]).matched_set, Some(2));
+        let drops = compiled("A OR (B AND NOT C)");
+        assert!(
+            !HashFilter::new(&drops)
+                .evaluate_line([b"x".as_slice()])
+                .keep
+        );
     }
 
     #[test]

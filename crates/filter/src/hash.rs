@@ -14,18 +14,23 @@ const BASIS_1: u64 = 0xCBF2_9CE4_8422_2325;
 // A second, unrelated offset basis gives an independent second function.
 const BASIS_2: u64 = 0x9AE1_6A3B_2F90_404F;
 
-fn fnv1a(basis: u64, bytes: &[u8]) -> u64 {
-    let mut h = basis;
+/// Runs `N` independently seeded FNV-1a streams over `bytes` in one pass,
+/// so hashing a token twice reads it once.
+#[inline]
+fn fnv1a<const N: usize>(bases: [u64; N], bytes: &[u8]) -> [u64; N] {
+    let mut h = bases;
     for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(FNV_PRIME);
+        for h in &mut h {
+            *h = (*h ^ u64::from(b)).wrapping_mul(FNV_PRIME);
+        }
     }
     // Final avalanche so the low bits used for row selection depend on all
     // input bytes even for short tokens.
-    h ^= h >> 33;
-    h = h.wrapping_mul(0xFF51_AFD7_ED55_8CCD);
-    h ^= h >> 33;
-    h
+    h.map(|mut h| {
+        h ^= h >> 33;
+        h = h.wrapping_mul(0xFF51_AFD7_ED55_8CCD);
+        h ^ (h >> 33)
+    })
 }
 
 impl TokenHasher {
@@ -44,22 +49,35 @@ impl TokenHasher {
         self.rows
     }
 
+    /// Reduces a hash to a row index: `h % rows`, as a mask when `rows` is a
+    /// power of two (the prototype's 256), where the two are the same value.
+    #[inline]
+    fn row(&self, h: u64) -> usize {
+        let rows = self.rows as u64;
+        let row = if rows.is_power_of_two() {
+            h & (rows - 1)
+        } else {
+            h % rows
+        };
+        row as usize
+    }
+
     /// First hash function: token bytes → row index.
     #[inline]
     pub fn h1(&self, token: &[u8]) -> usize {
-        (fnv1a(BASIS_1, token) % self.rows as u64) as usize
+        self.row(fnv1a([BASIS_1], token)[0])
     }
 
     /// Second hash function: token bytes → row index.
     #[inline]
     pub fn h2(&self, token: &[u8]) -> usize {
-        (fnv1a(BASIS_2, token) % self.rows as u64) as usize
+        self.row(fnv1a([BASIS_2], token)[0])
     }
 
     /// Both candidate rows for a token, in probe order.
     #[inline]
     pub fn candidates(&self, token: &[u8]) -> [usize; 2] {
-        [self.h1(token), self.h2(token)]
+        fnv1a([BASIS_1, BASIS_2], token).map(|h| self.row(h))
     }
 
     /// Given one occupied row of a token, returns the alternate row (used by
@@ -123,6 +141,23 @@ mod tests {
         // Mean is 100; loose bounds catch catastrophic skew only.
         assert!(max < 180, "max bucket {max}");
         assert!(min > 40, "min bucket {min}");
+    }
+
+    #[test]
+    fn candidates_are_h1_and_h2_for_any_row_count() {
+        // Placement uses h1/h2, lookup uses the fused pass: they must name
+        // the same rows, and the mask must equal the modulo it stands for.
+        for rows in [1usize, 2, 7, 64, 100, 256, 257, 1024] {
+            let h = TokenHasher::new(rows);
+            for i in 0..200 {
+                let t = format!("tok-{i}-{}", "x".repeat(i % 40));
+                let [a, b] = h.candidates(t.as_bytes());
+                assert_eq!([a, b], [h.h1(t.as_bytes()), h.h2(t.as_bytes())]);
+                let full = fnv1a([BASIS_1, BASIS_2], t.as_bytes());
+                assert_eq!(a as u64, full[0] % rows as u64);
+                assert_eq!(b as u64, full[1] % rows as u64);
+            }
+        }
     }
 
     #[test]

@@ -52,6 +52,6 @@ pub use compile::{CompiledQuery, FilterParams};
 pub use engine::{HashFilter, LineVerdict};
 pub use error::QueryCompileError;
 pub use hash::TokenHasher;
-pub use pipeline::{FilterPipeline, FilterStats, KeptLines, TaggedLines};
+pub use pipeline::{FilterPipeline, FilterStats, TaggedLines};
 pub use positional::{PositionalFormError, PositionalQuery, PositionalTerm};
 pub use table::{CuckooTable, Slot, TableEntry};

@@ -1,8 +1,10 @@
+use std::ops::Range;
+
 use mithrilog_query::Query;
 use mithrilog_tokenizer::{Tokenizer, TokenizerConfig};
 
 use crate::compile::{CompiledQuery, FilterParams};
-use crate::engine::HashFilter;
+use crate::engine::{HashFilter, LineVerdict};
 use crate::error::QueryCompileError;
 
 /// A complete filter pipeline: tokenizer array + hash filter (paper
@@ -70,19 +72,18 @@ impl FilterPipeline {
         &self.tokenizer
     }
 
-    /// Evaluates a single line.
+    /// Evaluates a single line (the first non-empty one of `line`).
     pub fn matches_line(&self, line: &[u8]) -> bool {
         let mut filter = HashFilter::new(&self.compiled);
-        filter.evaluate_line(self.tokenizer.tokens(line)).keep
+        let line = self.lines(line).next_line(&mut filter);
+        line.map_or_else(|| filter.end_of_line(), |(_, verdict)| verdict)
+            .keep
     }
 
     /// Filters a text buffer, yielding the kept lines in order.
-    pub fn filter_text<'a>(&'a self, text: &'a [u8]) -> KeptLines<'a> {
-        KeptLines {
-            pipeline: self,
-            filter: HashFilter::new(&self.compiled),
-            lines: text.split(|b| *b == b'\n'),
-        }
+    pub fn filter_text<'a>(&'a self, text: &'a [u8]) -> impl Iterator<Item = &'a [u8]> + 'a {
+        self.tag_text(text)
+            .filter_map(|(line, tag)| tag.map(|_| line))
     }
 
     /// Tags every line of a text buffer with the index of the first
@@ -92,13 +93,9 @@ impl FilterPipeline {
     /// intersection set of a compiled multi-template query corresponds to
     /// one template.
     pub fn tag_text<'a>(&'a self, text: &'a [u8]) -> TaggedLines<'a> {
-        fn is_newline(b: &u8) -> bool {
-            *b == b'\n'
-        }
         TaggedLines {
-            pipeline: self,
             filter: HashFilter::new(&self.compiled),
-            lines: text.split(is_newline as fn(&u8) -> bool),
+            lines: self.lines(text),
         }
     }
 
@@ -120,82 +117,85 @@ impl FilterPipeline {
         &self,
         text: &[u8],
         filter: &mut HashFilter<'_>,
-        kept: &mut Vec<std::ops::Range<usize>>,
+        kept: &mut Vec<Range<usize>>,
     ) -> FilterStats {
         kept.clear();
         filter.reset();
         let mut stats = FilterStats::default();
-        let mut offset = 0usize;
-        for line in text.split(|b| *b == b'\n') {
-            let line_start = offset;
-            offset += line.len() + 1;
-            if line.is_empty() {
-                continue;
-            }
+        let tokens_before = filter.tokens_processed();
+        let mut lines = self.lines(text);
+        while let Some((range, verdict)) = lines.next_line(filter) {
             stats.lines_in += 1;
-            stats.bytes_in += line.len() as u64 + 1;
-            let before = filter.tokens_processed();
-            let verdict = filter.evaluate_line(self.tokenizer.tokens(line));
-            stats.tokens += filter.tokens_processed() - before;
+            stats.bytes_in += range.len() as u64 + 1;
             if verdict.keep {
                 stats.lines_kept += 1;
-                kept.push(line_start..line_start + line.len());
+                kept.push(range);
             }
         }
+        stats.tokens = filter.tokens_processed() - tokens_before;
         stats
     }
-}
 
-/// Iterator over lines kept by [`FilterPipeline::filter_text`].
-#[derive(Debug)]
-pub struct KeptLines<'a> {
-    pipeline: &'a FilterPipeline,
-    filter: HashFilter<'a>,
-    lines: std::slice::Split<'a, u8, fn(&u8) -> bool>,
-}
-
-impl<'a> Iterator for KeptLines<'a> {
-    type Item = &'a [u8];
-
-    fn next(&mut self) -> Option<Self::Item> {
-        for line in self.lines.by_ref() {
-            if line.is_empty() {
-                continue;
-            }
-            let verdict = self
-                .filter
-                .evaluate_line(self.pipeline.tokenizer.tokens(line));
-            if verdict.keep {
-                return Some(line);
-            }
+    fn lines<'a>(&'a self, text: &'a [u8]) -> LineCursor<'a> {
+        LineCursor {
+            classes: self.tokenizer.byte_classes(),
+            text,
+            pos: 0,
         }
-        None
     }
 }
 
-/// Iterator over `(line, matched set)` pairs from
-/// [`FilterPipeline::tag_text`].
+/// The one byte walk of the software scan path: tokenises `text` and probes
+/// the filter in a single pass. One table load classifies a byte; each token
+/// goes to the filter in place with its column; `\n` or the end of the text
+/// closes the line. [`Tokenizer::tokenize_line`] → [`HashFilter::accept_word`],
+/// the word stream, stays the hardware reference model.
+#[derive(Debug)]
+struct LineCursor<'a> {
+    classes: &'a [u8; 256],
+    text: &'a [u8],
+    pos: usize,
+}
+
+impl LineCursor<'_> {
+    /// Feeds the next non-empty line to `filter`, which must be between lines;
+    /// returns its byte range (newline excluded) and verdict, `None` at the end.
+    fn next_line(&mut self, filter: &mut HashFilter<'_>) -> Option<(Range<usize>, LineVerdict)> {
+        let (text, classes) = (self.text, self.classes);
+        let start = self.pos + text[self.pos..].iter().position(|&b| b != b'\n')?;
+        let (mut i, mut column) = (start, 0u32);
+        loop {
+            let token = i;
+            while text.get(i).is_some_and(|&b| classes[usize::from(b)] == 0) {
+                i += 1;
+            }
+            if i > token {
+                filter.accept_token_at(&text[token..i], column);
+                column += 1;
+            }
+            match text.get(i) {
+                Some(&b) if classes[usize::from(b)] & Tokenizer::NEWLINE == 0 => i += 1,
+                _ => break,
+            }
+        }
+        self.pos = (i + 1).min(text.len());
+        Some((start..i, filter.end_of_line()))
+    }
+}
+
+/// Iterator over `(line, matched set)` pairs from [`FilterPipeline::tag_text`].
 #[derive(Debug)]
 pub struct TaggedLines<'a> {
-    pipeline: &'a FilterPipeline,
     filter: HashFilter<'a>,
-    lines: std::slice::Split<'a, u8, fn(&u8) -> bool>,
+    lines: LineCursor<'a>,
 }
 
 impl<'a> Iterator for TaggedLines<'a> {
     type Item = (&'a [u8], Option<usize>);
 
     fn next(&mut self) -> Option<Self::Item> {
-        for line in self.lines.by_ref() {
-            if line.is_empty() {
-                continue;
-            }
-            let verdict = self
-                .filter
-                .evaluate_line(self.pipeline.tokenizer.tokens(line));
-            return Some((line, verdict.matched_set));
-        }
-        None
+        let (range, verdict) = self.lines.next_line(&mut self.filter)?;
+        Some((&self.lines.text[range], verdict.matched_set))
     }
 }
 
@@ -333,3 +333,6 @@ RAS KERNEL INFO generating core.2275\n";
         assert!(tagged.iter().all(|(_, t)| t.is_none()));
     }
 }
+
+#[cfg(test)]
+mod props;

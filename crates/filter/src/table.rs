@@ -96,6 +96,18 @@ pub struct CuckooTable {
     hasher: TokenHasher,
     word_bytes: usize,
     occupied: usize,
+    /// Reject masks over the stored tokens, tested before any hashing:
+    /// entry `b` has bit [`len_bit`]`(n)` set iff some stored token starts
+    /// with byte `b` and is `n` bytes long. Nearly every token of a log page
+    /// is not a query term, and nearly all of those fail this one load.
+    first_byte_lens: [u64; 256],
+}
+
+/// Bit of a token length in a reject mask; lengths of 63 and up share the
+/// top bit, so the mask saturates instead of wrapping.
+#[inline]
+fn len_bit(len: usize) -> u64 {
+    1 << len.min(63)
 }
 
 impl CuckooTable {
@@ -112,6 +124,7 @@ impl CuckooTable {
             hasher: TokenHasher::new(rows),
             word_bytes,
             occupied: 0,
+            first_byte_lens: [0; 256],
         }
     }
 
@@ -195,7 +208,17 @@ impl CuckooTable {
     }
 
     /// Looks up a token, returning its row and entry if present.
+    #[inline]
     pub fn lookup(&self, token: &[u8]) -> Option<(usize, &TableEntry)> {
+        let first = *token.first()?;
+        if self.first_byte_lens[usize::from(first)] & len_bit(token.len()) == 0 {
+            return None;
+        }
+        self.probe(token)
+    }
+
+    /// The two-candidate cuckoo probe behind [`CuckooTable::lookup`].
+    fn probe(&self, token: &[u8]) -> Option<(usize, &TableEntry)> {
         for row in self.hasher.candidates(token) {
             if let Some(entry) = &self.slots[row] {
                 if self.entry_matches(entry, token) {
@@ -297,6 +320,7 @@ impl CuckooTable {
         }
 
         let mut entry = self.build_entry(token);
+        self.first_byte_lens[usize::from(token[0])] |= len_bit(token.len());
         entry.valid_mask = 1 << set;
         entry.column = column;
         if negated {
@@ -456,6 +480,40 @@ mod tests {
         for tok in &inserted {
             let (_, e) = t.lookup(tok.as_bytes()).expect("present after evictions");
             assert_eq!(e.total_len(), tok.len());
+        }
+    }
+
+    #[test]
+    fn reject_masks_saturate_at_long_tokens() {
+        let mut t = CuckooTable::new(64, 16);
+        let long = "L".repeat(70);
+        t.insert(long.as_bytes(), 0, false).unwrap();
+        assert!(t.lookup(long.as_bytes()).is_some());
+        // Same first byte, another length under the shared top bit: passes
+        // the mask, fails the compare.
+        assert!(t.lookup("L".repeat(64).as_bytes()).is_none());
+        assert!(t.lookup("L".repeat(62).as_bytes()).is_none());
+        assert!(t.lookup(b"").is_none());
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn lookup_equals_the_plain_two_candidate_probe(
+            stored in proptest::collection::hash_set("[a-d]{1,40}", 1..32),
+            absent in proptest::collection::vec("[a-e]{1,40}", 1..40),
+            rows in 56usize..70,
+        ) {
+            // Up to half load on a small table, so placement evicts; a
+            // placement that loops loses its victim and proves nothing.
+            let mut t = CuckooTable::new(rows, 8);
+            let placed = stored.iter().enumerate().all(|(i, tok)| {
+                t.insert_full(tok.as_bytes(), i % 8, i % 3 == 0, None).is_ok()
+            });
+            for tok in stored.iter().chain(&absent).filter(|_| placed) {
+                let masked = t.lookup(tok.as_bytes());
+                assert_eq!(masked, t.probe(tok.as_bytes()), "token {tok:?}");
+                assert_eq!(masked.is_some(), stored.contains(tok), "token {tok:?}");
+            }
         }
     }
 

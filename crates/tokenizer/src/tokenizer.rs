@@ -10,18 +10,38 @@ use crate::word::TokenWord;
 #[derive(Debug, Clone)]
 pub struct Tokenizer {
     config: TokenizerConfig,
+    /// [`Tokenizer::byte_classes`], derived once from `config.delimiters`.
+    classes: [u8; 256],
 }
 
 impl Tokenizer {
+    /// Class bit of a byte that [`TokenizerConfig::is_delimiter`] accepts.
+    pub const DELIMITER: u8 = 1;
+    /// Class bit of `\n`, which ends a line whether or not the
+    /// configuration also lists it as a delimiter.
+    pub const NEWLINE: u8 = 2;
+
     /// Creates a tokenizer with the given configuration.
     pub fn new(config: TokenizerConfig) -> Self {
         assert!(config.word_bytes > 0, "datapath width must be positive");
-        Tokenizer { config }
+        let mut classes = [0u8; 256];
+        for &d in &config.delimiters {
+            classes[usize::from(d)] = Self::DELIMITER;
+        }
+        classes[usize::from(b'\n')] |= Self::NEWLINE;
+        Tokenizer { config, classes }
     }
 
     /// The configuration in use.
     pub fn config(&self) -> &TokenizerConfig {
         &self.config
+    }
+
+    /// The class of every byte value: `0` for a token byte, otherwise an OR
+    /// of [`Tokenizer::DELIMITER`] and [`Tokenizer::NEWLINE`]. One indexed
+    /// load replaces a search of the delimiter list in every byte walk.
+    pub fn byte_classes(&self) -> &[u8; 256] {
+        &self.classes
     }
 
     /// Splits a line into raw tokens (maximal runs of non-delimiter bytes).
@@ -30,7 +50,7 @@ impl Tokenizer {
     /// evaluator; under the default configuration it agrees with
     /// `str::split_ascii_whitespace`.
     pub fn tokens<'a>(&'a self, line: &'a [u8]) -> impl Iterator<Item = &'a [u8]> + 'a {
-        line.split(|b| self.config.is_delimiter(*b))
+        line.split(|b| self.classes[usize::from(*b)] & Self::DELIMITER != 0)
             .filter(|t| !t.is_empty())
     }
 
@@ -235,6 +255,31 @@ mod tests {
         assert_eq!(t.lane_cycles(2), 1);
         assert_eq!(t.lane_cycles(3), 2);
         assert_eq!(t.lane_cycles(80), 40);
+    }
+
+    #[test]
+    fn byte_classes_agree_with_the_configured_delimiters_on_all_256_bytes() {
+        let aligned = TokenizerConfig {
+            delimiters: vec![b' ', b'\t', b'\r', b'\n', 0],
+            ..TokenizerConfig::default()
+        };
+        let no_newline = TokenizerConfig {
+            delimiters: vec![b' ', b','],
+            ..TokenizerConfig::default()
+        };
+        for cfg in [TokenizerConfig::default(), aligned, no_newline] {
+            let t = Tokenizer::new(cfg);
+            for b in 0..=255u8 {
+                let class = t.byte_classes()[usize::from(b)];
+                assert_eq!(
+                    class & Tokenizer::DELIMITER != 0,
+                    t.config().is_delimiter(b),
+                    "byte {b:#04x}"
+                );
+                assert_eq!(class & Tokenizer::NEWLINE != 0, b == b'\n', "byte {b:#04x}");
+                assert_eq!(class & !(Tokenizer::DELIMITER | Tokenizer::NEWLINE), 0);
+            }
+        }
     }
 
     #[test]

@@ -16,6 +16,9 @@ cargo test --workspace -q
 echo "==> cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 
+echo "==> fused filter kernel (byte walk == reference line loop == set semantics, random pages and queries)"
+cargo test -p mithrilog-filter --lib -q fused_walk_equals_reference_and_set_semantics
+
 echo "==> mithrilog recover --self-check (bounded crash-matrix smoke)"
 cargo run --release -p mithrilog-cli --quiet -- recover --self-check --points 12
 
@@ -99,11 +102,13 @@ cargo run --release -p mithrilog-bench --quiet --bin check_bench_json -- target/
 echo "==> bench_e2e (its own workspace: a crate API change must not break it unnoticed)"
 cargo build --release --offline --manifest-path benchmark/Cargo.toml
 (cd benchmark && cargo test --offline -q)
-BENCH_LINE=$(benchmark/run.sh --workload scan_cold --seed 42 --seconds 3 --trace 0 | tail -n 1)
-echo "$BENCH_LINE"
-case "$BENCH_LINE" in
-  *'"correct": true'*'"failed": 0,'*) ;;
-  *) echo "bench_e2e smoke: scan_cold did not report correct answers with 0 failures"; exit 1 ;;
-esac
+for WORKLOAD in scan_cold probe_warm; do
+  BENCH_LINE=$(benchmark/run.sh --workload "$WORKLOAD" --seed 42 --seconds 3 --trace 0 | tail -n 1)
+  echo "$BENCH_LINE"
+  case "$BENCH_LINE" in
+    *'"correct": true'*'"failed": 0,'*) ;;
+    *) echo "bench_e2e smoke: $WORKLOAD did not report correct answers with 0 failures"; exit 1 ;;
+  esac
+done
 
 echo "==> ci.sh: all green"

@@ -20,7 +20,7 @@
 //! up under load.
 
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Barrier};
 use std::time::Duration;
 
 use mithrilog::{MithriLog, SystemConfig};
@@ -98,6 +98,15 @@ fn assert_stats_monotonic(mode: &str, prev: &ServiceStats, next: &ServiceStats) 
     }
 }
 
+/// Raises the flag when dropped, on the normal path and while unwinding.
+struct SetOnDrop<'a>(&'a AtomicBool);
+
+impl Drop for SetOnDrop<'_> {
+    fn drop(&mut self) {
+        self.0.store(true, Ordering::Release);
+    }
+}
+
 /// One soak round: a fault schedule, a storm, and the three invariants.
 fn soak(mode: &str, schedule: &[(u64, FaultKind)], failures_allowed: bool) {
     let ds = corpus();
@@ -129,11 +138,18 @@ fn soak(mode: &str, schedule: &[(u64, FaultKind)], failures_allowed: bool) {
     // byte-identity check. A monitor thread samples `STATS` throughout:
     // every cumulative counter must be monotonic under concurrency — a
     // decrease means a lost update or a torn read under the storm.
+    //
+    // `submit` does not block, so the storm is over when every job has
+    // settled, not when the submitters return: the settle loop runs inside
+    // the scope and the monitor samples through execution. Its first sample
+    // is taken before the first submission (the barrier), its last after
+    // the last job settled, so it always has two to compare.
     let storm_over = AtomicBool::new(false);
-    let submitted: Vec<Vec<(u64, Option<usize>)>> = std::thread::scope(|scope| {
+    let first_sample = Barrier::new(2);
+    let settled = std::thread::scope(|scope| {
         let monitor = {
             let handle = Arc::clone(&handle);
-            let storm_over = &storm_over;
+            let (storm_over, first_sample) = (&storm_over, &first_sample);
             scope.spawn(move || {
                 let mut prev = ServiceStats::default();
                 let mut samples = 0u64;
@@ -143,6 +159,9 @@ fn soak(mode: &str, schedule: &[(u64, FaultKind)], failures_allowed: bool) {
                     assert_stats_monotonic(mode, &prev, &stats);
                     prev = stats;
                     samples += 1;
+                    if samples == 1 {
+                        first_sample.wait();
+                    }
                     if done {
                         return samples;
                     }
@@ -150,6 +169,10 @@ fn soak(mode: &str, schedule: &[(u64, FaultKind)], failures_allowed: bool) {
                 }
             })
         };
+        first_sample.wait();
+        // Releases the monitor however this closure is left: an assertion
+        // failing below must fail the test, not hang the scope's join.
+        let storm = SetOnDrop(&storm_over);
         let workers: Vec<_> = (0..3)
             .map(|c| {
                 let handle = Arc::clone(&handle);
@@ -180,42 +203,44 @@ fn soak(mode: &str, schedule: &[(u64, FaultKind)], failures_allowed: bool) {
                 })
             })
             .collect();
-        let submitted = workers.into_iter().map(|w| w.join().unwrap()).collect();
-        storm_over.store(true, Ordering::Release);
-        let samples = monitor.join().unwrap();
-        assert!(samples > 1, "{mode}: the stats monitor never sampled");
-        submitted
-    });
+        let submitted: Vec<Vec<(u64, Option<usize>)>> =
+            workers.into_iter().map(|w| w.join().unwrap()).collect();
 
-    // Invariant 1: every job settles within a bound. Invariant 3: settled
-    // non-lossy query outcomes are byte-identical to the clean baseline.
-    let mut settled = 0u64;
-    for (id, qi) in submitted.into_iter().flatten() {
-        match handle.wait_timeout(id, Duration::from_secs(120)) {
-            Ok(JobOutput::Query { outcome, .. }) => {
-                settled += 1;
-                if let Some(qi) = qi {
-                    if !outcome.degraded.is_lossy() {
-                        assert_eq!(
-                            outcome.lines, baseline[qi],
-                            "{mode}: non-lossy outcome for {:?} diverged from solo",
-                            QUERIES[qi]
-                        );
+        // Invariant 1: every job settles within a bound. Invariant 3:
+        // settled non-lossy query outcomes are byte-identical to the clean
+        // baseline.
+        let mut settled = 0u64;
+        for (id, qi) in submitted.into_iter().flatten() {
+            match handle.wait_timeout(id, Duration::from_secs(120)) {
+                Ok(JobOutput::Query { outcome, .. }) => {
+                    settled += 1;
+                    if let Some(qi) = qi {
+                        if !outcome.degraded.is_lossy() {
+                            assert_eq!(
+                                outcome.lines, baseline[qi],
+                                "{mode}: non-lossy outcome for {:?} diverged from solo",
+                                QUERIES[qi]
+                            );
+                        }
                     }
                 }
+                Ok(_) => settled += 1,
+                Err(WaitError::Cancelled) => settled += 1,
+                Err(WaitError::Failed(reason)) => {
+                    settled += 1;
+                    assert!(
+                        failures_allowed && reason.contains("internal error"),
+                        "{mode}: unexpected hard failure: {reason}"
+                    );
+                }
+                Err(e) => panic!("{mode}: job {id} wedged the service: {e}"),
             }
-            Ok(_) => settled += 1,
-            Err(WaitError::Cancelled) => settled += 1,
-            Err(WaitError::Failed(reason)) => {
-                settled += 1;
-                assert!(
-                    failures_allowed && reason.contains("internal error"),
-                    "{mode}: unexpected hard failure: {reason}"
-                );
-            }
-            Err(e) => panic!("{mode}: job {id} wedged the service: {e}"),
         }
-    }
+        drop(storm);
+        let samples = monitor.join().unwrap();
+        assert!(samples > 1, "{mode}: the stats monitor never sampled");
+        settled
+    });
     assert!(settled > 0, "{mode}: nothing ran");
 
     // Invariant 2: the service still answers after the storm — a fresh
