@@ -75,14 +75,13 @@ pub struct Lzah {
 
 /// Reusable decoder workspace for [`Lzah::decompress_into`].
 ///
-/// Holds the decoder hash table, the current window word, and the output
-/// buffer. After the first decode sized them, subsequent decodes of
-/// same-or-smaller frames reuse the allocations — the steady-state scan
-/// loop performs zero heap allocations per page.
+/// Holds the decoder hash table and the output buffer. After the first
+/// decode sized them, subsequent decodes of same-or-smaller frames reuse the
+/// allocations — the steady-state scan loop performs zero heap allocations
+/// per page.
 #[derive(Debug, Default, Clone)]
 pub struct LzahScratch {
     table: Vec<u8>,
-    word: Vec<u8>,
     out: Vec<u8>,
 }
 
@@ -125,13 +124,13 @@ impl Lzah {
     ///
     /// Same conditions as [`Codec::decompress`].
     pub fn decompress_aligned(&self, input: &[u8]) -> Result<Vec<u8>, DecompressError> {
-        let mut out = Vec::new();
-        self.decode(input, |word, _advance| out.extend_from_slice(word))?;
-        Ok(out)
+        let mut scratch = LzahScratch::new();
+        decode_with(input, &mut scratch, Emit::Aligned)?;
+        Ok(scratch.into_output())
     }
 
-    /// Decompresses into `scratch`, reusing its hash table, window word and
-    /// output buffer across calls, and returns the decoded bytes as a slice
+    /// Decompresses into `scratch`, reusing its hash table and output buffer
+    /// across calls, and returns the decoded bytes as a slice
     /// borrowed from the workspace. After warm-up this performs no heap
     /// allocation — the scan hot path calls it once per page.
     ///
@@ -143,12 +142,8 @@ impl Lzah {
         input: &[u8],
         scratch: &'s mut LzahScratch,
     ) -> Result<&'s [u8], DecompressError> {
-        let LzahScratch { table, word, out } = scratch;
-        out.clear();
-        decode_with(input, table, word, |word, advance| {
-            out.extend_from_slice(&word[..advance]);
-        })?;
-        Ok(out.as_slice())
+        decode_with(input, scratch, Emit::Exact)?;
+        Ok(scratch.out.as_slice())
     }
 
     /// Length in bytes of the LZAH frame at the start of `input`, ignoring
@@ -203,21 +198,10 @@ impl Lzah {
         }
         Ok(pos)
     }
-
-    /// Returns `(emitted_bytes, consumed_frame_bytes)` using one-shot local
-    /// buffers. Cold paths only; the hot path is [`Lzah::decompress_into`].
-    fn decode(
-        &self,
-        input: &[u8],
-        emit: impl FnMut(&[u8], usize),
-    ) -> Result<(usize, usize), DecompressError> {
-        let mut table = Vec::new();
-        let mut word = Vec::new();
-        decode_with(input, &mut table, &mut word, emit)
-    }
 }
 
-/// The parsed 24-byte LZAH frame header.
+/// The parsed 24-byte LZAH frame header. Its two length fields are bounded
+/// by what the input can hold before anything sizes a buffer from them.
 struct FrameHeader {
     w: usize,
     hash_bits: u8,
@@ -250,28 +234,73 @@ impl FrameHeader {
                 reason: "invalid word size or hash bits",
             });
         }
+        let field = |at: usize| {
+            let raw = u64::from_le_bytes(input[at..at + 8].try_into().expect("8 bytes"));
+            usize::try_from(raw).map_err(|_| DecompressError::BadHeader {
+                reason: "length field exceeds the address space",
+            })
+        };
+        let (original_len, pair_count) = (field(8)?, field(16)?);
+        // Every pair costs at least a 2-byte index or a `w`-byte literal of
+        // payload, and decodes to at most `w` bytes.
+        if pair_count > (input.len() - HEADER_LEN) / w.min(2) {
+            return Err(DecompressError::Truncated { at: input.len() });
+        }
+        let most = pair_count.saturating_mul(w);
+        if original_len > most {
+            return Err(DecompressError::LengthMismatch {
+                expected: original_len,
+                got: most,
+            });
+        }
         Ok(FrameHeader {
             w,
             hash_bits,
             realign: input[7] & FLAG_NEWLINE_REALIGN != 0,
-            original_len: u64::from_le_bytes(input[8..16].try_into().expect("8 bytes")) as usize,
-            pair_count: u64::from_le_bytes(input[16..24].try_into().expect("8 bytes")) as usize,
+            original_len,
+            pair_count,
         })
     }
 }
 
-/// The full decoder, writing through caller-owned buffers so a reused
-/// workspace ([`LzahScratch`]) decodes without allocating. Returns
-/// `(emitted_bytes, consumed_frame_bytes)`.
-fn decode_with(
+/// What a decode leaves in [`LzahScratch::out`].
+#[derive(Clone, Copy)]
+enum Emit {
+    /// The original bytes: each word advances the output by its useful
+    /// length.
+    Exact,
+    /// Every word at full width ([`Lzah::decompress_aligned`]).
+    Aligned,
+}
+
+/// The full decoder, writing through a caller-owned workspace so a reused
+/// [`LzahScratch`] decodes without allocating. On `Err` the workspace's
+/// output is empty.
+fn decode_with(input: &[u8], scratch: &mut LzahScratch, emit: Emit) -> Result<(), DecompressError> {
+    let result = FrameHeader::parse(input).and_then(|hdr| match hdr.w {
+        // The prototype's word: a width the compiler knows turns the word
+        // moves and the hash into straight-line 16-byte code.
+        16 => decode_words::<16>(input, &hdr, scratch, emit),
+        _ => decode_words::<0>(input, &hdr, scratch, emit),
+    });
+    if result.is_err() {
+        scratch.out.clear();
+    }
+    result
+}
+
+/// The one decode loop. `W` is the frame's word width when known at compile
+/// time, or 0 to take it from the header.
+fn decode_words<const W: usize>(
     input: &[u8],
-    table: &mut Vec<u8>,
-    word: &mut Vec<u8>,
-    mut emit: impl FnMut(&[u8], usize),
-) -> Result<(usize, usize), DecompressError> {
-    let hdr = FrameHeader::parse(input)?;
-    let (w, hash_bits) = (hdr.w, hdr.hash_bits);
-    let (realign, original_len, pair_count) = (hdr.realign, hdr.original_len, hdr.pair_count);
+    hdr: &FrameHeader,
+    scratch: &mut LzahScratch,
+    emit: Emit,
+) -> Result<(), DecompressError> {
+    let w = if W == 0 { hdr.w } else { W };
+    let (hash_bits, realign) = (hdr.hash_bits, hdr.realign);
+    let (original_len, pair_count) = (hdr.original_len, hdr.pair_count);
+    let LzahScratch { table, out } = scratch;
 
     let entries = 1usize << hash_bits;
     // The decoder table must start zeroed to mirror the encoder's; clearing
@@ -279,47 +308,65 @@ fn decode_with(
     // established.
     table.clear();
     table.resize(entries * w, 0);
-    word.clear();
-    word.resize(w, 0);
+    // Every pair writes one whole word at the output cursor and then moves
+    // the cursor by the word's useful length, so the exact stream needs one
+    // word of slack past `original_len`. `FrameHeader::parse` bounded both
+    // lengths by the input, so neither sum is a header's to choose.
+    let out_len = match emit {
+        Emit::Exact => original_len.checked_add(w),
+        Emit::Aligned => pair_count.checked_mul(w),
+    }
+    .ok_or(DecompressError::BadHeader {
+        reason: "declared length overflows",
+    })?;
+    out.resize(out_len, 0);
+
     let pairs_per_chunk = 8 * w;
     let mut pos = HEADER_LEN;
+    let mut cursor = 0usize;
     let mut emitted = 0usize;
     let mut pairs_done = 0usize;
 
     while pairs_done < pair_count {
         // One header word, then the chunk's packed payloads.
-        if pos + w > input.len() {
-            return Err(DecompressError::Truncated { at: pos });
-        }
-        let header = &input[pos..pos + w];
+        let header = input
+            .get(pos..pos + w)
+            .ok_or(DecompressError::Truncated { at: pos })?;
         pos += w;
         let chunk_pairs = pairs_per_chunk.min(pair_count - pairs_done);
         let payload_start = pos;
         for i in 0..chunk_pairs {
             let is_match = header[i / 8] & (1 << (i % 8)) != 0;
+            let word = &mut out[cursor..cursor + w];
             if is_match {
-                if pos + 2 > input.len() {
-                    return Err(DecompressError::Truncated { at: pos });
-                }
-                let idx = u16::from_le_bytes([input[pos], input[pos + 1]]) as usize;
+                let index = input
+                    .get(pos..pos + 2)
+                    .ok_or(DecompressError::Truncated { at: pos })?;
+                let idx = u16::from_le_bytes([index[0], index[1]]) as usize;
                 pos += 2;
                 if idx >= entries {
                     return Err(DecompressError::BadReference { at: emitted });
                 }
-                word.copy_from_slice(&table[idx * w..(idx + 1) * w]);
+                word.copy_from_slice(&table[idx * w..][..w]);
             } else {
-                if pos + w > input.len() {
-                    return Err(DecompressError::Truncated { at: pos });
-                }
-                word.copy_from_slice(&input[pos..pos + w]);
+                let literal = input
+                    .get(pos..pos + w)
+                    .ok_or(DecompressError::Truncated { at: pos })?;
+                word.copy_from_slice(literal);
                 pos += w;
                 let idx = hash_word(word, hash_bits);
-                table[idx * w..(idx + 1) * w].copy_from_slice(word);
+                table[idx * w..][..w].copy_from_slice(word);
             }
-            let remaining = original_len.saturating_sub(emitted);
-            let advance = word_advance(word, w, remaining, realign);
-            emit(word, advance);
+            // Useful length of the word: cut after the first newline when
+            // realignment is on (mirroring the encoder), clamped to the
+            // bytes remaining.
+            let cut = if realign { newline_cut(word) } else { w };
+            let advance = cut.min(original_len - emitted);
             emitted += advance;
+            cursor += match emit {
+                Emit::Exact => advance,
+                Emit::Aligned => w,
+            };
         }
         // Chunks are padded to a word boundary (Figure 9).
         let payload_len = pos - payload_start;
@@ -334,22 +381,30 @@ fn decode_with(
             got: emitted,
         });
     }
-    Ok((emitted, pos))
+    out.truncate(cursor);
+    Ok(())
 }
 
-/// Useful length of a decoded window word: cut after the first newline when
-/// realignment is on (mirroring the encoder), clamped to the bytes
-/// remaining.
-fn word_advance(word: &[u8], w: usize, remaining: usize, realign: bool) -> usize {
-    let cut = if realign {
-        match word.iter().position(|&b| b == b'\n') {
-            Some(k) => k + 1,
-            None => w,
+/// Length of `word` up to and including its first `\n`, or `word.len()`
+/// when it has none — `position(b'\n')` eight bytes per step. Encoder and
+/// decoder cut their windows with this one function.
+#[inline]
+fn newline_cut(word: &[u8]) -> usize {
+    const LOW: u64 = 0x0101_0101_0101_0101;
+    const HIGH: u64 = 0x8080_8080_8080_8080;
+    for (n, lane) in word.chunks(8).enumerate() {
+        // A short last lane is zero-extended; zero is not a newline.
+        let mut bytes = [0u8; 8];
+        bytes[..lane.len()].copy_from_slice(lane);
+        // XOR turns newlines into zero bytes; the zero-byte test can only
+        // misfire above a true zero, so the lowest flag is always exact.
+        let x = u64::from_le_bytes(bytes) ^ (LOW * u64::from(b'\n'));
+        let flags = x.wrapping_sub(LOW) & !x & HIGH;
+        if flags != 0 {
+            return n * 8 + flags.trailing_zeros() as usize / 8 + 1;
         }
-    } else {
-        w
-    };
-    cut.min(remaining)
+    }
+    word.len()
 }
 
 #[inline]
@@ -494,20 +549,14 @@ impl LzahStreamEncoder {
             window.fill(0);
             window[..avail].copy_from_slice(&bytes[pos..pos + avail]);
             let advance = if self.config.newline_realign {
-                match window[..avail].iter().position(|&b| b == b'\n') {
-                    Some(k) => {
-                        // Zero-pad after the newline so next-line bytes are
-                        // excluded from the stored word.
-                        for b in &mut window[k + 1..] {
-                            *b = 0;
-                        }
-                        k + 1
-                    }
-                    None => avail,
-                }
+                // `window` is zero past `avail`, so a cut never lands there.
+                newline_cut(&window).min(avail)
             } else {
                 avail
             };
+            // Zero-pad after a newline so next-line bytes are excluded from
+            // the stored word.
+            window[advance..].fill(0);
             let idx = hash_word(&window, self.config.hash_bits);
             let slot = &self.table[idx * w..(idx + 1) * w];
             if slot == window.as_slice() {
@@ -848,6 +897,140 @@ mod tests {
         let packed = codec.compress(&corpus);
         assert_eq!(codec.decompress(&packed).unwrap(), corpus);
     }
+
+    #[test]
+    fn odd_width_word_config_round_trips() {
+        // 12 is neither the compiled-in width nor a whole number of 8-byte
+        // lanes: the header-width instantiation and the short last lane.
+        let codec = Lzah::new(LzahConfig {
+            word_bytes: 12,
+            hash_bits: 9,
+            newline_realign: true,
+        });
+        let corpus = log_corpus();
+        let packed = codec.compress(&corpus);
+        assert_eq!(codec.decompress(&packed).unwrap(), corpus);
+        let aligned = codec.decompress_aligned(&packed).unwrap();
+        assert_eq!(aligned.len() % 12, 0);
+        let stripped: Vec<u8> = aligned.into_iter().filter(|&b| b != 0).collect();
+        assert_eq!(stripped, corpus);
+    }
+
+    #[test]
+    fn newline_cut_equals_position() {
+        fn reference(word: &[u8]) -> usize {
+            word.iter()
+                .position(|&b| b == b'\n')
+                .map_or(word.len(), |k| k + 1)
+        }
+        // Fill bytes include the newline's bit-neighbours and a high-bit
+        // twin, the values a careless lane test confuses with 0x0A.
+        for fill in [b'a', 0x00, 0x09, 0x0B, 0x8A, 0x80, 0xFF] {
+            for w in [1usize, 7, 8, 16, 24] {
+                let plain = vec![fill; w];
+                assert_eq!(newline_cut(&plain), w, "fill {fill:#x} w {w}");
+                for first in 0..w {
+                    let mut word = plain.clone();
+                    word[first] = b'\n';
+                    assert_eq!(newline_cut(&word), first + 1);
+                    // Later newlines never move the cut.
+                    for second in first + 1..w {
+                        word[second] = b'\n';
+                        assert_eq!(newline_cut(&word), first + 1);
+                    }
+                }
+            }
+        }
+        let mut x: u64 = 0x0A0A;
+        for _ in 0..2000 {
+            let word: Vec<u8> = (0..24)
+                .map(|_| {
+                    x = x.wrapping_mul(6364136223846793005).wrapping_add(1);
+                    // Few distinct values, so newlines are common.
+                    [b'\n', 0x09, 0x0B, 0x8A, b'x'][(x >> 33) as usize % 5]
+                })
+                .collect();
+            for w in [1usize, 7, 8, 16, 24] {
+                assert_eq!(newline_cut(&word[..w]), reference(&word[..w]));
+            }
+        }
+    }
+
+    #[test]
+    fn lying_header_is_a_typed_error_before_any_allocation() {
+        let codec = Lzah::default();
+        let corpus = log_corpus();
+        let clean = codec.compress(&corpus);
+        let pairs = u64::from_le_bytes(clean[16..24].try_into().unwrap());
+        let forged = |original_len: u64, pair_count: u64| {
+            let mut frame = clean.clone();
+            frame[8..16].copy_from_slice(&original_len.to_le_bytes());
+            frame[16..24].copy_from_slice(&pair_count.to_le_bytes());
+            frame
+        };
+        let mut scratch = LzahScratch::new();
+        for (frame, what) in [
+            (forged(u64::MAX, pairs), "original_len = u64::MAX"),
+            (forged(u64::MAX - 8, pairs), "original_len + w overflows"),
+            (
+                forged(pairs * 16 + 1, pairs),
+                "one byte more than the pairs hold",
+            ),
+            (forged(1 << 40, 1 << 40), "both lengths far past the input"),
+            (
+                forged(corpus.len() as u64, u64::MAX),
+                "pair_count = u64::MAX",
+            ),
+        ] {
+            let err = codec.decompress_into(&frame, &mut scratch).unwrap_err();
+            assert!(
+                matches!(
+                    err,
+                    DecompressError::LengthMismatch { .. } | DecompressError::Truncated { .. }
+                ),
+                "{what}: {err:?}"
+            );
+            assert_eq!(
+                scratch.out.capacity(),
+                0,
+                "{what}: reserved from the header"
+            );
+            assert!(codec.decompress_aligned(&frame).is_err(), "{what}");
+        }
+        // An honest-looking lie passes the bound and fails in the walk; the
+        // workspace still decodes the next clean frame exactly.
+        let plausible = forged(corpus.len() as u64 + 1, pairs);
+        assert!(matches!(
+            codec.decompress_into(&plausible, &mut scratch),
+            Err(DecompressError::LengthMismatch { .. })
+        ));
+        assert!(scratch.out.is_empty(), "a failed decode leaves no output");
+        assert_eq!(codec.decompress_into(&clean, &mut scratch).unwrap(), corpus);
+    }
+
+    #[test]
+    fn encoder_output_and_checksum_are_pinned() {
+        // Constants taken from the commit before the sliced CRC and the
+        // word decoder: the bytes on the device and their checksums are a
+        // format, and a store written then must verify now.
+        use mithrilog_storage::crc32;
+        let corpus = log_corpus();
+        assert_eq!(crc32(&Lzah::default().compress(&corpus)), GOLDEN_FRAME_CRC);
+        let paged = crate::compress_paged(&corpus, LzahConfig::default(), 4096);
+        let frames: Vec<u32> = paged.pages().iter().map(|p| crc32(p.data())).collect();
+        assert_eq!(frames, GOLDEN_PAGE_CRCS);
+    }
+
+    const GOLDEN_FRAME_CRC: u32 = 0x81E5_5CED;
+    const GOLDEN_PAGE_CRCS: [u32; 7] = [
+        0x4ADE_0D03,
+        0x3CB7_D1C1,
+        0x94D4_20C8,
+        0xEBC3_22F6,
+        0xE432_E4B0,
+        0xB7FE_E7B1,
+        0x1CC1_3F46,
+    ];
 
     #[test]
     fn decompression_is_deterministic() {

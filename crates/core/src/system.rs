@@ -10,8 +10,8 @@ use mithrilog_query::{parse, Query};
 use mithrilog_sim::{AcceleratorConfig, DatasetInputs, Throughput, ThroughputModel};
 use mithrilog_storage::{
     append_commit, append_record, crc32, format_device, read_active_superblock, replay_journal,
-    write_superblock_commit, CheckpointRef, CommitRecord, DropRecord, FileStore, JournalRecord,
-    Link, MemStore, PageId, PageStore, SealRecord, SimSsd, Superblock,
+    write_superblock_commit, CheckpointRef, CommitRecord, Crc32, DropRecord, FileStore,
+    JournalRecord, Link, MemStore, PageId, PageStore, SealRecord, SimSsd, Superblock,
 };
 use mithrilog_tokenizer::{DatapathStats, ScatterGather, Tokenizer};
 
@@ -1004,14 +1004,14 @@ impl<S: PageStore> MithriLog<S> {
             let seg = self.segments.iter().find(|s| s.id == id)?;
             (seg.pages.clone(), seg.crc)
         };
-        let mut bytes = Vec::with_capacity(pages.len() * 4);
+        let mut summary = Crc32::new();
         for page in &pages {
             match self.ssd.read(*page) {
-                Ok(raw) => bytes.extend_from_slice(&crc32(&raw).to_le_bytes()),
+                Ok(raw) => summary.update(&crc32(&raw).to_le_bytes()),
                 Err(_) => return Some(false),
             }
         }
-        Some(crc32(&bytes) == want)
+        Some(summary.finalize() == want)
     }
 
     /// Scrubs exactly one sealed segment's pages (see
@@ -1271,15 +1271,15 @@ impl<S: PageStore> MithriLog<S> {
     /// never fails — a later [`MithriLog::verify_segment`] correctly flags
     /// the segment instead.
     fn segment_crc(&mut self, pages: &[PageId]) -> u32 {
-        let mut bytes = Vec::with_capacity(pages.len() * 4);
+        let mut summary = Crc32::new();
         for page in pages {
             let crc = match self.ssd.page_crc(page.0) {
                 Some(c) => c,
                 None => self.ssd.read(*page).map(|raw| crc32(&raw)).unwrap_or(0),
             };
-            bytes.extend_from_slice(&crc.to_le_bytes());
+            summary.update(&crc.to_le_bytes());
         }
-        crc32(&bytes)
+        summary.finalize()
     }
 
     /// Runs the journaled commit protocol, making everything ingested since

@@ -19,6 +19,10 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "==> fused filter kernel (byte walk == reference line loop == set semantics, random pages and queries)"
 cargo test -p mithrilog-filter --lib -q fused_walk_equals_reference_and_set_semantics
 
+echo "==> cold-page kernels (sliced CRC32 == bitwise reference; decompress_into == decompress on mutilated frames)"
+cargo test -p mithrilog-storage --lib -q crc::tests
+cargo test --test properties -q lzah_into_agrees
+
 echo "==> mithrilog recover --self-check (bounded crash-matrix smoke)"
 cargo run --release -p mithrilog-cli --quiet -- recover --self-check --points 12
 

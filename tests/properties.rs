@@ -7,7 +7,7 @@
 use proptest::prelude::*;
 
 use mithrilog::{MithriLog, QueryOutcome, QueryRequest, SystemConfig};
-use mithrilog_compress::{Codec, Gzf, Lz4, Lzah, Lzrw1, Snappy};
+use mithrilog_compress::{Codec, Gzf, Lz4, Lzah, LzahScratch, Lzrw1, Snappy};
 use mithrilog_filter::{CompiledQuery, FilterParams, HashFilter};
 use mithrilog_index::{IndexParams, InvertedIndex};
 use mithrilog_query::ast::Expr;
@@ -183,6 +183,79 @@ proptest! {
         if let Ok(out) = c.decompress(&packed[..cut]) {
             prop_assert_eq!(out, data, "Ok on a truncated frame must be exact");
         }
+    }
+}
+
+// The scan hot path decodes through `decompress_into` and one long-lived
+// workspace, so the same three mutilations run there too: whatever an
+// earlier damaged frame left in the workspace, the next decode must agree
+// with a fresh `decompress` (equal bytes, or both `Err`).
+
+thread_local! {
+    /// Each test runs on its own thread: one workspace for all its cases.
+    static SCRATCH: std::cell::RefCell<LzahScratch> = std::cell::RefCell::new(LzahScratch::new());
+}
+
+fn assert_scratch_decode_agrees(codec: &Lzah, packed: &[u8]) {
+    SCRATCH.with(|scratch| {
+        let mut scratch = scratch.borrow_mut();
+        let reused = codec.decompress_into(packed, &mut scratch);
+        match (&reused, codec.decompress(packed)) {
+            (Ok(got), Ok(fresh)) => {
+                assert!(got.len() <= MUTILATED_OUTPUT_BOUND);
+                assert!(
+                    *got == fresh.as_slice(),
+                    "reused workspace decoded other bytes"
+                );
+            }
+            (Err(_), Err(_)) => {}
+            (got, fresh) => panic!("reused workspace {got:?}, fresh {fresh:?}"),
+        }
+    });
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    #[test]
+    fn lzah_into_agrees_under_bit_flips(
+        data in arbitrary_loglike(),
+        flips in prop::collection::vec((any::<u64>(), 0u32..8), 1..16)
+    ) {
+        let c = Lzah::default();
+        let mut packed = c.compress(&data);
+        for (at, bit) in &flips {
+            let i = (*at as usize) % packed.len();
+            packed[i] ^= 1 << bit;
+        }
+        assert_scratch_decode_agrees(&c, &packed);
+    }
+
+    #[test]
+    fn lzah_into_agrees_under_header_field_damage(
+        data in arbitrary_loglike(),
+        at in 0u64..24,
+        byte in any::<u8>()
+    ) {
+        let c = Lzah::default();
+        let mut packed = c.compress(&data);
+        let i = (at as usize).min(packed.len() - 1);
+        packed[i] = byte;
+        assert_scratch_decode_agrees(&c, &packed);
+    }
+
+    #[test]
+    fn lzah_into_agrees_under_spliced_garbage(
+        data in arbitrary_loglike(),
+        at in any::<u64>(),
+        garbage in prop::collection::vec(any::<u8>(), 1..64)
+    ) {
+        let c = Lzah::default();
+        let mut packed = c.compress(&data);
+        let i = (at as usize) % packed.len();
+        let end = (i + garbage.len()).min(packed.len());
+        packed[i..end].copy_from_slice(&garbage[..end - i]);
+        assert_scratch_decode_agrees(&c, &packed);
     }
 }
 
