@@ -1,15 +1,11 @@
-//! A minimal recursive-descent JSON parser for validating the
-//! `BENCH_*.json` reports the harness binaries emit — CI checks every
-//! report parses and carries the shared `schema` field without pulling a
-//! serde dependency into the workspace.
+//! A minimal recursive-descent parser for the JSON subset that
+//! `TableReport::to_json` writes (objects, arrays, strings, numbers):
+//! `repro --check` reads the expected reports under
+//! `crates/bench/expected/` with it, without a serde dependency.
 
 /// A parsed JSON value.
 #[derive(Debug, Clone, PartialEq)]
 pub enum JsonValue {
-    /// `null`.
-    Null,
-    /// `true` / `false`.
-    Bool(bool),
     /// Any JSON number (parsed as `f64`).
     Number(f64),
     /// A string (escapes decoded).
@@ -79,24 +75,7 @@ fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<JsonValue, String> {
         Some(b'{') => parse_object(bytes, pos),
         Some(b'[') => parse_array(bytes, pos),
         Some(b'"') => Ok(JsonValue::String(parse_string(bytes, pos)?)),
-        Some(b't') => parse_literal(bytes, pos, "true", JsonValue::Bool(true)),
-        Some(b'f') => parse_literal(bytes, pos, "false", JsonValue::Bool(false)),
-        Some(b'n') => parse_literal(bytes, pos, "null", JsonValue::Null),
         Some(_) => parse_number(bytes, pos),
-    }
-}
-
-fn parse_literal(
-    bytes: &[u8],
-    pos: &mut usize,
-    word: &str,
-    value: JsonValue,
-) -> Result<JsonValue, String> {
-    if bytes[*pos..].starts_with(word.as_bytes()) {
-        *pos += word.len();
-        Ok(value)
-    } else {
-        Err(format!("expected {word:?} at byte {}", *pos))
     }
 }
 
@@ -128,19 +107,16 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
                 match bytes.get(*pos) {
                     Some(b'"') => out.push('"'),
                     Some(b'\\') => out.push('\\'),
-                    Some(b'/') => out.push('/'),
                     Some(b'n') => out.push('\n'),
                     Some(b'r') => out.push('\r'),
                     Some(b't') => out.push('\t'),
-                    Some(b'b') => out.push('\u{8}'),
-                    Some(b'f') => out.push('\u{c}'),
                     Some(b'u') => {
                         let hex = bytes
                             .get(*pos + 1..*pos + 5)
                             .ok_or("truncated \\u escape")?;
                         let hex = std::str::from_utf8(hex).map_err(|_| "bad \\u escape")?;
                         let code = u32::from_str_radix(hex, 16).map_err(|_| "bad \\u escape")?;
-                        // Surrogate pairs are not needed for bench reports;
+                        // Surrogate pairs are not needed for reports;
                         // map lone surrogates to the replacement character.
                         out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
                         *pos += 4;
@@ -163,49 +139,43 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
 }
 
 fn parse_array(bytes: &[u8], pos: &mut usize) -> Result<JsonValue, String> {
-    expect(bytes, pos, b'[')?;
-    let mut items = Vec::new();
-    skip_ws(bytes, pos);
-    if bytes.get(*pos) == Some(&b']') {
-        *pos += 1;
-        return Ok(JsonValue::Array(items));
-    }
-    loop {
-        items.push(parse_value(bytes, pos)?);
-        skip_ws(bytes, pos);
-        match bytes.get(*pos) {
-            Some(b',') => *pos += 1,
-            Some(b']') => {
-                *pos += 1;
-                return Ok(JsonValue::Array(items));
-            }
-            _ => return Err(format!("expected ',' or ']' at byte {}", *pos)),
-        }
-    }
+    parse_seq(bytes, pos, [b'[', b']'], parse_value).map(JsonValue::Array)
 }
 
 fn parse_object(bytes: &[u8], pos: &mut usize) -> Result<JsonValue, String> {
-    expect(bytes, pos, b'{')?;
-    let mut pairs = Vec::new();
-    skip_ws(bytes, pos);
-    if bytes.get(*pos) == Some(&b'}') {
-        *pos += 1;
-        return Ok(JsonValue::Object(pairs));
-    }
-    loop {
+    let pair = |bytes: &[u8], pos: &mut usize| {
         skip_ws(bytes, pos);
         let key = parse_string(bytes, pos)?;
         expect(bytes, pos, b':')?;
-        let value = parse_value(bytes, pos)?;
-        pairs.push((key, value));
+        Ok((key, parse_value(bytes, pos)?))
+    };
+    parse_seq(bytes, pos, [b'{', b'}'], pair).map(JsonValue::Object)
+}
+
+/// Parses `open`, then `item`s separated by commas, then `close`.
+fn parse_seq<T>(
+    bytes: &[u8],
+    pos: &mut usize,
+    [open, close]: [u8; 2],
+    item: impl Fn(&[u8], &mut usize) -> Result<T, String>,
+) -> Result<Vec<T>, String> {
+    expect(bytes, pos, open)?;
+    let mut items = Vec::new();
+    skip_ws(bytes, pos);
+    if bytes.get(*pos) == Some(&close) {
+        *pos += 1;
+        return Ok(items);
+    }
+    loop {
+        items.push(item(bytes, pos)?);
         skip_ws(bytes, pos);
         match bytes.get(*pos) {
             Some(b',') => *pos += 1,
-            Some(b'}') => {
+            Some(&c) if c == close => {
                 *pos += 1;
-                return Ok(JsonValue::Object(pairs));
+                return Ok(items);
             }
-            _ => return Err(format!("expected ',' or '}}' at byte {}", *pos)),
+            _ => return Err(format!("unclosed {:?} at byte {}", open as char, *pos)),
         }
     }
 }
@@ -215,25 +185,20 @@ mod tests {
     use super::*;
 
     #[test]
-    fn parses_the_bench_report_shape() {
+    fn parses_the_report_shape() {
         let doc = r#"{
-            "schema": "mithrilog.bench.table.v1",
-            "bench": "table1",
+            "experiment": "table1",
             "pi": 3.25,
             "neg": -2e3,
-            "ok": true,
-            "nothing": null,
             "tables": [ { "title": "t \"x\"", "rows": [["a", "b"], []] } ]
         }"#;
         let v = parse(doc).unwrap();
         assert_eq!(
-            v.get("schema").and_then(JsonValue::as_str),
-            Some("mithrilog.bench.table.v1")
+            v.get("experiment").and_then(JsonValue::as_str),
+            Some("table1")
         );
         assert_eq!(v.get("pi"), Some(&JsonValue::Number(3.25)));
         assert_eq!(v.get("neg"), Some(&JsonValue::Number(-2000.0)));
-        assert_eq!(v.get("ok"), Some(&JsonValue::Bool(true)));
-        assert_eq!(v.get("nothing"), Some(&JsonValue::Null));
         let tables = match v.get("tables").unwrap() {
             JsonValue::Array(items) => items,
             other => panic!("{other:?}"),

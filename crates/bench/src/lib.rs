@@ -1,97 +1,67 @@
-//! Shared harness for the table/figure regeneration binaries.
-//!
-//! Every binary accepts `--scale <mb>` (dataset size per profile, default
-//! 4 MB) and `--seed <n>` (default 42), prints which paper artifact it
-//! regenerates, and emits the same rows/series the paper reports. Absolute
-//! numbers differ from the paper (simulated device, synthetic data,
-//! laptop CPU); EXPERIMENTS.md records the shape comparison.
+//! Harness behind the `repro` binary: every table and figure of the
+//! paper's evaluation (§7), the ablations and three model curves are
+//! registered experiments ([`registry::REGISTRY`]). Each one turns
+//! `(scale, seed)` into a [`TableReport`]; `repro --check` reruns it at the
+//! scale and seed stored in `crates/bench/expected/<name>.json` and
+//! compares. Absolute numbers differ from the paper (simulated device,
+//! synthetic data, laptop CPU); EXPERIMENTS.md records the comparison.
 
 #![forbid(unsafe_code)]
 
-pub mod json;
+mod ablations;
+mod json;
+mod paper;
+pub mod registry;
 
 use mithrilog_ftree::{FtreeConfig, TemplateLibrary};
 use mithrilog_loggen::{generate, Dataset, DatasetProfile, DatasetSpec};
 use mithrilog_query::batch::{combine, BatchSpec};
 use mithrilog_query::Query;
 
-/// Command-line arguments shared by all harness binaries.
-#[derive(Debug, Clone)]
-pub struct HarnessArgs {
+use json::JsonValue;
+
+/// What an experiment is run at.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Args {
     /// Dataset size per profile in megabytes.
     pub scale_mb: f64,
     /// RNG seed for dataset generation and query batching.
     pub seed: u64,
-    /// JSON report path override (`--out`); every binary defaults to its
-    /// own `BENCH_<name>.json` in the working directory.
-    pub out: Option<String>,
 }
 
-impl HarnessArgs {
-    /// Parses `--scale <mb>`, `--seed <n>`, and `--out <path>` from
-    /// `std::env::args`.
-    ///
-    /// # Panics
-    ///
-    /// Panics with a usage message on malformed arguments.
-    pub fn parse() -> Self {
-        let mut args = HarnessArgs {
-            scale_mb: 4.0,
+impl Default for Args {
+    /// 8 MB per dataset, seed 42: the reference run EXPERIMENTS.md quotes.
+    fn default() -> Self {
+        Args {
+            scale_mb: 8.0,
             seed: 42,
-            out: None,
-        };
-        let mut it = std::env::args().skip(1);
-        while let Some(a) = it.next() {
-            match a.as_str() {
-                "--scale" => {
-                    args.scale_mb = it
-                        .next()
-                        .and_then(|v| v.parse().ok())
-                        .expect("--scale needs a number (MB)");
-                }
-                "--seed" => {
-                    args.seed = it
-                        .next()
-                        .and_then(|v| v.parse().ok())
-                        .expect("--seed needs an integer");
-                }
-                "--out" => {
-                    args.out = Some(it.next().expect("--out needs a path"));
-                }
-                "--help" | "-h" => {
-                    eprintln!("usage: [--scale <mb-per-dataset>] [--seed <n>] [--out <path>]");
-                    std::process::exit(0);
-                }
-                other => panic!("unknown argument {other:?}"),
-            }
         }
-        args
-    }
-
-    /// Bytes per dataset.
-    pub fn target_bytes(&self) -> usize {
-        (self.scale_mb * 1_000_000.0) as usize
     }
 }
 
-/// Generates all four HPC4-profile datasets at the configured scale.
-pub fn datasets(args: &HarnessArgs) -> Vec<Dataset> {
-    DatasetProfile::all()
-        .into_iter()
-        .map(|profile| {
-            generate(&DatasetSpec {
-                profile,
-                target_bytes: args.target_bytes(),
-                seed: args.seed,
-            })
+impl Args {
+    /// One dataset profile at the configured scale.
+    pub fn dataset(&self, profile: DatasetProfile) -> Dataset {
+        generate(&DatasetSpec {
+            profile,
+            target_bytes: (self.scale_mb * 1_000_000.0) as usize,
+            seed: self.seed,
         })
-        .collect()
+    }
+
+    /// All four HPC4-profile datasets at the configured scale.
+    pub fn datasets(&self) -> Vec<Dataset> {
+        DatasetProfile::all()
+            .into_iter()
+            .map(|p| self.dataset(p))
+            .collect()
+    }
 }
 
 /// FT-tree extraction configuration used by the harness (paper §7.1 uses
 /// the FT-tree paper's parameters; these are the equivalents for the
 /// synthetic corpora).
-pub fn ftree_config() -> FtreeConfig {
+pub(crate) fn ftree_config() -> FtreeConfig {
     FtreeConfig {
         min_support: 8,
         max_children: 24,
@@ -100,39 +70,35 @@ pub fn ftree_config() -> FtreeConfig {
     }
 }
 
-/// Extracts the template library and the three query banks of §7.1:
-/// all single-template queries, 100 OR-pairs, and 16 eight-way OR
-/// combinations — the same combinations for every engine under test.
-pub struct QueryBank {
-    /// The extracted template library.
-    pub library: TemplateLibrary,
+/// The query classes of §7.1: all single-template queries, 100 OR-pairs, 16 eight-way OR combinations —
+/// the same combinations for every engine under test — and the
+/// negative-heavy exploration queries of §7.5.
+pub(crate) struct QueryBank {
     /// One query per template.
     pub singles: Vec<Query>,
     /// 100 random 2-combinations.
     pub pairs: Vec<Query>,
     /// 16 random 8-combinations.
     pub eights: Vec<Query>,
-    /// Negative-heavy exploration queries ("NOT A"-style, §7.5): the class
-    /// where inverted indexes cannot prune and a large subset of the log
-    /// must be processed — Figure 16's slow cluster.
+    /// "NOT A"-style queries: the class where inverted indexes cannot
+    /// prune and a large subset of the log must be processed.
     pub negations: Vec<Query>,
 }
 
 impl QueryBank {
-    /// Every query in the bank, in a stable order.
-    pub fn all(&self) -> Vec<Query> {
-        self.singles
-            .iter()
-            .chain(self.pairs.iter())
-            .chain(self.eights.iter())
-            .chain(self.negations.iter())
-            .cloned()
-            .collect()
+    /// The four classes with their report labels, in a stable order.
+    pub fn classes(&self) -> [(&'static str, &[Query]); 4] {
+        [
+            ("singles", &self.singles),
+            ("pairs", &self.pairs),
+            ("eights", &self.eights),
+            ("negative-heavy", &self.negations),
+        ]
     }
 }
 
 /// Builds the §7.1 query bank for one dataset.
-pub fn query_bank(dataset: &Dataset, seed: u64) -> QueryBank {
+pub(crate) fn query_bank(dataset: &Dataset, seed: u64) -> QueryBank {
     let library = TemplateLibrary::extract(dataset.text(), &ftree_config());
     let singles = library.queries();
     assert!(
@@ -158,7 +124,6 @@ pub fn query_bank(dataset: &Dataset, seed: u64) -> QueryBank {
         })
         .collect();
     QueryBank {
-        library,
         singles,
         pairs,
         eights,
@@ -166,38 +131,22 @@ pub fn query_bank(dataset: &Dataset, seed: u64) -> QueryBank {
     }
 }
 
-/// Prints a fixed-width table.
-pub fn print_table(title: &str, headers: &[&str], rows: &[Vec<String>]) {
-    println!("\n=== {title} ===");
-    let mut widths: Vec<usize> = headers.iter().map(|h| h.len()).collect();
-    for row in rows {
-        for (i, cell) in row.iter().enumerate() {
-            if i < widths.len() {
-                widths[i] = widths[i].max(cell.len());
-            }
-        }
-    }
-    let line = |cells: Vec<&str>| {
-        let mut s = String::new();
-        for (i, c) in cells.iter().enumerate() {
-            s.push_str(&format!("{:<width$}  ", c, width = widths[i]));
-        }
-        println!("{}", s.trim_end());
-    };
-    line(headers.to_vec());
-    line(widths.iter().map(|_| "---").collect());
-    for row in rows {
-        line(row.iter().map(String::as_str).collect());
-    }
-}
-
 /// Formats a float with 2 decimals.
-pub fn f2(x: f64) -> String {
+pub(crate) fn f2(x: f64) -> String {
     format!("{x:.2}")
 }
 
+/// The leading number of a cell (`"2.15x"` → 2.15, `"48.9%"` → 48.9,
+/// `"4245 (1.4%)"` → 4245); NaN when the cell does not start with one.
+pub(crate) fn num(cell: &str) -> f64 {
+    let end = cell
+        .find(|c: char| !(c.is_ascii_digit() || matches!(c, '.' | '-' | '+' | 'e')))
+        .unwrap_or(cell.len());
+    cell[..end].parse().unwrap_or(f64::NAN)
+}
+
 /// Escapes a string for embedding in a JSON document.
-pub fn json_escape(s: &str) -> String {
+fn json_escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
     for c in s.chars() {
         match c {
@@ -206,130 +155,195 @@ pub fn json_escape(s: &str) -> String {
             '\n' => out.push_str("\\n"),
             '\r' => out.push_str("\\r"),
             '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
+            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
             c => out.push(c),
         }
     }
     out
 }
 
-/// Records every table a harness binary prints and writes them as one
-/// machine-readable JSON report, so CI (and EXPERIMENTS.md tooling) can
-/// parse the same rows humans read. The report carries the shared
-/// `schema` field every `BENCH_*.json` must have.
-pub struct TableReport {
-    bench: String,
-    out: Option<String>,
-    tables: Vec<(String, Vec<String>, Vec<Vec<String>>)>,
+/// One titled table of string cells; the first column labels the row.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Table {
+    /// Caption, as printed.
+    pub title: String,
+    /// Column headers.
+    pub headers: Vec<String>,
+    /// Rows of cells, already formatted.
+    pub rows: Vec<Vec<String>>,
 }
 
-impl TableReport {
-    /// Starts a report for the binary named `bench` (the default output
-    /// path is `BENCH_<bench>.json`), honoring the harness `--out` flag.
-    pub fn new(bench: &str, args: &HarnessArgs) -> Self {
-        TableReport {
-            bench: bench.to_string(),
-            out: args.out.clone(),
-            tables: Vec::new(),
-        }
-    }
-
-    /// Prints a fixed-width table (exactly like [`print_table`]) and
-    /// records it for the JSON report.
-    pub fn table(&mut self, title: &str, headers: &[&str], rows: &[Vec<String>]) {
-        print_table(title, headers, rows);
-        self.tables.push((
-            title.to_string(),
-            headers.iter().map(|h| h.to_string()).collect(),
-            rows.to_vec(),
-        ));
-    }
-
-    /// Records rows for the JSON report without printing them (for
-    /// binaries whose stdout format is CSV or prose, not a table).
-    pub fn record(&mut self, title: &str, headers: &[&str], rows: &[Vec<String>]) {
-        self.tables.push((
-            title.to_string(),
-            headers.iter().map(|h| h.to_string()).collect(),
-            rows.to_vec(),
-        ));
-    }
-
-    /// Writes the JSON report to `--out` (or `BENCH_<bench>.json`).
+impl Table {
+    /// The numeric values of column `header`, one per row.
     ///
     /// # Panics
     ///
-    /// Panics if the output file cannot be written.
-    pub fn write(self) {
-        let path = self
-            .out
-            .unwrap_or_else(|| format!("BENCH_{}.json", self.bench));
-        let mut json = String::new();
-        json.push_str("{\n");
-        json.push_str("  \"schema\": \"mithrilog.bench.table.v1\",\n");
-        json.push_str(&format!("  \"bench\": \"{}\",\n", json_escape(&self.bench)));
-        json.push_str("  \"tables\": [\n");
-        for (t, (title, headers, rows)) in self.tables.iter().enumerate() {
-            json.push_str("    {\n");
-            json.push_str(&format!("      \"title\": \"{}\",\n", json_escape(title)));
-            let headers: Vec<String> = headers.iter().map(|h| json_escape(h)).collect();
-            json.push_str(&format!(
-                "      \"headers\": [\"{}\"],\n",
-                headers.join("\", \"")
-            ));
-            json.push_str("      \"rows\": [\n");
-            for (r, row) in rows.iter().enumerate() {
-                let cells: Vec<String> = row.iter().map(|c| json_escape(c)).collect();
-                json.push_str(&format!("        [\"{}\"]", cells.join("\", \"")));
-                json.push_str(if r + 1 < rows.len() { ",\n" } else { "\n" });
-            }
-            json.push_str("      ]\n");
-            json.push_str("    }");
-            json.push_str(if t + 1 < self.tables.len() {
-                ",\n"
-            } else {
-                "\n"
-            });
-        }
-        json.push_str("  ]\n}\n");
-        std::fs::write(&path, &json).expect("write JSON report");
-        eprintln!("wrote {path}");
+    /// Panics if no column has that header.
+    pub fn column(&self, header: &str) -> Vec<f64> {
+        let c = self
+            .headers
+            .iter()
+            .position(|h| h == header)
+            .unwrap_or_else(|| panic!("{}: no column {header:?}", self.title));
+        self.rows.iter().map(|r| num(&r[c])).collect()
+    }
+
+    /// The first row whose label is `label`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if no row has that label.
+    pub fn row(&self, label: &str) -> &[String] {
+        self.rows
+            .iter()
+            .find(|r| r[0] == label)
+            .unwrap_or_else(|| panic!("{}: no row {label:?}", self.title))
     }
 }
 
-/// Renders an ASCII histogram over logarithmic-ish throughput buckets,
-/// mimicking Figure 15's non-linear x axis.
-pub fn ascii_histogram(label: &str, values_gbps: &[f64]) {
-    const EDGES: [f64; 10] = [0.0, 0.05, 0.1, 0.2, 0.5, 1.0, 2.0, 5.0, 10.0, 13.0];
-    let mut buckets = vec![0usize; EDGES.len()];
-    for &v in values_gbps {
-        let mut b = EDGES.len() - 1;
-        for i in 0..EDGES.len() - 1 {
-            if v >= EDGES[i] && v < EDGES[i + 1] {
-                b = i;
-                break;
+/// What one experiment produced: free-text notes and tables, both of which
+/// `repro --check` compares unless the experiment marks them measured.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct TableReport {
+    /// Context lines, e.g. the paper's published values.
+    pub notes: Vec<String>,
+    /// The experiment's tables, in order.
+    pub tables: Vec<Table>,
+}
+
+impl TableReport {
+    /// Appends a context line.
+    pub fn note(&mut self, text: impl Into<String>) {
+        self.notes.push(text.into());
+    }
+
+    /// Appends a table; `headers` separates the column headers with `|`.
+    pub fn table(&mut self, title: &str, headers: &str, rows: Vec<Vec<String>>) {
+        self.tables.push(Table {
+            title: title.to_string(),
+            headers: headers.split('|').map(|h| h.trim().to_string()).collect(),
+            rows,
+        });
+    }
+
+    /// The notes and every table as fixed-width text.
+    pub fn render(&self) -> String {
+        let mut out = String::new();
+        for n in &self.notes {
+            out.push_str(n);
+            out.push('\n');
+        }
+        for t in &self.tables {
+            let mut widths: Vec<usize> = t.headers.iter().map(String::len).collect();
+            for row in &t.rows {
+                for (w, cell) in widths.iter_mut().zip(row) {
+                    *w = (*w).max(cell.len());
+                }
+            }
+            out.push_str(&format!("\n=== {} ===\n", t.title));
+            let dashes = vec!["---".to_string(); widths.len()];
+            for cells in std::iter::once(&t.headers)
+                .chain(std::iter::once(&dashes))
+                .chain(&t.rows)
+            {
+                let line: String = cells
+                    .iter()
+                    .zip(&widths)
+                    .map(|(c, w)| format!("{c:<w$}  "))
+                    .collect();
+                out.push_str(line.trim_end());
+                out.push('\n');
             }
         }
-        buckets[b] += 1;
+        out
     }
-    println!("  {label}");
-    for (i, count) in buckets.iter().enumerate() {
-        if *count == 0 {
-            continue;
-        }
-        let hi = if i + 1 < EDGES.len() {
-            format!("{:>6.2}", EDGES[i + 1])
-        } else {
-            "   inf".to_string()
+
+    /// The report as the JSON document `repro --out` writes and
+    /// `repro --check` reads back with [`TableReport::from_json`].
+    pub fn to_json(&self, name: &str, section: &str, args: &Args) -> String {
+        let strings = |xs: &[String]| {
+            let quoted: Vec<String> = xs
+                .iter()
+                .map(|x| format!("\"{}\"", json_escape(x)))
+                .collect();
+            format!("[{}]", quoted.join(", "))
         };
-        println!(
-            "    [{:>6.2} - {hi}) GB/s | {:<50} {}",
-            EDGES[i],
-            "#".repeat((*count).min(50)),
-            count
+        let mut out = format!(
+            "{{\n  \"experiment\": \"{name}\",\n  \"section\": \"{}\",\n  \
+             \"scale_mb\": {},\n  \"seed\": {},\n  \"notes\": {},\n  \"tables\": [",
+            json_escape(section),
+            args.scale_mb,
+            args.seed,
+            strings(&self.notes)
         );
+        for (i, t) in self.tables.iter().enumerate() {
+            out.push_str(if i == 0 { "\n" } else { ",\n" });
+            out.push_str(&format!(
+                "    {{\n      \"title\": \"{}\",\n      \"headers\": {},\n      \"rows\": [",
+                json_escape(&t.title),
+                strings(&t.headers)
+            ));
+            for (r, row) in t.rows.iter().enumerate() {
+                out.push_str(if r == 0 { "\n        " } else { ",\n        " });
+                out.push_str(&strings(row));
+            }
+            out.push_str("\n      ]\n    }");
+        }
+        out.push_str("\n  ]\n}\n");
+        out
+    }
+
+    /// Reads back a document written by [`TableReport::to_json`], with the
+    /// scale and seed it was produced at.
+    ///
+    /// # Errors
+    ///
+    /// A message naming the first missing or mistyped field.
+    pub fn from_json(text: &str) -> Result<(Args, TableReport), String> {
+        let doc = json::parse(text)?;
+        let number = |key: &str| match doc.get(key) {
+            Some(JsonValue::Number(x)) => Ok(*x),
+            _ => Err(format!("missing number {key:?}")),
+        };
+        let strings = |v: Option<&JsonValue>, what: &str| -> Result<Vec<String>, String> {
+            match v {
+                Some(JsonValue::Array(items)) => items
+                    .iter()
+                    .map(|s| s.as_str().map(str::to_string))
+                    .collect::<Option<_>>()
+                    .ok_or(format!("{what}: expected strings")),
+                _ => Err(format!("missing array {what:?}")),
+            }
+        };
+        let args = Args {
+            scale_mb: number("scale_mb")?,
+            seed: number("seed")? as u64,
+        };
+        let Some(JsonValue::Array(tables)) = doc.get("tables") else {
+            return Err("missing array \"tables\"".to_string());
+        };
+        let mut report = TableReport {
+            notes: strings(doc.get("notes"), "notes")?,
+            tables: Vec::new(),
+        };
+        for t in tables {
+            let Some(JsonValue::Array(rows)) = t.get("rows") else {
+                return Err("table without \"rows\"".to_string());
+            };
+            report.tables.push(Table {
+                title: t
+                    .get("title")
+                    .and_then(JsonValue::as_str)
+                    .ok_or("table without \"title\"")?
+                    .to_string(),
+                headers: strings(t.get("headers"), "headers")?,
+                rows: rows
+                    .iter()
+                    .map(|r| strings(Some(r), "row"))
+                    .collect::<Result<_, _>>()?,
+            });
+        }
+        Ok((args, report))
     }
 }
 
@@ -339,11 +353,11 @@ mod tests {
 
     #[test]
     fn query_bank_has_paper_shape() {
-        let ds = generate(&DatasetSpec {
-            profile: DatasetProfile::Spirit2,
-            target_bytes: 400_000,
+        let ds = Args {
+            scale_mb: 0.4,
             seed: 1,
-        });
+        }
+        .dataset(DatasetProfile::Spirit2);
         let bank = query_bank(&ds, 1);
         assert!(bank.singles.len() >= 8);
         assert_eq!(bank.pairs.len(), 100);
@@ -354,26 +368,54 @@ mod tests {
 
     #[test]
     fn banks_are_deterministic() {
-        let ds = generate(&DatasetSpec {
-            profile: DatasetProfile::Bgl2,
-            target_bytes: 300_000,
+        let ds = Args {
+            scale_mb: 0.3,
             seed: 9,
-        });
-        let a = query_bank(&ds, 7);
-        let b = query_bank(&ds, 7);
+        }
+        .dataset(DatasetProfile::Bgl2);
+        let (a, b) = (query_bank(&ds, 7), query_bank(&ds, 7));
         assert_eq!(a.pairs, b.pairs);
         assert_eq!(a.eights, b.eights);
     }
 
     #[test]
     fn all_four_datasets_generate() {
-        let args = HarnessArgs {
+        let ds = Args {
             scale_mb: 0.2,
             seed: 3,
-            out: None,
-        };
-        let ds = datasets(&args);
+        }
+        .datasets();
         assert_eq!(ds.len(), 4);
         assert!(ds.iter().all(|d| d.text().len() >= 200_000));
+    }
+
+    #[test]
+    fn cells_parse_to_their_leading_number() {
+        assert_eq!(num("2.15x"), 2.15);
+        assert_eq!(num("48.9%"), 48.9);
+        assert_eq!(num("4245 (1.4%)"), 4245.0);
+        assert!(num("storage").is_nan());
+    }
+
+    #[test]
+    fn reports_round_trip_through_json() {
+        let mut report = TableReport::default();
+        report.note("Paper: \"quoted\"\tvalues");
+        report.table(
+            "t",
+            "a | b",
+            vec![
+                vec!["x".into(), "1.00".into()],
+                vec!["y\\".into(), "2".into()],
+            ],
+        );
+        report.table("empty", "only", Vec::new());
+        let args = Args {
+            scale_mb: 0.5,
+            seed: 7,
+        };
+        let (back_args, back) = TableReport::from_json(&report.to_json("n", "§7", &args)).unwrap();
+        assert_eq!(back_args, args);
+        assert_eq!(back, report);
     }
 }

@@ -29,26 +29,14 @@ cargo run --release -p mithrilog-cli --quiet -- recover --self-check --points 12
 echo "==> parallel determinism (2-thread scan vs sequential reference, faults injected)"
 cargo test --test parallel_determinism -q two_thread_scan_matches_sequential_reference
 
-echo "==> parallel_scaling --smoke (bench harness smoke, artifact to target/)"
-mkdir -p target/ci
-cargo run --release -p mithrilog-bench --quiet --bin parallel_scaling -- \
-  --smoke --out target/ci/BENCH_parallel_smoke.json
-
 echo "==> page-cache determinism (cached vs uncached byte-identity under faults)"
 cargo test --test scan_cache -q
-
-echo "==> scan_hotpath --smoke (zero-alloc kernel + page-cache bench smoke)"
-cargo run --release -p mithrilog-bench --quiet --bin scan_hotpath -- \
-  --smoke --out target/ci/BENCH_scan_smoke.json
 
 echo "==> service concurrency (byte-identity under faults, admission, page sharing)"
 cargo test --test service_concurrency -q
 
-echo "==> service_load --smoke (concurrent-load bench smoke, artifact to target/)"
-cargo run --release -p mithrilog-bench --quiet --bin service_load -- \
-  --smoke --out target/ci/BENCH_service_smoke.json
-
 echo "==> mithrilog serve smoke (loopback line protocol: submit, poll, shutdown)"
+mkdir -p target/ci
 SERVE_LOG=target/ci/serve_smoke.log
 SERVE_OUT=target/ci/serve_stdout.log
 cargo run --release -p mithrilog-cli --quiet -- gen bgl2 0.2 "$SERVE_LOG"
@@ -76,32 +64,17 @@ cargo test --test service_faults -q
 echo "==> chaos soak (bounded smoke: submit/cancel/ingest storm under each fault mode)"
 cargo test --test chaos_soak -q
 
-echo "==> service_load --storm (bench-scale fault storm smoke)"
-cargo run --release -p mithrilog-bench --quiet --bin service_load -- --storm --smoke
-
 echo "==> segment crash matrix (seal/retention-drop boundaries, every crash point)"
 cargo test --test segment_store -q
-
-echo "==> ingest_concurrent --smoke (overlapped vs stop-the-world ingest bench smoke)"
-cargo run --release -p mithrilog-bench --quiet --bin ingest_concurrent -- \
-  --smoke --out target/ci/BENCH_segment_smoke.json
 
 echo "==> negation bitmaps (pruning byte-identity under faults, sidecar corruption, property)"
 cargo test --test negation_bitmaps -q
 
-echo "==> plan_savings --smoke (wave-planner bench smoke: bitmap pruning + batched probes)"
-cargo run --release -p mithrilog-bench --quiet --bin plan_savings -- \
-  --smoke --out target/ci/BENCH_plan_smoke.json
-
 echo "==> shard determinism (N-shard results byte-identical to 1-shard under every fault mode)"
 cargo test --test shard_determinism -q
 
-echo "==> shard_scaling --smoke (multi-device scatter-gather + tenant fairness bench smoke)"
-cargo run --release -p mithrilog-bench --quiet --bin shard_scaling -- \
-  --smoke --out target/ci/BENCH_shard_smoke.json
-
-echo "==> bench report schema check (every emitted BENCH_*.json parses and carries schema)"
-cargo run --release -p mithrilog-bench --quiet --bin check_bench_json -- target/ci
+echo "==> repro --check (every paper table, figure and model row against crates/bench/expected)"
+cargo run --release -p mithrilog-bench --quiet --bin repro -- --check
 
 echo "==> bench_e2e (its own workspace: a crate API change must not break it unnoticed)"
 cargo build --release --offline --manifest-path benchmark/Cargo.toml

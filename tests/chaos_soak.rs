@@ -16,8 +16,8 @@
 //!    degraded report or change nothing at all.
 //!
 //! The default run is a bounded smoke (a few hundred jobs per mode) so CI
-//! stays fast; the bench-side `service_load --storm` scales the same shape
-//! up under load.
+//! stays fast; `bench_e2e`'s `serve_mixed` workload measures reads beside
+//! writes under load on the wall clock.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Barrier};

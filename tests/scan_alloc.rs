@@ -9,7 +9,9 @@
 //! buffer per page, so this bound fails loudly on any regression that
 //! reintroduces per-page allocation. The same bound holds for a wave: the
 //! solo query *is* a wave of one, and a four-request wave builds its page
-//! union and fans every page out without allocating per page either.
+//! union and fans every page out without allocating per page either. The
+//! LZAH decode kernel on its own, with a reused scratch, allocates nothing
+//! per frame.
 //!
 //! This file intentionally holds a single `#[test]`: the allocator count
 //! is global to the test binary, and a concurrently running test would
@@ -19,6 +21,7 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use mithrilog::{MithriLog, QueryRequest, SystemConfig};
+use mithrilog_compress::{compress_paged, Codec, Lzah, LzahConfig, LzahScratch};
 use mithrilog_loggen::{generate, DatasetProfile, DatasetSpec};
 
 /// Counts every allocation (fresh, zeroed, and growth reallocations) and
@@ -117,5 +120,39 @@ fn steady_state_scan_allocates_o1_per_query_not_per_page() {
         delta < pages,
         "a steady-state 4-request no-match wave over {pages} union pages \
          allocated {delta} times — the fan-out must not allocate per page"
+    );
+
+    // The decode kernel alone, frame by frame: a reused scratch decodes
+    // every frame without allocating, while the allocating path (a fresh
+    // table and output per frame) allocates at least twice per frame —
+    // the control that shows the counter sees per-frame allocation.
+    let lzah = LzahConfig::default();
+    let codec = Lzah::new(lzah);
+    let frames: Vec<Vec<u8>> = compress_paged(ds.text(), lzah, 4096)
+        .pages()
+        .iter()
+        .map(|f| f.data().to_vec())
+        .collect();
+    let mut scratch = LzahScratch::new();
+    for frame in &frames {
+        let reused = codec.decompress_into(frame, &mut scratch).unwrap().to_vec();
+        assert_eq!(reused, codec.decompress(frame).unwrap());
+    }
+    let before = allocations();
+    for frame in &frames {
+        let text = codec.decompress_into(frame, &mut scratch).unwrap();
+        assert!(!text.is_empty());
+    }
+    let reused = allocations() - before;
+    let before = allocations();
+    for frame in &frames {
+        assert!(!codec.decompress(frame).unwrap().is_empty());
+    }
+    let fresh = allocations() - before;
+    let n = frames.len() as u64;
+    assert_eq!(reused, 0, "decompress_into allocated over {n} warm frames");
+    assert!(
+        fresh >= 2 * n,
+        "decompress allocated only {fresh} times for {n} frames"
     );
 }

@@ -115,6 +115,7 @@ fn cached_outcomes_are_byte_identical_under_every_fault_mode() {
         let mut cached = faulted_system(plan(), SystemConfig::DEFAULT_PAGE_CACHE_BYTES);
         let mut uncached = faulted_system(plan(), 0);
         for (round, q) in queries.iter().enumerate() {
+            let before = *cached.device().ledger();
             let a = cached.query_str(q).unwrap();
             let b = uncached.query_str(q).unwrap();
             assert_eq!(
@@ -122,6 +123,12 @@ fn cached_outcomes_are_byte_identical_under_every_fault_mode() {
                 observed(&b),
                 "{mode}: round {round} query {q:?} must not depend on the cache"
             );
+            // On a clean device the repeated query finds every data page
+            // it scans in the cache.
+            if *mode == "clean" && round == 2 {
+                let served = cached.device().ledger().since(&before).cache_hits;
+                assert_eq!(served, a.pages_scanned, "clean repeat of {q:?}");
+            }
         }
         let ledger = cached.device().ledger();
         assert!(

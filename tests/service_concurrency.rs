@@ -240,6 +240,58 @@ fn threaded_submissions_through_service_match_solo_runs() {
     service.shutdown();
 }
 
+/// Ingest beside queries: with `overlap_ingest` an ingest queued behind a
+/// wave's queries may ride that wave; without it the wave stops before the
+/// ingest. Either way every query returns its solo lines, since the
+/// ingested line matches none of them. Whether the overlap happens depends
+/// on when the scheduler claims the queries, so only its upper bound is
+/// asserted here; `claim_wave_overlaps_an_ingest_behind_queries` in the
+/// service crate pins the claim itself.
+#[test]
+fn ingest_overlaps_a_wave_only_when_enabled_and_never_moves_query_lines() {
+    const QUIET: &[u8] = b"quiet heartbeat ok\n";
+    let ds = corpus(200_000);
+    let queries = ["FATAL", "KERNEL", "RAS OR INFO"];
+    let mut solo = MithriLog::new(SystemConfig::default());
+    solo.ingest(ds.text()).unwrap();
+    let solo_lines: Vec<_> = queries
+        .iter()
+        .map(|q| solo.query_str(q).unwrap().lines)
+        .collect();
+
+    for overlap_ingest in [true, false] {
+        let mut system = MithriLog::new(SystemConfig::default());
+        system.ingest(ds.text()).unwrap();
+        let config = ServiceConfig {
+            overlap_ingest,
+            ..ServiceConfig::default()
+        };
+        let service = Service::spawn(system, config);
+        let handle = service.handle();
+        // A large ingest occupies the scheduler while the queries and a
+        // one-line ingest queue up behind it in the same lane.
+        let busy = handle.ingest(QUIET.repeat(50_000)).unwrap();
+        let ids: Vec<_> = queries
+            .iter()
+            .map(|q| handle.submit_str(q, Priority::Normal).unwrap())
+            .collect();
+        let quiet = handle.ingest(QUIET.to_vec()).unwrap();
+        for (id, want) in ids.into_iter().zip(&solo_lines) {
+            let JobOutput::Query { outcome, .. } = handle.wait(id).unwrap() else {
+                panic!("expected a query output");
+            };
+            assert_eq!(&outcome.lines, want, "overlap_ingest {overlap_ingest}");
+        }
+        handle.wait(busy).unwrap();
+        handle.wait(quiet).unwrap();
+        assert!(
+            handle.stats().ingests_overlapped <= u64::from(overlap_ingest),
+            "overlap_ingest {overlap_ingest}"
+        );
+        service.shutdown();
+    }
+}
+
 /// Overload: a bounded queue rejects with an explicit error instead of
 /// queueing without bound, and the pool keeps serving afterwards.
 #[test]
