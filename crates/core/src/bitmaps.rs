@@ -20,9 +20,11 @@
 //! negated term byte-equals one of the page's saturating tokens. Both
 //! rules are conservative, so pruned plans return byte-identical lines.
 
+use std::ops::Range;
+
 use mithrilog_filter::Bitmap;
 use mithrilog_query::Query;
-use mithrilog_tokenizer::Tokenizer;
+use mithrilog_tokenizer::{DatapathStats, Tokenizer};
 
 /// Saturating tokens kept per page before segment-level selection.
 pub(crate) const MAX_SAT_TOKENS_PER_PAGE: usize = 16;
@@ -59,46 +61,80 @@ pub(crate) struct PageMarks {
     pub saturating: Vec<Vec<u8>>,
 }
 
-/// Computes one page's marks from its raw decompressed text.
-///
-/// Line iteration mirrors the filter engine exactly: `\n`-separated
-/// segments with empty ones skipped. A line with no tokens (all
-/// delimiters) still counts as a line, so it blocks every saturation —
-/// conservative by construction.
-pub(crate) fn page_marks(tokenizer: &Tokenizer, buckets: usize, text: &[u8]) -> PageMarks {
-    let mut any = Bitmap::new(buckets);
-    // `None` until the first non-empty line seeds the candidate set.
-    let mut sat: Option<Vec<Vec<u8>>> = None;
-    let mut line_tokens: Vec<&[u8]> = Vec::new();
-    for line in text.split(|b| *b == b'\n') {
-        if line.is_empty() {
-            continue;
-        }
-        line_tokens.clear();
-        line_tokens.extend(tokenizer.tokens(line));
-        for tok in &line_tokens {
-            any.set(token_bucket(tok, buckets));
-        }
-        line_tokens.sort_unstable();
-        line_tokens.dedup();
-        match &mut sat {
-            None => {
-                sat = Some(
-                    line_tokens
-                        .iter()
-                        .filter(|t| t.len() <= MAX_SAT_TOKEN_LEN)
-                        .map(|t| t.to_vec())
-                        .collect(),
-                );
+/// Everything ingest, rebuild and mount take from one page's raw text,
+/// derived from a single token walk over it.
+#[derive(Debug, Clone)]
+pub(crate) struct PageFacts {
+    /// The page's distinct tokens as byte ranges into its text, sorted by
+    /// bytes: the order the index inserts them in, so the node-write
+    /// sequence (and with it the device layout) is reproducible.
+    distinct: Vec<Range<usize>>,
+    /// The page's pruning marks (`None` when bitmaps are disabled).
+    pub marks: Option<PageMarks>,
+    /// The page's contribution to the throughput model's statistics.
+    pub stats: DatapathStats,
+}
+
+impl PageFacts {
+    /// Walks `text` once, line by line, feeding every line's tokens to the
+    /// distinct set, the marks and the statistics.
+    ///
+    /// Line iteration mirrors the filter engine exactly: `\n`-separated
+    /// segments with empty ones skipped. A line with no tokens (all
+    /// delimiters) still counts as a line, so it blocks every saturation —
+    /// conservative by construction.
+    pub(crate) fn of(tokenizer: &Tokenizer, buckets: usize, text: &[u8]) -> PageFacts {
+        let mut distinct = Vec::new();
+        let mut stats = DatapathStats::new();
+        let mut any = (buckets > 0).then(|| Bitmap::new(buckets));
+        // `None` until the first non-empty line seeds the candidate set.
+        let mut sat: Option<Vec<&[u8]>> = None;
+        let mut line_tokens: Vec<&[u8]> = Vec::new();
+        for line in text.split(|b| *b == b'\n').filter(|l| !l.is_empty()) {
+            line_tokens.clear();
+            line_tokens.extend(tokenizer.tokens(line));
+            stats.record_tokens(tokenizer, line, line_tokens.iter().copied());
+            distinct.extend(line_tokens.iter().map(|t| {
+                let start = t.as_ptr() as usize - text.as_ptr() as usize;
+                start..start + t.len()
+            }));
+            let Some(any) = &mut any else {
+                continue;
+            };
+            for tok in &line_tokens {
+                any.set(token_bucket(tok, buckets));
             }
-            Some(cands) => {
-                cands.retain(|c| line_tokens.binary_search(&c.as_slice()).is_ok());
+            line_tokens.sort_unstable();
+            line_tokens.dedup();
+            match &mut sat {
+                None => {
+                    let short = line_tokens.iter().filter(|t| t.len() <= MAX_SAT_TOKEN_LEN);
+                    sat = Some(short.copied().collect());
+                }
+                Some(cands) => cands.retain(|c| line_tokens.binary_search(c).is_ok()),
             }
+        }
+        distinct.sort_unstable_by(|a, b| text[a.clone()].cmp(&text[b.clone()]));
+        distinct.dedup_by(|a, b| text[a.clone()] == text[b.clone()]);
+        distinct.shrink_to_fit();
+        let sat = sat.unwrap_or_default().into_iter();
+        let saturating = sat
+            .take(MAX_SAT_TOKENS_PER_PAGE)
+            .map(<[u8]>::to_vec)
+            .collect();
+        let marks = any.map(|any| PageMarks { any, saturating });
+        PageFacts {
+            distinct,
+            marks,
+            stats,
         }
     }
-    let mut saturating = sat.unwrap_or_default();
-    saturating.truncate(MAX_SAT_TOKENS_PER_PAGE);
-    PageMarks { any, saturating }
+
+    /// The page's distinct tokens in index-insert order; `text` is the page
+    /// text the facts were taken from.
+    pub(crate) fn distinct<'t>(&'t self, text: &'t [u8]) -> impl Iterator<Item = &'t [u8]> + 't {
+        self.distinct.iter().map(move |r| &text[r.clone()])
+    }
 }
 
 /// The frozen pruning structures of one sealed segment, page-transposed so
@@ -329,6 +365,10 @@ mod tests {
         Tokenizer::default()
     }
 
+    fn page_marks(tokenizer: &Tokenizer, buckets: usize, text: &[u8]) -> PageMarks {
+        PageFacts::of(tokenizer, buckets, text).marks.unwrap()
+    }
+
     const PAGES: [&[u8]; 3] = [
         b"RAS KERNEL INFO cache parity\nRAS KERNEL FATAL storage interrupt\n",
         b"RAS APP FATAL ciod error\nRAS APP INFO ciod ok\n",
@@ -337,6 +377,24 @@ mod tests {
 
     fn marks() -> Vec<PageMarks> {
         PAGES.iter().map(|p| page_marks(&tok(), 256, p)).collect()
+    }
+
+    #[test]
+    fn page_facts_equal_one_pass_per_structure() {
+        use mithrilog_tokenizer::TokenizerConfig;
+        let t = tok();
+        let text: &[u8] = b"\nb a b\n  \nc a\n\n".as_slice();
+        for page in PAGES.iter().copied().chain([text, b"".as_slice()]) {
+            let facts = PageFacts::of(&t, 64, page);
+            let sorted: std::collections::BTreeSet<&[u8]> = page
+                .split(|b| *b == b'\n')
+                .flat_map(|line| t.tokens(line))
+                .collect();
+            assert!(facts.distinct(page).eq(sorted));
+            let stats = DatapathStats::of_text(&TokenizerConfig::default(), page);
+            assert_eq!(facts.stats, stats);
+        }
+        assert!(PageFacts::of(&tok(), 0, PAGES[0]).marks.is_none());
     }
 
     #[test]

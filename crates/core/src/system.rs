@@ -15,7 +15,7 @@ use mithrilog_storage::{
 };
 use mithrilog_tokenizer::{DatapathStats, ScatterGather, Tokenizer};
 
-use crate::bitmaps::{page_marks, PageMarks, SegmentBitmaps};
+use crate::bitmaps::{PageFacts, PageMarks, SegmentBitmaps};
 use crate::cache::PageCache;
 use crate::config::SystemConfig;
 use crate::error::MithriLogError;
@@ -296,7 +296,8 @@ struct PendingCommit {
 }
 
 /// The CPU-heavy half of an ingest, computed without touching the system:
-/// LZAH page frames plus each frame's sorted distinct token set.
+/// LZAH page frames plus each frame's [`PageFacts`] (distinct tokens,
+/// pruning marks, datapath statistics), taken in one token walk.
 ///
 /// Splitting ingest into [`PreparedIngest::build`] (pure, `&config` only)
 /// and [`MithriLog::apply_ingest`] (serial, `&mut self`) lets a service
@@ -320,13 +321,10 @@ struct PreparedFrame {
     /// The frame's raw-text range within `PreparedIngest::text`.
     raw_range: Range<usize>,
     lines: u64,
-    /// The frame's distinct tokens, sorted — the order the index inserts
-    /// them in, so the device page layout matches a direct ingest exactly.
-    distinct: Vec<Vec<u8>>,
-    /// The page's pruning marks (`None` when bitmaps are disabled).
-    /// Computed here, in the pure half, so overlapped ingest stays
+    /// The page's analysis, with token ranges relative to the frame's raw
+    /// text. Computed here, in the pure half, so overlapped ingest stays
     /// byte-identical to direct ingest.
-    marks: Option<PageMarks>,
+    facts: PageFacts,
 }
 
 impl<'a> PreparedIngest<'a> {
@@ -350,30 +348,12 @@ impl<'a> PreparedIngest<'a> {
         for frame in shards.iter().flat_map(|paged| paged.pages()) {
             let raw_range = offset..offset + frame.raw_len();
             offset += frame.raw_len();
-            let slice = &text[raw_range.clone()];
-            // The set is ordered so the index's node-write sequence — and
-            // therefore the whole device page layout — is identical across
-            // processes; seeded fault plans rely on a reproducible write
-            // sequence.
-            let mut distinct: BTreeSet<Vec<u8>> = BTreeSet::new();
-            for line in slice.split(|b| *b == b'\n') {
-                for tok in tokenizer.tokens(line) {
-                    if !distinct.contains(tok) {
-                        distinct.insert(tok.to_vec());
-                    }
-                }
-            }
-            let marks = if config.bitmap_buckets > 0 {
-                Some(page_marks(&tokenizer, config.bitmap_buckets, slice))
-            } else {
-                None
-            };
+            let facts = PageFacts::of(&tokenizer, config.bitmap_buckets, &text[raw_range.clone()]);
             frames.push(PreparedFrame {
                 data: frame.data().to_vec(),
                 raw_range,
                 lines: frame.lines() as u64,
-                distinct: distinct.into_iter().collect(),
-                marks,
+                facts,
             });
         }
         PreparedIngest { text, frames }
@@ -402,15 +382,6 @@ impl<'a> PreparedIngest<'a> {
         slice.split(|b| *b == b'\n').next().unwrap_or(slice)
     }
 
-    /// Lines held by frame `index`.
-    ///
-    /// # Panics
-    ///
-    /// When `index >= frame_count()`.
-    pub fn frame_lines(&self, index: usize) -> u64 {
-        self.frames[index].lines
-    }
-
     /// Splits the prepared frames into `shards` independent prepared
     /// ingests, sending frame `i` to `routes[i]`, preserving relative frame
     /// order within each shard. The frame payloads are reused byte-for-byte
@@ -437,8 +408,7 @@ impl<'a> PreparedIngest<'a> {
                 data: frame.data.clone(),
                 raw_range: start..text.len(),
                 lines: frame.lines,
-                distinct: frame.distinct.clone(),
-                marks: frame.marks.clone(),
+                facts: frame.facts.clone(),
             });
         }
         parts
@@ -1176,20 +1146,8 @@ impl<S: PageStore> MithriLog<S> {
             self.pending.data_pages.push(page.0);
             self.page_gens.insert(page.0, self.open.generation);
             self.open.pages.push(page);
-            if let Some(marks) = &frame.marks {
-                self.open.page_marks.push(marks.clone());
-            }
-
-            self.index.insert_page_tokens(
-                &mut self.ssd,
-                page,
-                frame.distinct.iter().map(|t| t.as_slice()),
-            )?;
-
-            // Accumulate datapath statistics for the throughput model.
-            let slice = &prep.text[frame.raw_range.clone()];
-            self.stats.record_text(&self.tokenizer, slice);
-            self.scatter.schedule_text(&self.tokenizer, slice);
+            self.open.page_marks.extend(frame.facts.marks.clone());
+            self.fold_page(page, &prep.text[frame.raw_range.clone()], &frame.facts)?;
 
             report.raw_bytes += frame.raw_range.len() as u64;
             report.lines += frame.lines;
@@ -1217,6 +1175,21 @@ impl<S: PageStore> MithriLog<S> {
         self.pending.compressed_bytes += report.compressed_bytes;
         self.commit()?;
         Ok(report)
+    }
+
+    /// Folds one analysed page into the index and the throughput model —
+    /// the step ingest and reindex share, so both leave the same state.
+    fn fold_page(
+        &mut self,
+        page: PageId,
+        text: &[u8],
+        facts: &PageFacts,
+    ) -> Result<(), MithriLogError> {
+        self.index
+            .insert_page_tokens(&mut self.ssd, page, facts.distinct(text))?;
+        self.stats.merge(&facts.stats);
+        self.scatter.schedule_text(&self.tokenizer, text);
+        Ok(())
     }
 
     /// Seals the whole open segment: the run of open pages becomes an
@@ -1556,40 +1529,25 @@ impl<S: PageStore> MithriLog<S> {
 
     /// The reindex body shared by [`MithriLog::rebuild_index`] and the
     /// recovery fallback: rescans every data page, reconstructing the
-    /// index, statistics, and totals. Does not commit.
+    /// index, statistics and pruning bitmaps. Does not commit.
+    ///
+    /// The store totals are left alone: the live counters (or, at mount,
+    /// the journal) already hold them, and page text cannot reproduce the
+    /// ingest-time line count, which counts blank lines and a line longer
+    /// than a page once.
     fn reindex_from_pages(&mut self) -> Result<(), MithriLogError> {
         let codec = Lzah::new(self.config.lzah);
         self.index =
             InvertedIndex::with_page_bytes(self.config.index, self.config.device.page_bytes);
         self.stats = DatapathStats::new();
         self.scatter = ScatterGather::new(self.config.tokenizer.lanes);
-        self.total_raw_bytes = 0;
-        self.total_lines = 0;
-        self.total_compressed_bytes = 0;
         let buckets = self.config.bitmap_buckets;
         let mut marks_by_page: HashMap<u64, PageMarks> = HashMap::new();
-        let pages = self.data_pages.clone();
-        for page in pages {
-            let raw = self.ssd.read(page)?;
-            let text = codec.decompress(&raw)?;
-            let mut distinct: BTreeSet<&[u8]> = BTreeSet::new();
-            for line in text.split(|b| *b == b'\n') {
-                if !line.is_empty() {
-                    self.total_lines += 1;
-                }
-                for tok in self.tokenizer.tokens(line) {
-                    distinct.insert(tok);
-                }
-            }
-            if buckets > 0 {
-                marks_by_page.insert(page.0, page_marks(&self.tokenizer, buckets, &text));
-            }
-            self.index
-                .insert_page_tokens(&mut self.ssd, page, distinct)?;
-            self.stats.record_text(&self.tokenizer, &text);
-            self.scatter.schedule_text(&self.tokenizer, &text);
-            self.total_raw_bytes += text.len() as u64;
-            self.total_compressed_bytes += codec.frame_bytes(&raw)? as u64;
+        for page in self.data_pages.clone() {
+            let text = codec.decompress(&self.ssd.read(page)?)?;
+            let facts = PageFacts::of(&self.tokenizer, buckets, &text);
+            self.fold_page(page, &text, &facts)?;
+            marks_by_page.extend(facts.marks.map(|m| (page.0, m)));
         }
         // Rebuild the pruning bitmaps from the same rescan: sealed
         // segments re-freeze deterministically (byte-identical to their
@@ -1600,7 +1558,7 @@ impl<S: PageStore> MithriLog<S> {
                 let marks: Option<Vec<PageMarks>> = seg
                     .pages
                     .iter()
-                    .map(|p| marks_by_page.get(&p.0).cloned())
+                    .map(|p| marks_by_page.remove(&p.0))
                     .collect();
                 seg.bitmaps = marks.map(|m| SegmentBitmaps::build(buckets, &m));
             }
@@ -1608,7 +1566,7 @@ impl<S: PageStore> MithriLog<S> {
                 .open
                 .pages
                 .iter()
-                .filter_map(|p| marks_by_page.get(&p.0).cloned())
+                .filter_map(|p| marks_by_page.remove(&p.0))
                 .collect();
         }
         Ok(())
@@ -1619,13 +1577,10 @@ impl<S: PageStore> MithriLog<S> {
     /// accumulates during normal ingest.
     fn rebuild_open_marks(&mut self) -> Result<(), MithriLogError> {
         let codec = Lzah::new(self.config.lzah);
-        let buckets = self.config.bitmap_buckets;
         let mut marks = Vec::with_capacity(self.open.pages.len());
-        let pages = self.open.pages.clone();
-        for page in pages {
-            let raw = self.ssd.read(page)?;
-            let text = codec.decompress(&raw)?;
-            marks.push(page_marks(&self.tokenizer, buckets, &text));
+        for page in self.open.pages.clone() {
+            let text = codec.decompress(&self.ssd.read(page)?)?;
+            marks.extend(PageFacts::of(&self.tokenizer, self.config.bitmap_buckets, &text).marks);
         }
         self.open.page_marks = marks;
         Ok(())

@@ -199,8 +199,9 @@ pub struct ServiceConfig {
     /// Queries in the wave were admitted before the ingest, so their
     /// outcomes stay byte-identical to solo runs against the pre-ingest
     /// snapshot; only wall-clock time changes. `false` restores
-    /// stop-the-world ingest (the A/B lever the `ingest_concurrent` bench
-    /// measures).
+    /// stop-the-world ingest (the A/B lever that
+    /// `tests/service_concurrency.rs::ingest_overlaps_a_wave_only_when_enabled_and_never_moves_query_lines`
+    /// checks).
     pub overlap_ingest: bool,
     /// Retention target: after every successful ingest, drop the oldest
     /// sealed segments until at most this many remain (crash-consistent;

@@ -53,13 +53,24 @@ impl DatapathStats {
 
     /// Accumulates one line of raw text tokenized under `config`.
     pub fn record_line(&mut self, tokenizer: &Tokenizer, line: &[u8]) {
+        self.record_tokens(tokenizer, line, tokenizer.tokens(line));
+    }
+
+    /// Accumulates one line whose tokens (`tokenizer.tokens(line)`) the
+    /// caller already holds — for a walk that also uses them elsewhere.
+    pub fn record_tokens<'t>(
+        &mut self,
+        tokenizer: &Tokenizer,
+        line: &[u8],
+        tokens: impl IntoIterator<Item = &'t [u8]>,
+    ) {
         let width = tokenizer.config().word_bytes;
         self.raw_bytes += line.len() as u64 + 1; // +1 for the newline
         self.lines += 1;
         self.line_len_sum += line.len() as u64;
         self.line_len_sq_sum += (line.len() as u128) * (line.len() as u128);
         self.max_line_len = self.max_line_len.max(line.len());
-        for token in tokenizer.tokens(line) {
+        for token in tokens {
             self.tokens += 1;
             let bucket = token.len().min(HIST_BUCKETS - 1);
             self.token_len_hist[bucket] += 1;
@@ -70,20 +81,14 @@ impl DatapathStats {
         }
     }
 
-    /// Streams a whole text buffer (lines split on `\n`).
-    pub fn record_text(&mut self, tokenizer: &Tokenizer, text: &[u8]) {
-        for line in text.split(|b| *b == b'\n') {
-            if !line.is_empty() {
-                self.record_line(tokenizer, line);
-            }
-        }
-    }
-
-    /// Computes statistics for a corpus in one call.
+    /// Computes statistics for a corpus (lines split on `\n`, empty ones
+    /// skipped) in one call.
     pub fn of_text(config: &TokenizerConfig, text: &[u8]) -> Self {
         let tokenizer = Tokenizer::new(config.clone());
         let mut stats = DatapathStats::new();
-        stats.record_text(&tokenizer, text);
+        for line in text.split(|b| *b == b'\n').filter(|l| !l.is_empty()) {
+            stats.record_line(&tokenizer, line);
+        }
         stats
     }
 

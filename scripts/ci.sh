@@ -23,6 +23,10 @@ echo "==> cold-page kernels (sliced CRC32 == bitwise reference; decompress_into 
 cargo test -p mithrilog-storage --lib -q crc::tests
 cargo test --test properties -q lzah_into_agrees
 
+echo "==> ingest identity (golden device image after ingest and rebuild; rebuild keeps the journal totals)"
+cargo test --test recovery -q -- --exact golden_device_image_after_ingest_and_after_rebuild
+cargo test --test recovery -q -- --exact rebuild_keeps_the_journal_totals_so_later_mounts_load_the_checkpoint
+
 echo "==> mithrilog recover --self-check (bounded crash-matrix smoke)"
 cargo run --release -p mithrilog-cli --quiet -- recover --self-check --points 12
 

@@ -1,10 +1,12 @@
 //! Recovery and correlation integration tests: index rebuild after a
-//! simulated host restart, a real on-disk unmount/remount round trip, and
-//! the §8 join workflow over two filtered event classes.
+//! simulated host restart, a real on-disk unmount/remount round trip, the
+//! totals a rebuild must keep, a golden device image for ingest and
+//! rebuild, and the §8 join workflow over two filtered event classes.
 
 use mithrilog::{IndexRecovery, MithriLog, SystemConfig};
 use mithrilog_analytics::{correlate_counts, extract_node, join_on};
 use mithrilog_loggen::{generate, DatasetProfile, DatasetSpec};
+use mithrilog_storage::{crc32, Crc32, MemStore, PageId, PageStore};
 
 fn corpus() -> Vec<u8> {
     generate(&DatasetSpec {
@@ -84,6 +86,101 @@ fn rebuild_recomputes_compression_ratio_and_throughput_model() {
     system.rebuild_index().unwrap();
     assert!((system.compression_ratio() - ratio_before).abs() < 0.01);
     assert!((system.modeled_throughput().total_gbps - tput_before).abs() < 0.2);
+}
+
+/// Mounts a copy of `system`'s device image and reports how the index
+/// came back.
+fn remount(store: &MemStore, config: &SystemConfig) -> (MithriLog, IndexRecovery) {
+    let (mounted, report) = MithriLog::open_store(store.clone(), config.clone()).unwrap();
+    (mounted, report.index)
+}
+
+#[test]
+fn rebuild_keeps_the_journal_totals_so_later_mounts_load_the_checkpoint() {
+    // Blank lines count as lines at ingest, and a line longer than a page
+    // counts once: the two corpora where a rescan of page text would count
+    // differently from the journal.
+    let mut long_line = Vec::with_capacity(160_000);
+    let mut state = 0x2545_F491_4F6C_DD1Du64;
+    while long_line.len() < 160_000 {
+        state ^= state << 13;
+        state ^= state >> 7;
+        state ^= state << 17;
+        long_line.push(b"abcdefghijklmnopqrstuvwxyz0123456789 "[(state % 37) as usize]);
+    }
+    long_line.extend_from_slice(b"\nshort line\n");
+    let config = SystemConfig::for_tests();
+    for (text, lines) in [(b"a\n\nb\n\n\n".to_vec(), 5), (long_line, 2)] {
+        let mut system = MithriLog::new(config.clone());
+        system.ingest(&text).unwrap();
+        assert_eq!(system.lines(), lines);
+        let raw = system.raw_bytes();
+        assert_eq!(raw, text.len() as u64);
+
+        system.rebuild_index().unwrap();
+        assert_eq!(system.lines(), lines, "rebuild_index recounted lines");
+        assert_eq!(system.raw_bytes(), raw, "rebuild_index recounted bytes");
+
+        let (first, index) = remount(system.device().store(), &config);
+        assert_eq!(index, IndexRecovery::Checkpoint);
+        assert_eq!((first.lines(), first.raw_bytes()), (lines, raw));
+        let (second, index) = remount(first.device().store(), &config);
+        assert_eq!(index, IndexRecovery::Checkpoint);
+        assert_eq!((second.lines(), second.raw_bytes()), (lines, raw));
+    }
+}
+
+/// `(page count, CRC32 over the per-page CRC32s)` of a whole device image:
+/// one pin that moves if any byte of any page does.
+fn image_digest(store: &MemStore) -> (u64, u32) {
+    let mut digest = Crc32::new();
+    for page in 0..store.page_count() {
+        let bytes = store.read_page(PageId(page)).unwrap();
+        digest.update(&crc32(&bytes).to_le_bytes());
+    }
+    (store.page_count(), digest.finalize())
+}
+
+#[test]
+fn golden_device_image_after_ingest_and_after_rebuild() {
+    // The constants below were computed by the three-pass page analysis
+    // this store shipped with before ingest, rebuild and mount shared one
+    // token walk per page; they pin the index node order, the checkpoint
+    // blob, the bitmap sidecars and the journal records together.
+    const AFTER_INGEST: (u64, u32) = (105, 3_952_027_971);
+    const AFTER_REBUILD: (u64, u32) = (133, 4_124_453_527);
+
+    let config = SystemConfig {
+        segment_pages: 16,
+        ..SystemConfig::for_tests()
+    };
+    assert!(config.bitmap_buckets > 0);
+    let text = generate(&DatasetSpec {
+        profile: DatasetProfile::Bgl2,
+        target_bytes: 300_000,
+        seed: 30,
+    })
+    .into_text();
+    let mut system = MithriLog::new(config);
+    let mut rest = text.as_slice();
+    for _ in 0..3 {
+        let cut = (text.len() / 3).min(rest.len());
+        let end = rest[cut..]
+            .iter()
+            .position(|b| *b == b'\n')
+            .map_or(rest.len(), |p| cut + p + 1);
+        system.ingest(&rest[..end]).unwrap();
+        rest = &rest[end..];
+    }
+    if !rest.is_empty() {
+        system.ingest(rest).unwrap();
+    }
+    assert!(system.sealed_segment_count() >= 2);
+    assert!(system.bitmap_sidecar_locations().len() >= 2);
+    assert_eq!(image_digest(system.device().store()), AFTER_INGEST);
+
+    system.rebuild_index().unwrap();
+    assert_eq!(image_digest(system.device().store()), AFTER_REBUILD);
 }
 
 #[test]

@@ -11,16 +11,19 @@
 //! solo query *is* a wave of one, and a four-request wave builds its page
 //! union and fans every page out without allocating per page either. The
 //! LZAH decode kernel on its own, with a reused scratch, allocates nothing
-//! per frame.
+//! per frame. On the write side, the one token walk per page that
+//! `PreparedIngest::build` adds to compression allocates a bounded number
+//! of times per frame, never once per distinct token.
 //!
 //! This file intentionally holds a single `#[test]`: the allocator count
 //! is global to the test binary, and a concurrently running test would
 //! pollute the measured window.
 
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::borrow::Cow;
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use mithrilog::{MithriLog, QueryRequest, SystemConfig};
+use mithrilog::{MithriLog, PreparedIngest, QueryRequest, SystemConfig};
 use mithrilog_compress::{compress_paged, Codec, Lzah, LzahConfig, LzahScratch};
 use mithrilog_loggen::{generate, DatasetProfile, DatasetSpec};
 
@@ -74,7 +77,7 @@ fn steady_state_scan_allocates_o1_per_query_not_per_page() {
         target_bytes: 2_000_000,
         seed: 3,
     });
-    let mut system = MithriLog::new(config);
+    let mut system = MithriLog::new(config.clone());
     system.ingest(ds.text()).unwrap();
     let pages = system.data_page_count();
     assert!(pages > 100, "corpus must span enough pages ({pages})");
@@ -154,5 +157,26 @@ fn steady_state_scan_allocates_o1_per_query_not_per_page() {
     assert!(
         fresh >= 2 * n,
         "decompress allocated only {fresh} times for {n} frames"
+    );
+
+    // The ingest build half: compression plus one page analysis per frame
+    // (distinct tokens, pruning marks, datapath statistics). Everything
+    // beyond compression's own allocations is a fixed handful per frame.
+    let before = allocations();
+    drop(compress_paged(
+        ds.text(),
+        config.lzah,
+        config.device.page_bytes,
+    ));
+    let compress = allocations() - before;
+    let before = allocations();
+    let prep = PreparedIngest::build(&config, Cow::Borrowed(ds.text()));
+    let build = allocations() - before;
+    let frames = prep.frame_count();
+    assert_eq!(frames, pages);
+    assert!(
+        build <= compress + 48 * frames,
+        "build allocated {build} times for {frames} frames; compression \
+         alone allocates {compress}"
     );
 }
