@@ -529,7 +529,9 @@ pub fn gen(args: &[String]) -> CliResult {
 
 /// `mithrilog serve <logfile> [--port <p>] [--threads <n>]
 /// [--max-queue <n>] [--max-batch <n>] [--budget <n>]
-/// [--page-cache <bytes>] [--deadline <micros>] [--scrub-batch <pages>]`
+/// [--page-cache <bytes>] [--deadline <micros>] [--scrub-batch <pages>]
+/// [--retain <segments>] [--shards <n>] [--route-mode <line-hash|tenant>]
+/// [--route-salt <n>] [--tenant-queue <n>] [--tenant-budget <pages>]`
 ///
 /// Ingests the log, then serves the concurrent query service's line
 /// protocol on a loopback TCP port (`--port 0` or omitted = an ephemeral
@@ -552,9 +554,8 @@ pub fn gen(args: &[String]) -> CliResult {
 /// is idle it verifies that many pages per slice, quarantining any that
 /// fail, until a full pass completes (re-armed by every ingest).
 /// `--retain` keeps at most that many sealed segments, dropping the
-/// oldest crash-consistently after each ingest. `--no-overlap` disables
-/// concurrent ingest preparation (stop-the-world ingest, the bench
-/// baseline).
+/// oldest crash-consistently after each ingest. Anything left over once
+/// the flags are taken, other than the one log path, is a usage error.
 ///
 /// `--shards <n>` serves the log from `n` fully independent modeled
 /// devices behind the same port: ingest frames are routed
@@ -581,14 +582,13 @@ pub fn serve(args: &[String]) -> CliResult {
     let (route_salt, args) = take_usize_flag(&args, "--route-salt")?;
     let (tenant_queue, args) = take_usize_flag(&args, "--tenant-queue")?;
     let (tenant_budget, args) = take_usize_flag(&args, "--tenant-budget")?;
-    let (no_overlap, args) = take_bool_flag(&args, "--no-overlap");
-    let path = args.first().ok_or(
+    let path = only_path(
+        &args,
         "usage: mithrilog serve <logfile> [--port <p>] [--threads <n>] \
          [--max-queue <n>] [--max-batch <n>] [--budget <n>] \
          [--page-cache <bytes>] [--deadline <micros>] [--scrub-batch <pages>] \
          [--retain <segments>] [--shards <n>] [--route-mode <line-hash|tenant>] \
-         [--route-salt <n>] [--tenant-queue <n>] [--tenant-budget <pages>] \
-         [--no-overlap]",
+         [--route-salt <n>] [--tenant-queue <n>] [--tenant-budget <pages>]",
     )?;
     let port = u16::try_from(port.unwrap_or(0)).map_err(|_| "--port must fit in 16 bits")?;
     let shards = shards.unwrap_or(1);
@@ -607,7 +607,6 @@ pub fn serve(args: &[String]) -> CliResult {
         default_page_budget: budget.map(|b| b as u64),
         default_deadline: deadline.map(|us| std::time::Duration::from_micros(us as u64)),
         scrub_batch: scrub_batch.map_or(0, |b| b as u64),
-        overlap_ingest: !no_overlap,
         retain_segments: retain.map(|n| n as u64),
         tenant_max_queued: tenant_queue,
         tenant_page_budget: tenant_budget.map(|b| b as u64),
@@ -783,6 +782,22 @@ fn take_str_flag(
     Ok((Some(v), rest))
 }
 
+/// The one positional argument left once a command's flags are taken: a
+/// usage error when there is none, and an error naming the first stray
+/// argument (an unknown flag before a second positional) when there is
+/// anything else.
+fn only_path<'a>(args: &'a [String], usage: &str) -> Result<&'a str, Box<dyn Error>> {
+    let stray = args
+        .iter()
+        .find(|a| a.starts_with("--"))
+        .or_else(|| args.get(1));
+    match (args.first(), stray) {
+        (Some(path), None) => Ok(path),
+        (None, _) => Err(usage.into()),
+        (Some(_), Some(stray)) => Err(format!("unexpected argument {stray:?}\n{usage}").into()),
+    }
+}
+
 /// Removes a value-less `flag` from `args`, returning whether it was
 /// present and the remaining arguments.
 fn take_bool_flag(args: &[String], flag: &str) -> (bool, Vec<String>) {
@@ -904,6 +919,25 @@ mod tests {
         assert_eq!(same, rest);
         assert!(take_usize_flag(&strs(&["--threads"]), "--threads").is_err());
         assert!(take_usize_flag(&strs(&["--threads", "x"]), "--threads").is_err());
+    }
+
+    #[test]
+    fn serve_rejects_stray_arguments_by_name() {
+        assert_eq!(only_path(&strs(&["x.log"]), "usage").unwrap(), "x.log");
+        assert_eq!(only_path(&[], "usage").unwrap_err().to_string(), "usage");
+        for (args, stray) in [
+            (&["x.log", "--no-overlap"][..], "--no-overlap"),
+            (&["--shard", "2", "x.log"][..], "--shard"),
+            (&["x.log", "y.log"][..], "y.log"),
+        ] {
+            let err = serve(&strs(args)).unwrap_err().to_string();
+            assert!(
+                err.starts_with(&format!(
+                    "unexpected argument {stray:?}\nusage: mithrilog serve"
+                )),
+                "{args:?}: {err}"
+            );
+        }
     }
 
     #[test]

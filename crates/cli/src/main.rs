@@ -16,11 +16,11 @@
 //!                                           lane with page quarantine)
 //!                                           (exit 0 clean, 2 corruption found, 1 error)
 //! mithrilog serve  <logfile> [--port <p>] [--threads <n>] [--max-queue <n>]
-//!                  [--max-batch <n>] [--budget <n>] [--deadline <micros>]
-//!                  [--scrub-batch <pages>] [--retain <segments>]
-//!                  [--shards <n>] [--route-mode <line-hash|tenant>]
-//!                  [--route-salt <n>] [--tenant-queue <n>]
-//!                  [--tenant-budget <pages>] [--no-overlap]
+//!                  [--max-batch <n>] [--budget <n>] [--page-cache <bytes>]
+//!                  [--deadline <micros>] [--scrub-batch <pages>]
+//!                  [--retain <segments>] [--shards <n>]
+//!                  [--route-mode <line-hash|tenant>] [--route-salt <n>]
+//!                  [--tenant-queue <n>] [--tenant-budget <pages>]
 //!                                           concurrent query service over TCP
 //!                                           (--shards: scatter-gather over N devices)
 //! mithrilog retention <storefile> --keep <segments>
@@ -99,11 +99,11 @@ fn print_usage() {
          \x20                                           lane with page quarantine)\n\
          \x20                                           (exit 0 clean, 2 corruption found, 1 error)\n\
          \x20 mithrilog serve  <logfile> [--port <p>] [--threads <n>] [--max-queue <n>]\n\
-         \x20                  [--max-batch <n>] [--budget <n>] [--deadline <micros>]\n\
-         \x20                  [--scrub-batch <pages>] [--retain <segments>]\n\
-         \x20                  [--shards <n>] [--route-mode <line-hash|tenant>]\n\
-         \x20                  [--route-salt <n>] [--tenant-queue <n>]\n\
-         \x20                  [--tenant-budget <pages>] [--no-overlap]\n\
+         \x20                  [--max-batch <n>] [--budget <n>] [--page-cache <bytes>]\n\
+         \x20                  [--deadline <micros>] [--scrub-batch <pages>]\n\
+         \x20                  [--retain <segments>] [--shards <n>]\n\
+         \x20                  [--route-mode <line-hash|tenant>] [--route-salt <n>]\n\
+         \x20                  [--tenant-queue <n>] [--tenant-budget <pages>]\n\
          \x20                                           concurrent query service over TCP\n\
          \x20                                           (--shards: scatter-gather over N devices)\n\
          \x20 mithrilog retention <storefile> --keep <segments>\n\

@@ -3,12 +3,12 @@
 //!
 //! The scheduler never touches a device directly — every wave goes through
 //! [`ServiceBackend`], so the whole service stack (admission control, fair
-//! scheduling, shared scans, overlapped ingest, scrub lane, panic
-//! isolation, the TCP front-end) works identically over one device and
-//! over N. The single-device impl is the trivial delegation; the sharded
-//! impl routes ingest frames by tenant/line key and merges scatter-gather
-//! query results into single-device-identical outcomes (see
-//! [`mithrilog_shard`]).
+//! scheduling, shared scans, ingest frames applied as submitters built
+//! them, scrub lane, panic isolation, the TCP front-end) works identically
+//! over one device and over N. The single-device impl is the trivial
+//! delegation; the sharded impl routes ingest frames by tenant/line key
+//! and merges scatter-gather query results into single-device-identical
+//! outcomes (see [`mithrilog_shard`]).
 
 use mithrilog::{
     IngestReport, MithriLog, PlanExplain, PreparedIngest, QueryRequest, RetentionReport,
@@ -22,7 +22,8 @@ use mithrilog_storage::{PageStore, ScrubReport, ScrubSlice};
 /// never branches on them.
 pub trait ServiceBackend: Send + 'static {
     /// The system configuration (shared by every device behind the
-    /// backend), used to prepare ingest frames off-thread.
+    /// backend), cloned once at spawn so submitters build ingest frames
+    /// exactly as the backend would.
     fn config(&self) -> &SystemConfig;
 
     /// Executes one wave of queries as a shared scan.

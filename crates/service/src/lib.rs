@@ -19,13 +19,13 @@
 //!   one shared scan ([`MithriLog::query_shared`]): overlapping page plans
 //!   are read and LZAH-decompressed once and fanned out to every waiting
 //!   query's compiled filter, with cost attribution split by share count;
-//! * **concurrent ingest** — an ingest admitted behind a query wave runs
-//!   its CPU-heavy half (compression + tokenization) on a scoped thread
-//!   concurrently with the scan and applies the finished frames serially
-//!   after the wave settles ([`ServiceConfig::overlap_ingest`]), so ingest
-//!   no longer stops the world; [`ServiceConfig::retain_segments`] bounds
-//!   the store by dropping the oldest sealed segments crash-consistently
-//!   after each ingest;
+//! * **concurrent ingest** — [`ServiceHandle::ingest`] builds a batch's
+//!   page frames (compression + page analysis) on the submitting thread,
+//!   beside whatever the scheduler is running; the scheduler only applies
+//!   the finished frames, alone between waves, so the CPU-heavy half never
+//!   stops the world; [`ServiceConfig::retain_segments`] bounds the store
+//!   by dropping the oldest sealed segments crash-consistently after each
+//!   ingest;
 //! * **multi-device backends** — the scheduler drives any
 //!   [`ServiceBackend`]: a single [`mithrilog::MithriLog`] device, or a
 //!   [`mithrilog_shard::ShardedLog`] topology whose scatter-gather results

@@ -8,7 +8,7 @@ use std::borrow::Cow;
 
 use mithrilog::{
     CancelToken, IngestReport, PlanExplain, PreparedIngest, QueryOutcome, QueryRequest,
-    RetentionReport, ScanAttribution, SharedScanReport,
+    RetentionReport, ScanAttribution, SharedScanReport, SystemConfig,
 };
 use mithrilog_shard::ShardRow;
 use mithrilog_storage::ScrubReport;
@@ -193,16 +193,6 @@ pub struct ServiceConfig {
     /// scrub lane (the default). Foreground work always preempts the next
     /// slice.
     pub scrub_batch: u64,
-    /// Run the CPU-heavy half of an ingest (compression + tokenization,
-    /// [`PreparedIngest::build`]) concurrently with the query wave claimed
-    /// ahead of it, applying the finished frames serially after the wave.
-    /// Queries in the wave were admitted before the ingest, so their
-    /// outcomes stay byte-identical to solo runs against the pre-ingest
-    /// snapshot; only wall-clock time changes. `false` restores
-    /// stop-the-world ingest (the A/B lever that
-    /// `tests/service_concurrency.rs::ingest_overlaps_a_wave_only_when_enabled_and_never_moves_query_lines`
-    /// checks).
-    pub overlap_ingest: bool,
     /// Retention target: after every successful ingest, drop the oldest
     /// sealed segments until at most this many remain (crash-consistent;
     /// see [`mithrilog::MithriLog::apply_retention`]). `None` disables
@@ -230,7 +220,6 @@ impl Default for ServiceConfig {
             default_page_budget: None,
             default_deadline: None,
             scrub_batch: 0,
-            overlap_ingest: true,
             retain_segments: None,
             tenant_max_queued: None,
             tenant_page_budget: None,
@@ -288,8 +277,10 @@ pub struct ServiceStats {
     /// Segment bitmap sidecars dropped by scrubs because they failed
     /// verification; planning fell back to conservative page sets.
     pub bitmaps_dropped: u64,
-    /// Ingests whose compression/tokenization ran concurrently with a
-    /// query wave instead of stop-the-world.
+    /// Ingests applied since spawn. Every ingest's frames are built on its
+    /// submitting thread, beside whatever the scheduler is running, so
+    /// every applied ingest counts; the name is kept for compatibility
+    /// with existing `STATS` readers.
     pub ingests_overlapped: u64,
     /// Segments sealed by ingests since spawn.
     pub segments_sealed: u64,
@@ -325,7 +316,9 @@ enum JobKind {
     /// Plan-only: the request is planned (index probe, bitmap pruning,
     /// clips) but no data page is scanned.
     Explain(Box<QueryRequest>, Priority),
-    Ingest(Vec<u8>, Option<String>),
+    /// Page frames the submitter already built; the scheduler only
+    /// applies them.
+    Ingest(Box<PreparedIngest<'static>>, Option<String>),
     /// A full-device scrub pass; runs alone, like an ingest.
     Scrub,
 }
@@ -363,11 +356,26 @@ impl State {
     }
 }
 
+/// The terminal result of job `id`, or `None` while it is still queued or
+/// running.
+fn settled(state: &State, id: JobId) -> Option<Result<JobOutput, WaitError>> {
+    match state.jobs.get(&id).map(|job| &job.status) {
+        None => Some(Err(WaitError::Unknown)),
+        Some(JobStatus::Done(out)) => Some(Ok(out.clone())),
+        Some(JobStatus::Failed(reason)) => Some(Err(WaitError::Failed(reason.clone()))),
+        Some(JobStatus::Cancelled) => Some(Err(WaitError::Cancelled)),
+        Some(JobStatus::Pending | JobStatus::Running) => None,
+    }
+}
+
 struct Shared {
     state: Mutex<State>,
     /// Signalled on every submission, completion, cancellation and close.
     changed: Condvar,
     config: ServiceConfig,
+    /// The backend's system configuration, cloned at spawn, so submitters
+    /// build ingest frames exactly as the backend would.
+    system: SystemConfig,
 }
 
 /// Cloneable handle for submitting and tracking jobs. All methods are safe
@@ -501,10 +509,18 @@ impl ServiceHandle {
     }
 
     /// Submits an ingest batch (admitted through the same bounded queue at
-    /// [`Priority::Normal`]). With [`ServiceConfig::overlap_ingest`] its
-    /// CPU-heavy half may run concurrently with the query wave admitted
-    /// before it; the device-touching half always runs alone, after that
-    /// wave settles, so queries never observe a half-applied ingest.
+    /// [`Priority::Normal`]). The calling thread first builds the batch's
+    /// page frames ([`PreparedIngest::build`]: compression and page
+    /// analysis) with no service lock held, so the build runs beside
+    /// whatever the scheduler is doing. The scheduler only applies the
+    /// finished frames, alone and between waves: queries admitted before
+    /// the ingest observe the pre-ingest snapshot, queries admitted after
+    /// it the post-ingest one, and none observes a half-applied ingest.
+    ///
+    /// A build that panics unwinds the calling thread before admission:
+    /// the scheduler is never reached and no service lock is held, so
+    /// nothing needs catching. A rejected submission has still paid for
+    /// its build.
     ///
     /// # Errors
     ///
@@ -522,8 +538,9 @@ impl ServiceHandle {
     ///
     /// Same admission conditions as [`ServiceHandle::submit_tagged`].
     pub fn ingest_tagged(&self, text: Vec<u8>, tenant: Option<&str>) -> Result<JobId, SubmitError> {
+        let prep = PreparedIngest::build(&self.shared.system, Cow::Owned(text));
         self.admit(
-            JobKind::Ingest(text, tenant.map(str::to_string)),
+            JobKind::Ingest(Box::new(prep), tenant.map(str::to_string)),
             CancelToken::new(),
         )
     }
@@ -620,14 +637,12 @@ impl ServiceHandle {
     pub fn wait(&self, id: JobId) -> Result<JobOutput, String> {
         let mut state = self.shared.state.lock().expect("service state poisoned");
         loop {
-            match state.jobs.get(&id) {
-                None => return Err("unknown job".into()),
-                Some(job) => match &job.status {
-                    JobStatus::Done(out) => return Ok(out.clone()),
-                    JobStatus::Failed(reason) => return Err(reason.clone()),
-                    JobStatus::Cancelled => return Err("cancelled".into()),
-                    JobStatus::Pending | JobStatus::Running => {}
-                },
+            match settled(&state, id) {
+                Some(Ok(out)) => return Ok(out),
+                Some(Err(WaitError::Failed(reason))) => return Err(reason),
+                Some(Err(WaitError::Cancelled)) => return Err("cancelled".into()),
+                Some(Err(other)) => return Err(other.to_string()),
+                None => {}
             }
             state = self
                 .shared
@@ -650,41 +665,23 @@ impl ServiceHandle {
         let deadline = Instant::now() + timeout;
         let mut state = self.shared.state.lock().expect("service state poisoned");
         loop {
-            match state.jobs.get(&id) {
-                None => return Err(WaitError::Unknown),
-                Some(job) => match &job.status {
-                    JobStatus::Done(out) => return Ok(out.clone()),
-                    JobStatus::Failed(reason) => return Err(WaitError::Failed(reason.clone())),
-                    JobStatus::Cancelled => return Err(WaitError::Cancelled),
-                    JobStatus::Pending | JobStatus::Running => {}
-                },
+            // Checked once more after the deadline passes: the change may
+            // have landed exactly at it.
+            if let Some(result) = settled(&state, id) {
+                return result;
             }
-            let now = Instant::now();
             let Some(remaining) = deadline
-                .checked_duration_since(now)
+                .checked_duration_since(Instant::now())
                 .filter(|r| !r.is_zero())
             else {
                 return Err(WaitError::TimedOut);
             };
-            let (next, result) = self
+            state = self
                 .shared
                 .changed
                 .wait_timeout(state, remaining)
-                .expect("service state poisoned");
-            state = next;
-            if result.timed_out() {
-                // Re-check the job once before giving up: the change may
-                // have landed exactly at the deadline.
-                match state.jobs.get(&id) {
-                    None => return Err(WaitError::Unknown),
-                    Some(job) => match &job.status {
-                        JobStatus::Done(out) => return Ok(out.clone()),
-                        JobStatus::Failed(reason) => return Err(WaitError::Failed(reason.clone())),
-                        JobStatus::Cancelled => return Err(WaitError::Cancelled),
-                        JobStatus::Pending | JobStatus::Running => return Err(WaitError::TimedOut),
-                    },
-                }
-            }
+                .expect("service state poisoned")
+                .0;
         }
     }
 
@@ -772,6 +769,7 @@ impl Service {
             }),
             changed: Condvar::new(),
             config,
+            system: backend.config().clone(),
         });
         let scheduler_shared = Arc::clone(&shared);
         let scheduler = std::thread::Builder::new()
@@ -819,13 +817,11 @@ impl Drop for Service {
 
 /// One unit of work claimed from the queues while holding the lock.
 enum Wave {
-    /// A batch of queries, optionally overlapped with one ingest admitted
-    /// *after* every query in the batch: its CPU-heavy prepare half runs
-    /// concurrently with the scan, its device-touching apply half runs
-    /// after the scan settles, so the queries still observe the exact
-    /// pre-ingest snapshot.
-    Queries(Vec<(JobId, QueryRequest)>, Option<OverlapIngest>),
-    Ingest(JobId, Vec<u8>, Option<String>),
+    /// A batch of queries scanned together.
+    Queries(Vec<(JobId, QueryRequest)>),
+    /// Built frames to apply alone, with the tenant tag that routes them
+    /// on a sharded backend.
+    Ingest(JobId, Box<PreparedIngest<'static>>, Option<String>),
     /// A plan-only explain; runs alone, so its (real, charged) index probe
     /// lands between waves deterministically.
     Explain(JobId, Box<QueryRequest>),
@@ -834,14 +830,6 @@ enum Wave {
     /// Nothing runnable; the caller should wait for a change.
     Idle,
     Shutdown,
-}
-
-/// An ingest claimed behind a query wave: its id, its raw text, and the
-/// tenant tag that routes it on a sharded backend.
-struct OverlapIngest {
-    id: JobId,
-    text: Vec<u8>,
-    tenant: Option<String>,
 }
 
 /// Selects up to `budget` query jobs from the contiguous run of queries at
@@ -904,17 +892,15 @@ fn claim_fair_queries(state: &mut State, lane: usize, budget: usize) -> Vec<JobI
 /// non-empty lane decides. Queries accumulate up to `max_batch` across
 /// lanes (a half-filled wave never waits for stragglers — determinism
 /// requires batching only what is already admitted), interleaved fairly
-/// across tenants within each lane ([`claim_fair_queries`]). An ingest at
-/// the front of an empty wave runs alone; behind already-claimed queries
-/// it joins the wave as the overlapped ingest when `overlap_ingest` is set
-/// (claiming stops there — jobs admitted after the ingest must observe
-/// post-ingest state) and otherwise stops the wave before it.
-fn claim_wave(state: &mut State, max_batch: usize, overlap_ingest: bool) -> Wave {
+/// across tenants within each lane ([`claim_fair_queries`]). A barrier job
+/// (ingest, explain, scrub) ends a non-empty wave, so whatever was
+/// admitted after it observes its effects; at the front of an empty wave
+/// it runs alone.
+fn claim_wave(state: &mut State, max_batch: usize) -> Wave {
     if state.closed {
         return Wave::Shutdown;
     }
     let mut wave: Vec<(JobId, QueryRequest)> = Vec::new();
-    let mut overlap: Option<OverlapIngest> = None;
     'lanes: for class in Priority::CLASSES {
         let lane = class.lane();
         loop {
@@ -955,53 +941,27 @@ fn claim_wave(state: &mut State, max_batch: usize, overlap_ingest: bool) -> Wave
                     // the window (or leftover queries once the wave is
                     // full, caught by the max_batch check above).
                 }
-                JobKind::Ingest(..) => {
-                    if !wave.is_empty() && !overlap_ingest {
+                JobKind::Ingest(..) | JobKind::Explain(..) | JobKind::Scrub => {
+                    if !wave.is_empty() {
                         break 'lanes;
                     }
                     state.lanes[lane].pop_front();
                     let job = state.jobs.get_mut(&id).expect("claimed job exists");
                     job.status = JobStatus::Running;
-                    let Some(JobKind::Ingest(text, tenant)) = job.kind.take() else {
-                        unreachable!("kind checked above");
-                    };
+                    let kind = job.kind.take().expect("front job is live");
+                    let tenant = job.tenant.clone();
                     state.queued -= 1;
                     state.stats.queued = state.queued as u64;
                     if let Some(tenant) = &tenant {
                         let stats = state.tenant_mut(tenant);
                         stats.queued = stats.queued.saturating_sub(1);
                     }
-                    if wave.is_empty() {
-                        return Wave::Ingest(id, text, tenant);
-                    }
-                    overlap = Some(OverlapIngest { id, text, tenant });
-                    break 'lanes;
-                }
-                JobKind::Explain(..) => {
-                    if !wave.is_empty() {
-                        break 'lanes;
-                    }
-                    state.lanes[lane].pop_front();
-                    let job = state.jobs.get_mut(&id).expect("claimed job exists");
-                    job.status = JobStatus::Running;
-                    let Some(JobKind::Explain(request, _)) = job.kind.take() else {
-                        unreachable!("kind checked above");
+                    return match kind {
+                        JobKind::Ingest(prep, tenant) => Wave::Ingest(id, prep, tenant),
+                        JobKind::Explain(request, _) => Wave::Explain(id, request),
+                        JobKind::Scrub => Wave::Scrub(id),
+                        JobKind::Query(..) => unreachable!("kind checked above"),
                     };
-                    state.queued -= 1;
-                    state.stats.queued = state.queued as u64;
-                    return Wave::Explain(id, request);
-                }
-                JobKind::Scrub => {
-                    if !wave.is_empty() {
-                        break 'lanes;
-                    }
-                    state.lanes[lane].pop_front();
-                    let job = state.jobs.get_mut(&id).expect("claimed job exists");
-                    job.status = JobStatus::Running;
-                    job.kind = None;
-                    state.queued -= 1;
-                    state.stats.queued = state.queued as u64;
-                    return Wave::Scrub(id);
                 }
             }
         }
@@ -1010,33 +970,30 @@ fn claim_wave(state: &mut State, max_batch: usize, overlap_ingest: bool) -> Wave
         return Wave::Idle;
     }
     state.stats.queued = state.queued as u64;
-    Wave::Queries(wave, overlap)
+    Wave::Queries(wave)
 }
 
-/// What the device-touching half of an ingest produced: the report, the
-/// number of segments it sealed, and the retention pass that followed it
-/// (if one is configured) — or the error / caught panic that stopped it.
+/// What applying an ingest produced: the report, the number of segments
+/// it sealed, and the retention pass that followed it (if one is
+/// configured) — or the error / caught panic that stopped it.
 type IngestOutcome = Result<
     Result<(IngestReport, u64, Option<RetentionReport>), String>,
     Box<dyn std::any::Any + Send>,
 >;
 
-/// What the overlapped prepare half of an ingest produced: the finished
-/// frames, or the caught panic that stopped the builder thread.
-type PreparedOutcome = Result<PreparedIngest<'static>, Box<dyn std::any::Any + Send>>;
-
-/// Runs the device-touching half of an ingest under panic isolation, then
-/// the configured retention pass. Retention failure fails the job: the
-/// ingested data is durable, but the store could not honor its retention
-/// contract and the client must hear about it.
+/// Applies built ingest frames under panic isolation, then the configured
+/// retention pass. Retention failure fails the job: the ingested data is
+/// durable, but the store could not honor its retention contract and the
+/// client must hear about it.
 fn run_ingest<B: ServiceBackend>(
     backend: &mut B,
     retain: Option<u64>,
-    ingest: impl FnOnce(&mut B) -> Result<IngestReport, String>,
+    tenant: Option<&str>,
+    prep: &PreparedIngest<'_>,
 ) -> IngestOutcome {
     catch_unwind(AssertUnwindSafe(|| {
         let sealed_before = backend.sealed_segment_count();
-        let report = ingest(backend)?;
+        let report = backend.apply_prepared(tenant, prep)?;
         let sealed = backend.sealed_segment_count() - sealed_before;
         let retention = match retain {
             Some(keep) => Some(backend.apply_retention(keep)?),
@@ -1048,13 +1005,7 @@ fn run_ingest<B: ServiceBackend>(
 
 /// Settles an ingest job from its outcome, folding segment counters into
 /// the stats and re-arming the online scrub pass when the device changed.
-fn settle_ingest(
-    shared: &Shared,
-    id: JobId,
-    outcome: IngestOutcome,
-    overlapped: bool,
-    scrub_done: &mut bool,
-) {
+fn settle_ingest(shared: &Shared, id: JobId, outcome: IngestOutcome, scrub_done: &mut bool) {
     let mut state = shared.state.lock().expect("service state poisoned");
     let job = state.jobs.get_mut(&id).expect("running job exists");
     let tenant = job.tenant.clone();
@@ -1063,9 +1014,7 @@ fn settle_ingest(
             job.status = JobStatus::Done(JobOutput::Ingest(report));
             state.stats.completed += 1;
             state.stats.segments_sealed += sealed;
-            if overlapped {
-                state.stats.ingests_overlapped += 1;
-            }
+            state.stats.ingests_overlapped += 1;
             if let Some(retention) = retention {
                 state.stats.segments_dropped += retention.segments_dropped;
             }
@@ -1128,11 +1077,7 @@ fn scheduler_loop<B: ServiceBackend>(mut backend: B, shared: &Shared) {
         let wave = {
             let mut state = shared.state.lock().expect("service state poisoned");
             loop {
-                match claim_wave(
-                    &mut state,
-                    shared.config.max_batch,
-                    shared.config.overlap_ingest,
-                ) {
+                match claim_wave(&mut state, shared.config.max_batch) {
                     Wave::Idle => {
                         // Idle time funds the online scrub: verify one
                         // bounded slice, then come back for real work.
@@ -1207,20 +1152,21 @@ fn scheduler_loop<B: ServiceBackend>(mut backend: B, shared: &Shared) {
                 shared.changed.notify_all();
                 return;
             }
-            Wave::Ingest(id, text, tenant) => {
-                // A panic while ingesting (a device fault drill, a defect
+            Wave::Ingest(id, prep, tenant) => {
+                // A panic while applying (a device fault drill, a defect
                 // in the datapath) fails only this job; the scheduler — and
                 // every other job — survives. The system state is sound
                 // after an unwind: scoped scan threads are joined before
                 // the panic propagates, the page cache recovers poisoned
                 // locks, and pages are append-only, so cached text of
                 // already-committed pages stays valid.
-                let outcome = run_ingest(&mut backend, shared.config.retain_segments, |b| {
-                    let config = b.config().clone();
-                    let prep = PreparedIngest::build(&config, Cow::Borrowed(&text));
-                    b.apply_prepared(tenant.as_deref(), &prep)
-                });
-                settle_ingest(shared, id, outcome, false, &mut scrub_done);
+                let outcome = run_ingest(
+                    &mut backend,
+                    shared.config.retain_segments,
+                    tenant.as_deref(),
+                    &prep,
+                );
+                settle_ingest(shared, id, outcome, &mut scrub_done);
                 publish_shard_rows(&backend, shared);
             }
             Wave::Explain(id, request) => {
@@ -1277,7 +1223,7 @@ fn scheduler_loop<B: ServiceBackend>(mut backend: B, shared: &Shared) {
                 }
                 shared.changed.notify_all();
             }
-            Wave::Queries(wave, overlap) => {
+            Wave::Queries(wave) => {
                 let requests: Vec<QueryRequest> = wave.iter().map(|(_, r)| r.clone()).collect();
                 // Panic isolation: a wave that panics (e.g. an injected
                 // firmware panic surfacing through a scan worker) fails
@@ -1285,35 +1231,7 @@ fn scheduler_loop<B: ServiceBackend>(mut backend: B, shared: &Shared) {
                 // scoped worker threads are joined before the unwind
                 // crosses the system, and the page cache recovers poisoned
                 // locks — so the scheduler keeps serving every other job.
-                //
-                // When an ingest was admitted behind the wave, its pure
-                // prepare half (compression + tokenization) runs on a
-                // scoped thread concurrently with the scan: the queries
-                // were admitted first and keep observing the exact
-                // pre-ingest snapshot, because nothing touches the device
-                // until `apply_ingest` below, after the wave settles. A
-                // prepare panic fails only the ingest job.
-                let mut prepared: Option<(JobId, Option<String>, PreparedOutcome)> = None;
-                let result = if let Some(OverlapIngest { id, text, tenant }) = overlap {
-                    let sys_config = backend.config().clone();
-                    let (scan, prep) = std::thread::scope(|scope| {
-                        let builder = scope.spawn(move || {
-                            catch_unwind(AssertUnwindSafe(move || {
-                                PreparedIngest::build(&sys_config, Cow::Owned(text))
-                            }))
-                        });
-                        let scan =
-                            catch_unwind(AssertUnwindSafe(|| backend.query_shared(&requests)));
-                        // The builder caught its own panic; join only
-                        // relays the caught payload.
-                        let prep = builder.join().unwrap_or_else(Err);
-                        (scan, prep)
-                    });
-                    prepared = Some((id, tenant, prep));
-                    scan
-                } else {
-                    catch_unwind(AssertUnwindSafe(|| backend.query_shared(&requests)))
-                };
+                let result = catch_unwind(AssertUnwindSafe(|| backend.query_shared(&requests)));
                 let mut state = shared.state.lock().expect("service state poisoned");
                 match result {
                     Ok(Ok(batch)) => {
@@ -1389,19 +1307,6 @@ fn scheduler_loop<B: ServiceBackend>(mut backend: B, shared: &Shared) {
                 }
                 shared.changed.notify_all();
                 drop(state);
-                // The device-touching half of the overlapped ingest runs
-                // serially after the wave settles — even when the scan
-                // failed or panicked, the prepared frames are still sound
-                // and the client's data still lands durably.
-                if let Some((ingest_id, tenant, prep)) = prepared {
-                    let outcome = match prep {
-                        Ok(prep) => run_ingest(&mut backend, shared.config.retain_segments, |b| {
-                            b.apply_prepared(tenant.as_deref(), &prep)
-                        }),
-                        Err(payload) => Err(payload),
-                    };
-                    settle_ingest(shared, ingest_id, outcome, true, &mut scrub_done);
-                }
                 publish_shard_rows(&backend, shared);
             }
         }
@@ -1411,7 +1316,7 @@ fn scheduler_loop<B: ServiceBackend>(mut backend: B, shared: &Shared) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mithrilog::{MithriLog, SystemConfig};
+    use mithrilog::MithriLog;
 
     const LOG: &str = "\
 RAS KERNEL INFO instruction cache parity error corrected\n\
@@ -1645,63 +1550,61 @@ RAS KERNEL INFO generating core.2275\n";
         )
     }
 
-    #[test]
-    fn claim_wave_overlaps_an_ingest_behind_queries() {
-        // Queries ahead of an ingest, another query behind it: the wave
-        // claims the queries and the ingest together, and claiming stops
-        // at the ingest — the trailing query must observe post-ingest
-        // state, so it stays queued for the next wave.
-        let mut state = queued_state(vec![
-            query_kind("FATAL"),
-            query_kind("INFO"),
-            JobKind::Ingest(b"line\n".to_vec(), None),
-            query_kind("KERNEL"),
-        ]);
-        match claim_wave(&mut state, 16, true) {
-            Wave::Queries(wave, Some(OverlapIngest { id, .. })) => {
-                assert_eq!(wave.len(), 2, "only queries admitted before the ingest");
-                assert_eq!(id, 2);
+    /// A job that runs alone: `"ingest"`, `"explain"` or `"scrub"`.
+    fn barrier_kind(name: &str) -> JobKind {
+        match name {
+            "ingest" => {
+                let prep =
+                    PreparedIngest::build(&SystemConfig::for_tests(), Cow::Borrowed(b"line\n"));
+                JobKind::Ingest(Box::new(prep), Some("acme".to_string()))
             }
-            _ => panic!("expected an overlapped query wave"),
+            "explain" => JobKind::Explain(
+                Box::new(QueryRequest::parse("FATAL").unwrap()),
+                Priority::Normal,
+            ),
+            _ => JobKind::Scrub,
         }
-        assert_eq!(
-            state.queued, 1,
-            "the trailing query waits for the next wave"
-        );
-        match claim_wave(&mut state, 16, true) {
-            Wave::Queries(wave, None) => assert_eq!(wave.len(), 1),
-            _ => panic!("expected the trailing query alone"),
+    }
+
+    /// What a claim took: the wave's kind and the job ids in it.
+    fn claimed(wave: Wave) -> (&'static str, Vec<JobId>) {
+        match wave {
+            Wave::Queries(wave) => ("queries", wave.iter().map(|(id, _)| *id).collect()),
+            Wave::Ingest(id, ..) => ("ingest", vec![id]),
+            Wave::Explain(id, _) => ("explain", vec![id]),
+            Wave::Scrub(id) => ("scrub", vec![id]),
+            Wave::Idle => ("idle", Vec::new()),
+            Wave::Shutdown => ("shutdown", Vec::new()),
         }
     }
 
     #[test]
-    fn claim_wave_without_overlap_stops_the_wave_before_an_ingest() {
-        let mut state = queued_state(vec![
-            query_kind("FATAL"),
-            JobKind::Ingest(b"line\n".to_vec(), None),
-        ]);
-        match claim_wave(&mut state, 16, false) {
-            Wave::Queries(wave, None) => assert_eq!(wave.len(), 1),
-            _ => panic!("expected a plain query wave"),
-        }
-        // The ingest then runs alone, exactly as before.
-        assert!(matches!(
-            claim_wave(&mut state, 16, false),
-            Wave::Ingest(1, _, _)
-        ));
-        assert_eq!(state.queued, 0);
-    }
+    fn claim_wave_runs_every_barrier_alone_ahead_of_and_behind_queries() {
+        // Ingest, explain and scrub share one rule: a barrier ends a
+        // non-empty wave and otherwise runs alone, and a query admitted
+        // after it waits for the next wave, so it observes the barrier.
+        for name in ["ingest", "explain", "scrub"] {
+            let mut ahead = queued_state(vec![barrier_kind(name), query_kind("FATAL")]);
+            assert_eq!(claimed(claim_wave(&mut ahead, 16)), (name, vec![0]));
+            assert_eq!(claimed(claim_wave(&mut ahead, 16)), ("queries", vec![1]));
 
-    #[test]
-    fn claim_wave_runs_a_leading_ingest_solo_even_with_overlap_enabled() {
-        let mut state = queued_state(vec![
-            JobKind::Ingest(b"line\n".to_vec(), None),
-            query_kind("FATAL"),
-        ]);
-        assert!(matches!(
-            claim_wave(&mut state, 16, true),
-            Wave::Ingest(0, _, _)
-        ));
+            let mut behind = queued_state(vec![
+                query_kind("FATAL"),
+                query_kind("INFO"),
+                barrier_kind(name),
+                query_kind("KERNEL"),
+            ]);
+            assert_eq!(
+                claimed(claim_wave(&mut behind, 16)),
+                ("queries", vec![0, 1]),
+                "{name} ends the wave"
+            );
+            assert_eq!(claimed(claim_wave(&mut behind, 16)), (name, vec![2]));
+            assert_eq!(claimed(claim_wave(&mut behind, 16)), ("queries", vec![3]));
+            assert_eq!(claimed(claim_wave(&mut behind, 16)), ("idle", vec![]));
+            assert_eq!(behind.queued, 0);
+            assert!(behind.tenants.values().all(|t| t.queued == 0), "{name}");
+        }
     }
 
     #[test]
@@ -1714,25 +1617,13 @@ RAS KERNEL INFO generating core.2275\n";
             tenant_query_kind("KERNEL", "acme"),
             tenant_query_kind("ciod:", "beta"),
         ]);
-        match claim_wave(&mut state, 2, true) {
-            Wave::Queries(wave, None) => {
-                let ids: Vec<JobId> = wave.iter().map(|(id, _)| *id).collect();
-                assert_eq!(
-                    ids,
-                    vec![0, 3],
-                    "the first sweep serves one query per tenant"
-                );
-            }
-            _ => panic!("expected a query wave"),
-        }
+        assert_eq!(
+            claimed(claim_wave(&mut state, 2)),
+            ("queries", vec![0, 3]),
+            "the first sweep serves one query per tenant"
+        );
         // The rest of tenant A drains in FIFO order afterwards.
-        match claim_wave(&mut state, 16, true) {
-            Wave::Queries(wave, None) => {
-                let ids: Vec<JobId> = wave.iter().map(|(id, _)| *id).collect();
-                assert_eq!(ids, vec![1, 2]);
-            }
-            _ => panic!("expected the remaining queries"),
-        }
+        assert_eq!(claimed(claim_wave(&mut state, 16)), ("queries", vec![1, 2]));
         assert_eq!(state.queued, 0);
     }
 
@@ -1743,13 +1634,11 @@ RAS KERNEL INFO generating core.2275\n";
             query_kind("INFO"),
             query_kind("KERNEL"),
         ]);
-        match claim_wave(&mut state, 2, true) {
-            Wave::Queries(wave, None) => {
-                let ids: Vec<JobId> = wave.iter().map(|(id, _)| *id).collect();
-                assert_eq!(ids, vec![0, 1], "untagged claims are submission-ordered");
-            }
-            _ => panic!("expected a query wave"),
-        }
+        assert_eq!(
+            claimed(claim_wave(&mut state, 2)),
+            ("queries", vec![0, 1]),
+            "untagged claims are submission-ordered"
+        );
     }
 
     #[test]
@@ -1841,11 +1730,12 @@ RAS KERNEL INFO generating core.2275\n";
 
     #[test]
     fn overlapped_ingest_keeps_query_outcomes_byte_identical_to_solo_runs() {
-        // The first (large) ingest occupies the scheduler while the query
-        // and the second ingest queue up behind it; the next wave then
-        // overlaps them. Each query outcome must equal a solo run against
-        // either the pre- or post-ingest snapshot of a fresh replica —
-        // never a torn in-between.
+        // The second ingest is built on this thread while the scheduler
+        // may still be applying the first or scanning the query. Queries
+        // are ordered against ingests by admission alone: the one admitted
+        // before the second ingest equals a solo run against the pre-ingest
+        // snapshot of a fresh replica, the one admitted after it the
+        // post-ingest snapshot — never a torn in-between.
         let base = LOG.repeat(50);
         let busy_text = LOG.repeat(400);
         let extra = "EXTRA KERNEL FATAL overlapped line\n";
@@ -1871,20 +1761,20 @@ RAS KERNEL INFO generating core.2275\n";
 
         handle.wait(busy).unwrap();
         let observed = query_lines(handle.wait(query).unwrap());
-        assert!(
-            observed == solo_pre || observed == solo_post,
-            "a service query must match a solo replica run exactly"
+        assert_eq!(
+            observed, solo_pre,
+            "a query admitted before an ingest never observes it"
         );
         match handle.wait(ingest).unwrap() {
             JobOutput::Ingest(report) => assert_eq!(report.lines, 1),
             other => panic!("expected an ingest output, got {other:?}"),
         }
-        // A query settled after the ingest observes the ingested line.
+        // A query admitted after the ingest observes the ingested line.
         let after = query_lines(handle.wait(trailing).unwrap());
         assert_eq!(after, solo_post);
         let stats = handle.stats();
         assert_eq!(stats.completed, 4);
-        assert!(stats.ingests_overlapped <= 1);
+        assert_eq!(stats.ingests_overlapped, 2, "every applied ingest counts");
         service.shutdown();
     }
 

@@ -7,6 +7,9 @@ cd "$(dirname "$0")/.."
 echo "==> cargo fmt --all -- --check"
 cargo fmt --all -- --check
 
+echo "==> docs cite only paths and tests that exist (README, DESIGN, EXPERIMENTS)"
+scripts/check_doc_refs.sh
+
 echo "==> cargo build --workspace --release"
 cargo build --workspace --release
 

@@ -240,56 +240,63 @@ fn threaded_submissions_through_service_match_solo_runs() {
     service.shutdown();
 }
 
-/// Ingest beside queries: with `overlap_ingest` an ingest queued behind a
-/// wave's queries may ride that wave; without it the wave stops before the
-/// ingest. Either way every query returns its solo lines, since the
-/// ingested line matches none of them. Whether the overlap happens depends
-/// on when the scheduler claims the queries, so only its upper bound is
-/// asserted here; `claim_wave_overlaps_an_ingest_behind_queries` in the
-/// service crate pins the claim itself.
+/// Ingest beside queries, ordered by admission alone: queries admitted
+/// before an ingest return exactly their solo pre-ingest lines and queries
+/// admitted after it exactly their solo post-ingest lines, however the
+/// submitter's build and the scheduler's waves happen to interleave.
 #[test]
-fn ingest_overlaps_a_wave_only_when_enabled_and_never_moves_query_lines() {
-    const QUIET: &[u8] = b"quiet heartbeat ok\n";
+fn queries_observe_an_ingest_exactly_when_admitted_after_it() {
     let ds = corpus(200_000);
     let queries = ["FATAL", "KERNEL", "RAS OR INFO"];
-    let mut solo = MithriLog::new(SystemConfig::default());
-    solo.ingest(ds.text()).unwrap();
-    let solo_lines: Vec<_> = queries
-        .iter()
-        .map(|q| solo.query_str(q).unwrap().lines)
-        .collect();
-
-    for overlap_ingest in [true, false] {
+    // One line every query matches, then filler none does, so the build
+    // has real work to do while the wave ahead of it scans.
+    let mut batch = b"RAS KERNEL FATAL INFO injected line\n".to_vec();
+    batch.extend(b"quiet heartbeat ok\n".repeat(20_000));
+    let solo = |batches: &[&[u8]]| -> Vec<Vec<String>> {
         let mut system = MithriLog::new(SystemConfig::default());
-        system.ingest(ds.text()).unwrap();
-        let config = ServiceConfig {
-            overlap_ingest,
-            ..ServiceConfig::default()
-        };
-        let service = Service::spawn(system, config);
-        let handle = service.handle();
-        // A large ingest occupies the scheduler while the queries and a
-        // one-line ingest queue up behind it in the same lane.
-        let busy = handle.ingest(QUIET.repeat(50_000)).unwrap();
-        let ids: Vec<_> = queries
+        for batch in batches {
+            system.ingest(batch).unwrap();
+        }
+        queries
+            .iter()
+            .map(|q| system.query_str(q).unwrap().lines)
+            .collect()
+    };
+    let pre = solo(&[ds.text()]);
+    let post = solo(&[ds.text(), &batch]);
+    for (pre, post) in pre.iter().zip(&post) {
+        assert_ne!(pre, post, "every query sees the ingested line");
+    }
+
+    let mut system = MithriLog::new(SystemConfig::default());
+    system.ingest(ds.text()).unwrap();
+    let service = Service::spawn(system, ServiceConfig::default());
+    let handle = service.handle();
+    let submit_all = || -> Vec<_> {
+        queries
             .iter()
             .map(|q| handle.submit_str(q, Priority::Normal).unwrap())
-            .collect();
-        let quiet = handle.ingest(QUIET.to_vec()).unwrap();
-        for (id, want) in ids.into_iter().zip(&solo_lines) {
+            .collect()
+    };
+    let before = submit_all();
+    let ingest = handle.ingest(batch.clone()).unwrap();
+    let after = submit_all();
+    for (ids, want, when) in [(before, &pre, "before"), (after, &post, "after")] {
+        for ((id, want), q) in ids.into_iter().zip(want).zip(queries) {
             let JobOutput::Query { outcome, .. } = handle.wait(id).unwrap() else {
                 panic!("expected a query output");
             };
-            assert_eq!(&outcome.lines, want, "overlap_ingest {overlap_ingest}");
+            assert_eq!(&outcome.lines, want, "{q:?} admitted {when} the ingest");
         }
-        handle.wait(busy).unwrap();
-        handle.wait(quiet).unwrap();
-        assert!(
-            handle.stats().ingests_overlapped <= u64::from(overlap_ingest),
-            "overlap_ingest {overlap_ingest}"
-        );
-        service.shutdown();
     }
+    let JobOutput::Ingest(report) = handle.wait(ingest).unwrap() else {
+        panic!("expected an ingest output");
+    };
+    assert_eq!(report.raw_bytes, batch.len() as u64);
+    let stats = handle.stats();
+    assert_eq!(stats.completed, 2 * queries.len() as u64 + 1);
+    assert_eq!(stats.ingests_overlapped, 1, "every applied ingest counts");
+    service.shutdown();
 }
 
 /// Overload: a bounded queue rejects with an explicit error instead of
