@@ -24,8 +24,19 @@
 //! merged [`DegradedRead`] accounting. Changing with topology, by design:
 //! `modeled_time` is the *maximum* over shards — independent devices scan
 //! their partitions in parallel, which is the entire point of adding them.
+//!
+//! # Host threads
+//!
+//! The host scans the shards at the same time too: [`ShardedLog::query_shared`]
+//! runs shard 0 on the calling thread and every other shard on a scoped
+//! thread, so one scan uses up to shards × `query_threads` threads. Batches
+//! are joined and merged in shard order, so completion order never reaches
+//! the result. The merge moves each shard's kept lines into the merged
+//! outcome a page run at a time; it copies no line text.
 
 use std::collections::HashMap;
+use std::panic;
+use std::thread;
 use std::time::Instant;
 
 use mithrilog::{
@@ -403,7 +414,9 @@ impl<S: PageStore> ShardedLog<S> {
     /// Per-shard maps from local data-page id to global frame ordinal,
     /// accounting for retention having dropped each shard's oldest frames.
     fn ordinal_maps(&self) -> Vec<HashMap<u64, u64>> {
-        let mut placed: Vec<Vec<u64>> = vec![Vec::new(); self.shards.len()];
+        let mut placed: Vec<Vec<u64>> = (0..self.shards.len())
+            .map(|s| Vec::with_capacity(self.manifest.frames_on(s) as usize))
+            .collect();
         for (g, s) in self.manifest.replay().enumerate() {
             placed[s].push(g as u64);
         }
@@ -429,6 +442,11 @@ impl<S: PageStore> ShardedLog<S> {
     /// per-shard results merge by global frame ordinal into the exact
     /// outcome a single-device run over the same lines produces.
     ///
+    /// The shards scan at the same time: shard 0 on the calling thread and
+    /// every other shard on a scoped host thread, so a scan uses up to
+    /// shards × `query_threads` threads. The merge moves each shard's lines
+    /// into the merged outcome; it copies no line text.
+    ///
     /// In merged outcomes, `line_pages` and `degraded.skipped_pages` carry
     /// *global frame ordinals* (topology-invariant), not device page ids;
     /// `modeled_time` is the maximum over shards (devices scan in
@@ -436,41 +454,42 @@ impl<S: PageStore> ShardedLog<S> {
     ///
     /// # Errors
     ///
-    /// The first member-device error, identified by shard.
+    /// The lowest-index failing shard's error, identified by shard. Every
+    /// shard runs the batch to its end before the error is returned, so
+    /// shards after the failing one are charged the reads they made.
+    ///
+    /// # Panics
+    ///
+    /// A panic on any shard is resumed on the calling thread once every
+    /// shard has stopped; the lowest-index panicking shard's payload wins.
     pub fn query_shared(
         &mut self,
         requests: &[QueryRequest],
     ) -> Result<SharedBatchOutcome, ShardError> {
         let wall_start = Instant::now();
         let maps = self.ordinal_maps();
-        let mut per_shard: Vec<SharedBatchOutcome> = Vec::with_capacity(self.shards.len());
-        for (i, shard) in self.shards.iter_mut().enumerate() {
-            per_shard.push(
-                shard
-                    .query_shared(requests)
-                    .map_err(|source| ShardError::Shard { shard: i, source })?,
-            );
-        }
+        let per_shard = scatter(&mut self.shards, requests)?;
         let wall_time = wall_start.elapsed();
 
+        // Transpose by move: `columns[q]` holds query `q`'s outcome from
+        // every shard, in shard order.
         let mut shared = SharedScanReport::default();
-        for batch in &per_shard {
+        let mut columns: Vec<Vec<QueryOutcome>> = (0..requests.len())
+            .map(|_| Vec::with_capacity(per_shard.len()))
+            .collect();
+        for batch in per_shard {
             shared.merge(&batch.shared);
+            for (column, outcome) in columns.iter_mut().zip(batch.outcomes) {
+                column.push(outcome);
+            }
         }
 
         let total_lines: u64 = self.shards.iter().map(|s| s.lines()).sum();
         let total_pages: u64 = self.shards.iter().map(|s| s.data_page_count()).sum();
-        let mut outcomes = Vec::with_capacity(requests.len());
-        for q in 0..requests.len() {
-            let outs: Vec<&QueryOutcome> = per_shard.iter().map(|b| &b.outcomes[q]).collect();
-            outcomes.push(merge_outcomes(
-                &outs,
-                &maps,
-                total_lines,
-                total_pages,
-                wall_time,
-            ));
-        }
+        let outcomes = columns
+            .into_iter()
+            .map(|outs| merge_outcomes(outs, &maps, total_lines, total_pages, wall_time))
+            .collect();
         Ok(SharedBatchOutcome { outcomes, shared })
     }
 
@@ -623,10 +642,82 @@ impl<S: PageStore> ShardedLog<S> {
     }
 }
 
+/// Runs `requests` on every shard at once: shard 0 on the calling thread,
+/// shards 1.. on scoped threads (a single shard spawns none). Returns the
+/// batches in shard order, or the lowest-index shard's failure: its error,
+/// or its panic resumed here.
+fn scatter<S: PageStore>(
+    shards: &mut [MithriLog<S>],
+    requests: &[QueryRequest],
+) -> Result<Vec<SharedBatchOutcome>, ShardError> {
+    let (first, rest) = shards
+        .split_first_mut()
+        .expect("a topology has at least one shard");
+    let joined: Vec<thread::Result<_>> = thread::scope(|scope| {
+        let handles: Vec<_> = rest
+            .iter_mut()
+            .map(|shard| scope.spawn(move || shard.query_shared(requests)))
+            .collect();
+        let mut joined = Vec::with_capacity(handles.len() + 1);
+        joined.push(Ok(first.query_shared(requests)));
+        joined.extend(handles.into_iter().map(|h| h.join()));
+        joined
+    });
+    joined
+        .into_iter()
+        .enumerate()
+        .map(|(shard, result)| match result {
+            Ok(batch) => batch.map_err(|source| ShardError::Shard { shard, source }),
+            Err(payload) => panic::resume_unwind(payload),
+        })
+        .collect()
+}
+
+/// One shard's kept lines during the merge, consumed a page run at a time.
+struct Cursor<'a> {
+    lines: std::vec::IntoIter<String>,
+    pages: Vec<u64>,
+    map: &'a HashMap<u64, u64>,
+    /// Index into `pages` of the next line to move.
+    at: usize,
+    /// Global ordinal of the page run starting at `at`; `u64::MAX` once
+    /// every line has moved.
+    ordinal: u64,
+}
+
+impl<'a> Cursor<'a> {
+    fn new(out: &mut QueryOutcome, map: &'a HashMap<u64, u64>) -> Self {
+        let pages = std::mem::take(&mut out.line_pages);
+        Cursor {
+            lines: std::mem::take(&mut out.lines).into_iter(),
+            ordinal: pages.first().map_or(u64::MAX, |page| map[page]),
+            pages,
+            map,
+            at: 0,
+        }
+    }
+
+    /// Moves the page run at the cursor to the merged outcome.
+    fn move_run(&mut self, lines: &mut Vec<String>, line_pages: &mut Vec<u64>) {
+        let page = self.pages[self.at];
+        let len = self.pages[self.at..]
+            .iter()
+            .take_while(|&&p| p == page)
+            .count();
+        lines.extend(self.lines.by_ref().take(len));
+        line_pages.extend(std::iter::repeat_n(self.ordinal, len));
+        self.at += len;
+        self.ordinal = self
+            .pages
+            .get(self.at)
+            .map_or(u64::MAX, |page| self.map[page]);
+    }
+}
+
 /// Merges one query's per-shard outcomes into the single-device-equivalent
 /// outcome (see [`ShardedLog::query_shared`] for the field semantics).
 fn merge_outcomes(
-    outs: &[&QueryOutcome],
+    mut outs: Vec<QueryOutcome>,
     maps: &[HashMap<u64, u64>],
     total_lines: u64,
     total_pages: u64,
@@ -635,28 +726,40 @@ fn merge_outcomes(
     // K-way merge by global ordinal. Ordinals are unique to one shard
     // (a frame lives on exactly one device), so ties never cross shards
     // and within-page line order is preserved by the per-shard cursors.
-    let mut cursors = vec![0usize; outs.len()];
-    let mut lines = Vec::with_capacity(outs.iter().map(|o| o.lines.len()).sum());
-    let mut line_pages = Vec::with_capacity(lines.capacity());
+    // The shard holding the lowest ordinal moves whole page runs until it
+    // passes the lowest ordinal any other shard holds.
+    let matched = outs.iter().map(|o| o.lines.len()).sum();
+    let mut lines = Vec::with_capacity(matched);
+    let mut line_pages = Vec::with_capacity(matched);
+    let mut cursors: Vec<Cursor<'_>> = outs
+        .iter_mut()
+        .zip(maps)
+        .map(|(out, map)| Cursor::new(out, map))
+        .collect();
     loop {
-        let mut best: Option<(u64, usize)> = None;
-        for (s, out) in outs.iter().enumerate() {
-            let c = cursors[s];
-            if c < out.lines.len() {
-                let ord = maps[s][&out.line_pages[c]];
-                if best.is_none_or(|(b, _)| ord < b) {
-                    best = Some((ord, s));
-                }
-            }
+        let (winner, _) = cursors
+            .iter()
+            .enumerate()
+            .min_by_key(|(_, c)| c.ordinal)
+            .expect("a topology has at least one shard");
+        if cursors[winner].ordinal == u64::MAX {
+            break;
         }
-        let Some((ord, s)) = best else { break };
-        lines.push(outs[s].lines[cursors[s]].clone());
-        line_pages.push(ord);
-        cursors[s] += 1;
+        let bound = cursors
+            .iter()
+            .enumerate()
+            .filter(|&(s, _)| s != winner)
+            .map(|(_, c)| c.ordinal)
+            .min()
+            .unwrap_or(u64::MAX);
+        let cursor = &mut cursors[winner];
+        while cursor.ordinal < bound {
+            cursor.move_run(&mut lines, &mut line_pages);
+        }
     }
 
     let mut ledger = mithrilog_storage::CostLedger::default();
-    for out in outs {
+    for out in &outs {
         ledger.merge(&out.ledger);
     }
     let mut degraded = mithrilog::DegradedRead::default();
@@ -856,6 +959,58 @@ RAS KERNEL INFO generating core.2275\n";
         let outcome = s.query_str("FATAL").unwrap();
         assert!(!outcome.lines.is_empty());
         assert!(outcome.line_pages.windows(2).all(|w| w[0] <= w[1]));
+    }
+
+    #[test]
+    fn the_lowest_failing_shard_names_the_error() {
+        use mithrilog_storage::{CrashPlan, CrashStore};
+        // No cache, so every query reads its pages from the devices.
+        let config = SystemConfig {
+            page_cache_bytes: 0,
+            ..SystemConfig::for_tests()
+        };
+        let build = |plans: Vec<CrashPlan>| {
+            let stores = plans
+                .into_iter()
+                .map(|plan| CrashStore::new(MemStore::new(config.device.page_bytes), plan))
+                .collect();
+            let mut s =
+                ShardedLog::with_stores(stores, config.clone(), RouteMode::LineHash, 0x5eed)
+                    .unwrap();
+            s.ingest(&corpus()).unwrap();
+            s
+        };
+        // Each member's operation count after the ingest: a plan that
+        // crashes at the next operation leaves the ingest whole.
+        let probe = build(vec![CrashPlan::never(); 4]);
+        let ops: Vec<u64> = (0..4)
+            .map(|i| probe.shard(i).device().store().ops())
+            .collect();
+        let populated: Vec<usize> = (0..4)
+            .filter(|&i| probe.shard(i).data_page_count() > 0)
+            .collect();
+        assert!(populated.len() >= 3, "{:?}", probe.shard_rows());
+        // Crash every populated shard, then every one but the lowest: the
+        // error names the lowest crashed shard, not the first to finish.
+        for crashed in [&populated[..], &populated[1..]] {
+            let plans = (0..4)
+                .map(|i| {
+                    if crashed.contains(&i) {
+                        CrashPlan::crash_at(ops[i] + 1)
+                    } else {
+                        CrashPlan::never()
+                    }
+                })
+                .collect();
+            let mut s = build(plans);
+            for &i in crashed {
+                assert!(s.shard_mut(i).device_mut().store_mut().sync().is_err());
+            }
+            match s.query_str("NOT zz-absent-token-zz") {
+                Err(ShardError::Shard { shard, .. }) => assert_eq!(shard, crashed[0]),
+                other => panic!("crashed shards {crashed:?} answered {other:?}"),
+            }
+        }
     }
 
     #[test]

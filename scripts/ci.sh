@@ -86,7 +86,7 @@ cargo run --release -p mithrilog-bench --quiet --bin repro -- --check
 echo "==> bench_e2e (its own workspace: a crate API change must not break it unnoticed)"
 cargo build --release --offline --manifest-path benchmark/Cargo.toml
 (cd benchmark && cargo test --offline -q)
-for WORKLOAD in scan_cold probe_warm; do
+for WORKLOAD in scan_cold probe_warm shard_scatter serve_mixed; do
   BENCH_LINE=$(benchmark/run.sh --workload "$WORKLOAD" --seed 42 --seconds 3 --trace 0 | tail -n 1)
   echo "$BENCH_LINE"
   case "$BENCH_LINE" in

@@ -13,7 +13,9 @@
 //! LZAH decode kernel on its own, with a reused scratch, allocates nothing
 //! per frame. On the write side, the one token walk per page that
 //! `PreparedIngest::build` adds to compression allocates a bounded number
-//! of times per frame, never once per distinct token.
+//! of times per frame, never once per distinct token. A two-shard
+//! scatter-gather wave allocates a fixed handful per shard and per query
+//! beyond what its shards allocate alone, never once per matched line.
 //!
 //! This file intentionally holds a single `#[test]`: the allocator count
 //! is global to the test binary, and a concurrently running test would
@@ -26,6 +28,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use mithrilog::{MithriLog, PreparedIngest, QueryRequest, SystemConfig};
 use mithrilog_compress::{compress_paged, Codec, Lzah, LzahConfig, LzahScratch};
 use mithrilog_loggen::{generate, DatasetProfile, DatasetSpec};
+use mithrilog_shard::{RouteMode, ShardOptions, ShardedLog};
 
 /// Counts every allocation (fresh, zeroed, and growth reallocations) and
 /// delegates the actual memory management to the system allocator.
@@ -123,6 +126,49 @@ fn steady_state_scan_allocates_o1_per_query_not_per_page() {
         delta < pages,
         "a steady-state 4-request no-match wave over {pages} union pages \
          allocated {delta} times — the fan-out must not allocate per page"
+    );
+
+    // Scatter-gather over two shards: the merge moves every kept line out
+    // of its shard's outcome, so a warm high-match wave allocates only a
+    // fixed handful per shard and per query (ordinal maps, the scatter
+    // threads, merge buffers) beyond what its shards allocate alone. A
+    // per-line copy in the merge allocates once per matched line.
+    let mut sharded = ShardedLog::new(
+        config.clone(),
+        ShardOptions {
+            shards: 2,
+            mode: RouteMode::LineHash,
+            salt: 3,
+        },
+    );
+    sharded.ingest(ds.text()).unwrap();
+    let wave: Vec<QueryRequest> = ["NOT FATAL", "KERNEL"]
+        .iter()
+        .map(|q| QueryRequest::parse(q).unwrap())
+        .collect();
+    let warm = sharded.query_shared(&wave).unwrap();
+    let before = allocations();
+    let whole = sharded.query_shared(&wave).unwrap();
+    let whole_allocs = allocations() - before;
+    for (whole, warm) in whole.outcomes.iter().zip(&warm.outcomes) {
+        assert_eq!(whole.lines, warm.lines);
+    }
+    let mut alone_allocs = 0;
+    for shard in 0..sharded.shard_count() {
+        let before = allocations();
+        drop(sharded.shard_mut(shard).query_shared(&wave).unwrap());
+        alone_allocs += allocations() - before;
+    }
+    let matched: u64 = whole.outcomes.iter().map(|o| o.match_count()).sum();
+    let fixed = 16 * (sharded.shard_count() * wave.len()) as u64;
+    assert!(
+        matched > 10 * fixed,
+        "the wave must match many lines ({matched})"
+    );
+    assert!(
+        whole_allocs <= alone_allocs + fixed,
+        "a warm 2-shard wave matching {matched} lines allocated {whole_allocs} \
+         times; its shards alone allocate {alone_allocs}"
     );
 
     // The decode kernel alone, frame by frame: a reused scratch decodes

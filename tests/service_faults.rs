@@ -15,6 +15,7 @@ use std::time::Duration;
 use mithrilog::{CancelToken, MithriLog, QueryRequest, SystemConfig};
 use mithrilog_loggen::{generate, Dataset, DatasetProfile, DatasetSpec};
 use mithrilog_service::{JobOutput, JobStatus, Priority, Service, ServiceConfig, WaitError};
+use mithrilog_shard::{RouteMode, ShardOptions, ShardedLog};
 use mithrilog_storage::{FaultKind, FaultPlan, FaultyStore, MemStore};
 
 fn corpus(target_bytes: usize) -> Dataset {
@@ -309,6 +310,56 @@ fn a_panicking_wave_fails_only_its_own_jobs() {
 
     // The scheduler survived: a budget-clipped query that stays clear of
     // the doomed tail page completes, and STATS keeps answering.
+    let mut request = QueryRequest::parse("error OR failed OR FATAL").unwrap();
+    request.page_budget = Some(2);
+    let id = handle.submit(request, Priority::Normal).unwrap();
+    assert!(matches!(
+        handle.wait_timeout(id, Duration::from_secs(60)),
+        Ok(JobOutput::Query { .. })
+    ));
+    let stats = handle.stats();
+    assert_eq!(stats.failed, 1, "{stats:?}");
+    assert_eq!(stats.completed, 1, "{stats:?}");
+    service.shutdown();
+}
+
+#[test]
+fn a_panic_on_a_scatter_thread_fails_only_its_own_wave() {
+    let ds = corpus(120_000);
+    let config = SystemConfig::default();
+    let options = ShardOptions {
+        shards: 2,
+        mode: RouteMode::LineHash,
+        salt: 0x5eed,
+    };
+    // Shard 1 runs on a spawned scoped thread; doom its last data page.
+    let mut probe = ShardedLog::new(config.clone(), options);
+    probe.ingest(ds.text()).unwrap();
+    let doomed = probe.shard(1).data_pages().last().unwrap().0;
+    let stores = [
+        FaultPlan::seeded(99),
+        FaultPlan::seeded(99).with_scheduled(doomed, FaultKind::ReadPanic),
+    ]
+    .into_iter()
+    .map(|plan| FaultyStore::new(MemStore::new(config.device.page_bytes), plan))
+    .collect();
+    let mut system = ShardedLog::with_stores(stores, config, options.mode, options.salt).unwrap();
+    system.ingest(ds.text()).unwrap();
+    let service = Service::spawn(system, ServiceConfig::default());
+    let handle = service.handle();
+
+    // A full scan reads the doomed page on shard 1's thread: the panic
+    // crosses back to the scheduler, which fails the wave and survives.
+    let id = handle.submit_str("NOT KERNEL", Priority::Normal).unwrap();
+    match handle.wait_timeout(id, Duration::from_secs(60)) {
+        Err(WaitError::Failed(reason)) => {
+            assert!(reason.contains("internal error"), "{reason}");
+        }
+        other => panic!("expected an internal-error failure, got {other:?}"),
+    }
+    let stats = handle.stats();
+    assert_eq!(stats.waves_poisoned, 1, "{stats:?}");
+
     let mut request = QueryRequest::parse("error OR failed OR FATAL").unwrap();
     request.page_budget = Some(2);
     let id = handle.submit(request, Priority::Normal).unwrap();
