@@ -10,7 +10,7 @@ use mithrilog_compress::{Codec, Lzah};
 use mithrilog_filter::FilterPipeline;
 use mithrilog_ftree::{FtreeConfig, TemplateLibrary};
 use mithrilog_loggen::{generate, DatasetProfile, DatasetSpec};
-use mithrilog_service::{JobOutput, Priority, Service, ServiceBackend, ServiceConfig};
+use mithrilog_service::{JobOutput, Priority, Service, ServiceConfig};
 use mithrilog_shard::{RouteMode, ShardOptions, ShardedLog};
 use mithrilog_storage::{CrashPlan, CrashStore, FaultPlan, FaultyStore, MemStore, StorageError};
 
@@ -28,17 +28,25 @@ fn ingest_with_threads(text: &[u8], threads: Option<usize>) -> Result<MithriLog,
     ingest_with_opts(text, threads, None)
 }
 
+/// The default configuration with the `--threads` and `--page-cache`
+/// flags applied.
+fn system_config(
+    threads: Option<usize>,
+    page_cache: Option<usize>,
+) -> Result<SystemConfig, Box<dyn Error>> {
+    Ok(SystemConfig {
+        query_threads: SystemConfig::checked_query_threads(threads.unwrap_or(0))?,
+        page_cache_bytes: page_cache.map_or(SystemConfig::DEFAULT_PAGE_CACHE_BYTES, |b| b as u64),
+        ..SystemConfig::default()
+    })
+}
+
 fn ingest_with_opts(
     text: &[u8],
     threads: Option<usize>,
     page_cache: Option<usize>,
 ) -> Result<MithriLog, Box<dyn Error>> {
-    let config = SystemConfig {
-        query_threads: SystemConfig::checked_query_threads(threads.unwrap_or(0))?,
-        page_cache_bytes: page_cache.map_or(SystemConfig::DEFAULT_PAGE_CACHE_BYTES, |b| b as u64),
-        ..SystemConfig::default()
-    };
-    let mut system = MithriLog::new(config);
+    let mut system = MithriLog::new(system_config(threads, page_cache)?);
     let t0 = Instant::now();
     let report = system.ingest(text)?;
     eprintln!(
@@ -540,7 +548,8 @@ pub fn gen(args: &[String]) -> CliResult {
 /// Runs until a client sends `SHUTDOWN`.
 ///
 /// `--max-queue` bounds the admission queue (overload is rejected, not
-/// queued), `--max-batch` caps the queries per shared-scan wave,
+/// queued), `--max-batch` caps the queries per shared-scan wave (both at
+/// least 1),
 /// `--budget` applies a default page (deadline) budget to queries that
 /// carry none, and `--page-cache` sets the cross-wave decompressed-page
 /// cache budget in bytes (0 disables; omitted = the 32 MiB default —
@@ -557,8 +566,8 @@ pub fn gen(args: &[String]) -> CliResult {
 /// oldest crash-consistently after each ingest. Anything left over once
 /// the flags are taken, other than the one log path, is a usage error.
 ///
-/// `--shards <n>` serves the log from `n` fully independent modeled
-/// devices behind the same port: ingest frames are routed
+/// `--shards <n>` (default 1) serves the log from `n` fully independent
+/// modeled devices behind the same port: ingest frames are routed
 /// deterministically (`--route-mode line-hash|tenant`, `--route-salt
 /// <n>`), queries scatter to every shard and gather into
 /// single-device-identical results, and `STATS` gains per-shard
@@ -595,11 +604,22 @@ pub fn serve(args: &[String]) -> CliResult {
     if shards == 0 {
         return Err("--shards wants at least 1 device".into());
     }
-    let mode = match route_mode.as_deref() {
-        None => RouteMode::LineHash,
-        Some(text) => RouteMode::parse(text)
-            .ok_or_else(|| format!("--route-mode {text:?} is not line-hash or tenant"))?,
+    if max_queue == Some(0) {
+        return Err("--max-queue wants at least 1 job".into());
+    }
+    if max_batch == Some(0) {
+        return Err("--max-batch wants at least 1 query".into());
+    }
+    let opts = ShardOptions {
+        shards: u32::try_from(shards).map_err(|_| "--shards must fit in 32 bits")?,
+        mode: match route_mode.as_deref() {
+            None => RouteMode::LineHash,
+            Some(text) => RouteMode::parse(text)
+                .ok_or_else(|| format!("--route-mode {text:?} is not line-hash or tenant"))?,
+        },
+        salt: route_salt.unwrap_or(0) as u64,
     };
+    let system_config = system_config(threads, page_cache)?;
     let text = read_log(path)?;
     let config = ServiceConfig {
         max_queue: max_queue.unwrap_or(ServiceConfig::default().max_queue),
@@ -612,35 +632,19 @@ pub fn serve(args: &[String]) -> CliResult {
         tenant_page_budget: tenant_budget.map(|b| b as u64),
     };
     let listener = std::net::TcpListener::bind(("127.0.0.1", port))?;
-    if shards == 1 {
-        let system = ingest_with_opts(&text, threads, page_cache)?;
-        serve_listener(listener, system, config)
-    } else {
-        let system_config = SystemConfig {
-            query_threads: SystemConfig::checked_query_threads(threads.unwrap_or(0))?,
-            page_cache_bytes: page_cache
-                .map_or(SystemConfig::DEFAULT_PAGE_CACHE_BYTES, |b| b as u64),
-            ..SystemConfig::default()
-        };
-        let opts = ShardOptions {
-            shards: u32::try_from(shards).map_err(|_| "--shards must fit in 32 bits")?,
-            mode,
-            salt: route_salt.unwrap_or(0) as u64,
-        };
-        let mut sharded = ShardedLog::new(system_config, opts);
-        let t0 = Instant::now();
-        let report = sharded.ingest(&text)?;
-        eprintln!(
-            "ingested {} lines / {} bytes into {} pages across {} shards ({:.2}x LZAH) in {:.2?}",
-            report.lines,
-            report.raw_bytes,
-            report.data_pages,
-            shards,
-            report.compression_ratio(),
-            t0.elapsed()
-        );
-        serve_listener(listener, sharded, config)
-    }
+    let mut sharded = ShardedLog::new(system_config, opts);
+    let t0 = Instant::now();
+    let report = sharded.ingest(&text)?;
+    eprintln!(
+        "ingested {} lines / {} bytes into {} pages across {} shards ({:.2}x LZAH) in {:.2?}",
+        report.lines,
+        report.raw_bytes,
+        report.data_pages,
+        shards,
+        report.compression_ratio(),
+        t0.elapsed()
+    );
+    serve_listener(listener, sharded, config)
 }
 
 /// `mithrilog segments <storefile>`
@@ -715,9 +719,9 @@ pub fn retention(args: &[String]) -> CliResult {
 /// The serve loop behind [`serve`], split out so tests (and embedders) can
 /// bring their own listener: announces the bound port, runs the service
 /// and the TCP front-end until `SHUTDOWN`, then shuts the service down.
-fn serve_listener<B: ServiceBackend>(
+fn serve_listener(
     listener: std::net::TcpListener,
-    system: B,
+    system: impl Into<ShardedLog<MemStore>>,
     config: ServiceConfig,
 ) -> CliResult {
     use std::io::Write;
@@ -937,6 +941,16 @@ mod tests {
                 )),
                 "{args:?}: {err}"
             );
+        }
+    }
+
+    #[test]
+    fn serve_rejects_zero_queue_and_batch_before_reading_the_log() {
+        for flag in ["--max-queue", "--max-batch"] {
+            let err = serve(&strs(&["no/such.log", flag, "0"]))
+                .unwrap_err()
+                .to_string();
+            assert!(err.starts_with(flag), "{flag}: {err}");
         }
     }
 

@@ -296,7 +296,7 @@ struct PendingCommit {
 }
 
 /// The CPU-heavy half of an ingest, computed without touching the system:
-/// LZAH page frames plus each frame's [`PageFacts`] (distinct tokens,
+/// LZAH page frames plus each frame's page facts (distinct tokens,
 /// pruning marks, datapath statistics), taken in one token walk.
 ///
 /// Splitting ingest into [`PreparedIngest::build`] (pure, `&config` only)

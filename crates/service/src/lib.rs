@@ -26,11 +26,11 @@
 //!   stops the world; [`ServiceConfig::retain_segments`] bounds the store
 //!   by dropping the oldest sealed segments crash-consistently after each
 //!   ingest;
-//! * **multi-device backends** — the scheduler drives any
-//!   [`ServiceBackend`]: a single [`mithrilog::MithriLog`] device, or a
-//!   [`mithrilog_shard::ShardedLog`] topology whose scatter-gather results
-//!   stay byte-identical to a single-device run (`mithrilog serve
-//!   --shards N`);
+//! * **multi-device topologies** — the scheduler always drives a
+//!   [`mithrilog_shard::ShardedLog`] of one or more devices, whose
+//!   scatter-gather results stay byte-identical to a single-device run
+//!   (`mithrilog serve --shards N`); a bare [`mithrilog::MithriLog`]
+//!   handed to [`Service::spawn`] is adopted as a one-shard topology;
 //! * **per-tenant fairness** — jobs may carry a tenant tag: tagged queries
 //!   interleave round-robin across tenants within each priority lane,
 //!   [`ServiceConfig::tenant_max_queued`] caps how much of the shared
@@ -75,12 +75,10 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod backend;
 pub mod protocol;
 pub mod server;
 mod service;
 
-pub use backend::ServiceBackend;
 pub use mithrilog_shard::ShardRow;
 pub use service::{
     JobId, JobOutput, JobStatus, Priority, Service, ServiceConfig, ServiceHandle, ServiceStats,

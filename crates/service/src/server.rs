@@ -1,4 +1,4 @@
-//! TCP front-end: serves the [`protocol`](crate::protocol) line protocol
+//! TCP front-end: serves the [`protocol`] line protocol
 //! over a listener, one thread per connection, all of them funneling into
 //! one [`ServiceHandle`].
 //!

@@ -10,10 +10,8 @@ use mithrilog::{
     CancelToken, IngestReport, PlanExplain, PreparedIngest, QueryOutcome, QueryRequest,
     RetentionReport, ScanAttribution, SharedScanReport, SystemConfig,
 };
-use mithrilog_shard::ShardRow;
-use mithrilog_storage::ScrubReport;
-
-use crate::backend::ServiceBackend;
+use mithrilog_shard::{ShardError, ShardRow, ShardedLog};
+use mithrilog_storage::{PageStore, ScrubReport};
 
 /// Identifier of a submitted job, unique for the lifetime of the service.
 pub type JobId = u64;
@@ -345,8 +343,8 @@ struct State {
     stats: ServiceStats,
     /// Per-tenant counters for tagged jobs, keyed by tenant name.
     tenants: BTreeMap<String, TenantStats>,
-    /// Last published per-device observability rows (one row for a solo
-    /// backend), refreshed by the scheduler after every wave.
+    /// Last published per-device observability rows (one row for a
+    /// one-shard log), refreshed by the scheduler after every wave.
     shard_rows: Vec<ShardRow>,
 }
 
@@ -373,8 +371,8 @@ struct Shared {
     /// Signalled on every submission, completion, cancellation and close.
     changed: Condvar,
     config: ServiceConfig,
-    /// The backend's system configuration, cloned at spawn, so submitters
-    /// build ingest frames exactly as the backend would.
+    /// The log's system configuration, cloned at spawn, so submitters
+    /// build ingest frames exactly as the log would.
     system: SystemConfig,
 }
 
@@ -386,9 +384,8 @@ pub struct ServiceHandle {
     shared: Arc<Shared>,
 }
 
-/// The running service: a scheduler thread that owns the backend — a
-/// [`mithrilog::MithriLog`] device or a [`mithrilog_shard::ShardedLog`]
-/// topology — and executes admitted jobs in shared-scan waves.
+/// The running service: a scheduler thread that owns a [`ShardedLog`]
+/// topology and executes admitted jobs in shared-scan waves.
 pub struct Service {
     handle: ServiceHandle,
     scheduler: Option<JoinHandle<()>>,
@@ -529,8 +526,8 @@ impl ServiceHandle {
         self.ingest_tagged(text, None)
     }
 
-    /// Submits an ingest batch under a tenant tag. On a sharded backend
-    /// running in tenant routing mode the tag pins the whole batch to the
+    /// Submits an ingest batch under a tenant tag. On a topology running
+    /// in tenant routing mode the tag pins the whole batch to the
     /// tenant's home shard; the tag also counts against the tenant's
     /// admission cap.
     ///
@@ -738,7 +735,7 @@ impl ServiceHandle {
 
     /// A snapshot of the per-device observability rows the scheduler last
     /// published: what each shard holds and what it has been charged. A
-    /// solo backend reports one row.
+    /// one-shard log reports one row.
     pub fn shard_stats(&self) -> Vec<ShardRow> {
         let state = self.shared.state.lock().expect("service state poisoned");
         state.shard_rows.clone()
@@ -753,28 +750,31 @@ impl ServiceHandle {
 
 impl Service {
     /// Starts the service: spawns the scheduler thread, which takes
-    /// ownership of `backend` — a [`mithrilog::MithriLog`] device or a
-    /// [`mithrilog_shard::ShardedLog`] topology — and executes admitted
-    /// jobs in shared-scan waves until [`Service::shutdown`].
-    pub fn spawn<B>(backend: B, config: ServiceConfig) -> Service
+    /// ownership of `log` and executes admitted jobs in shared-scan waves
+    /// until [`Service::shutdown`]. `log` is a [`ShardedLog`] topology, or
+    /// a bare [`mithrilog::MithriLog`] device adopted as a one-shard
+    /// topology (see [`ShardedLog`]'s `From` impl): outcomes name pages by
+    /// global frame ordinal either way.
+    pub fn spawn<S>(log: impl Into<ShardedLog<S>>, config: ServiceConfig) -> Service
     where
-        B: ServiceBackend,
+        S: PageStore + 'static,
     {
         assert!(config.max_queue > 0, "max_queue must be at least 1");
         assert!(config.max_batch > 0, "max_batch must be at least 1");
+        let log = log.into();
         let shared = Arc::new(Shared {
             state: Mutex::new(State {
-                shard_rows: backend.shard_rows(),
+                shard_rows: log.shard_rows(),
                 ..State::default()
             }),
             changed: Condvar::new(),
             config,
-            system: backend.config().clone(),
+            system: log.config().clone(),
         });
         let scheduler_shared = Arc::clone(&shared);
         let scheduler = std::thread::Builder::new()
             .name("mithrilog-scheduler".into())
-            .spawn(move || scheduler_loop(backend, &scheduler_shared))
+            .spawn(move || scheduler_loop(log, &scheduler_shared))
             .expect("failed to spawn the scheduler thread");
         Service {
             handle: ServiceHandle { shared },
@@ -820,7 +820,7 @@ enum Wave {
     /// A batch of queries scanned together.
     Queries(Vec<(JobId, QueryRequest)>),
     /// Built frames to apply alone, with the tenant tag that routes them
-    /// on a sharded backend.
+    /// to shards.
     Ingest(JobId, Box<PreparedIngest<'static>>, Option<String>),
     /// A plan-only explain; runs alone, so its (real, charged) index probe
     /// lands between waves deterministically.
@@ -977,7 +977,7 @@ fn claim_wave(state: &mut State, max_batch: usize) -> Wave {
 /// it sealed, and the retention pass that followed it (if one is
 /// configured) — or the error / caught panic that stopped it.
 type IngestOutcome = Result<
-    Result<(IngestReport, u64, Option<RetentionReport>), String>,
+    Result<(IngestReport, u64, Option<RetentionReport>), ShardError>,
     Box<dyn std::any::Any + Send>,
 >;
 
@@ -985,18 +985,18 @@ type IngestOutcome = Result<
 /// retention pass. Retention failure fails the job: the ingested data is
 /// durable, but the store could not honor its retention contract and the
 /// client must hear about it.
-fn run_ingest<B: ServiceBackend>(
-    backend: &mut B,
+fn run_ingest<S: PageStore>(
+    log: &mut ShardedLog<S>,
     retain: Option<u64>,
     tenant: Option<&str>,
     prep: &PreparedIngest<'_>,
 ) -> IngestOutcome {
     catch_unwind(AssertUnwindSafe(|| {
-        let sealed_before = backend.sealed_segment_count();
-        let report = backend.apply_prepared(tenant, prep)?;
-        let sealed = backend.sealed_segment_count() - sealed_before;
+        let sealed_before = log.sealed_segment_count();
+        let report = log.apply_prepared(tenant, prep)?;
+        let sealed = log.sealed_segment_count() - sealed_before;
         let retention = match retain {
-            Some(keep) => Some(backend.apply_retention(keep)?),
+            Some(keep) => Some(log.apply_retention(keep)?),
             None => None,
         };
         Ok((report, sealed, retention))
@@ -1024,13 +1024,13 @@ fn settle_ingest(shared: &Shared, id: JobId, outcome: IngestOutcome, scrub_done:
             true
         }
         Ok(Err(e)) => {
-            job.status = JobStatus::Failed(e);
+            job.status = JobStatus::Failed(e.to_string());
             state.stats.failed += 1;
             *scrub_done = false;
             false
         }
         Err(payload) => {
-            job.status = JobStatus::Failed(format!("internal error: {}", panic_message(&*payload)));
+            job.status = JobStatus::Failed(internal_error(&*payload));
             state.stats.failed += 1;
             state.stats.waves_poisoned += 1;
             false
@@ -1047,26 +1047,27 @@ fn settle_ingest(shared: &Shared, id: JobId, outcome: IngestOutcome, scrub_done:
     shared.changed.notify_all();
 }
 
-/// Renders a caught panic payload for a job failure message.
-fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
+/// Renders a caught panic payload as a job failure message.
+fn internal_error(payload: &(dyn std::any::Any + Send)) -> String {
+    let message = if let Some(s) = payload.downcast_ref::<&str>() {
+        s
     } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
+        s.as_str()
     } else {
-        "panic of unknown type".to_string()
-    }
+        "panic of unknown type"
+    };
+    format!("internal error: {message}")
 }
 
-/// Publishes the backend's current per-device rows for
+/// Publishes the log's current per-device rows for
 /// [`ServiceHandle::shard_stats`] and the `STATS` verb.
-fn publish_shard_rows<B: ServiceBackend>(backend: &B, shared: &Shared) {
-    let rows = backend.shard_rows();
+fn publish_shard_rows<S: PageStore>(log: &ShardedLog<S>, shared: &Shared) {
+    let rows = log.shard_rows();
     let mut state = shared.state.lock().expect("service state poisoned");
     state.shard_rows = rows;
 }
 
-fn scheduler_loop<B: ServiceBackend>(mut backend: B, shared: &Shared) {
+fn scheduler_loop<S: PageStore>(mut log: ShardedLog<S>, shared: &Shared) {
     // Online scrub lane state: the resume cursor within the current pass,
     // and whether a pass over the whole device has completed since the last
     // ingest. Scheduler-local — it never needs the service lock.
@@ -1105,9 +1106,7 @@ fn scheduler_loop<B: ServiceBackend>(mut backend: B, shared: &Shared) {
                 // read panics (firmware-bug drill) poisons only this slice.
                 // The pass is disarmed until the next ingest re-arms it, so
                 // the lane cannot hot-loop on the same poisonous page.
-                match catch_unwind(AssertUnwindSafe(|| {
-                    backend.scrub_slice(scrub_cursor, batch)
-                })) {
+                match catch_unwind(AssertUnwindSafe(|| log.scrub_slice(scrub_cursor, batch))) {
                     Ok(slice) => {
                         scrub_cursor = slice.next;
                         scrub_done = slice.complete;
@@ -1161,19 +1160,19 @@ fn scheduler_loop<B: ServiceBackend>(mut backend: B, shared: &Shared) {
                 // locks, and pages are append-only, so cached text of
                 // already-committed pages stays valid.
                 let outcome = run_ingest(
-                    &mut backend,
+                    &mut log,
                     shared.config.retain_segments,
                     tenant.as_deref(),
                     &prep,
                 );
                 settle_ingest(shared, id, outcome, &mut scrub_done);
-                publish_shard_rows(&backend, shared);
+                publish_shard_rows(&log, shared);
             }
             Wave::Explain(id, request) => {
                 // Plan-only: the probe runs (and is charged) for real, the
                 // data-page scan never happens. Same panic isolation as any
                 // other lone job.
-                let result = catch_unwind(AssertUnwindSafe(|| backend.explain(&request)));
+                let result = catch_unwind(AssertUnwindSafe(|| log.explain(&request)));
                 let mut state = shared.state.lock().expect("service state poisoned");
                 let job = state.jobs.get_mut(&id).expect("running job exists");
                 match result {
@@ -1182,14 +1181,11 @@ fn scheduler_loop<B: ServiceBackend>(mut backend: B, shared: &Shared) {
                         state.stats.completed += 1;
                     }
                     Ok(Err(e)) => {
-                        job.status = JobStatus::Failed(e);
+                        job.status = JobStatus::Failed(e.to_string());
                         state.stats.failed += 1;
                     }
                     Err(payload) => {
-                        job.status = JobStatus::Failed(format!(
-                            "internal error: {}",
-                            panic_message(&*payload)
-                        ));
+                        job.status = JobStatus::Failed(internal_error(&*payload));
                         state.stats.failed += 1;
                         state.stats.waves_poisoned += 1;
                     }
@@ -1197,7 +1193,7 @@ fn scheduler_loop<B: ServiceBackend>(mut backend: B, shared: &Shared) {
                 shared.changed.notify_all();
             }
             Wave::Scrub(id) => {
-                let result = catch_unwind(AssertUnwindSafe(|| backend.scrub()));
+                let result = catch_unwind(AssertUnwindSafe(|| log.scrub()));
                 let mut state = shared.state.lock().expect("service state poisoned");
                 let job = state.jobs.get_mut(&id).expect("running job exists");
                 match result {
@@ -1213,10 +1209,7 @@ fn scheduler_loop<B: ServiceBackend>(mut backend: B, shared: &Shared) {
                         scrub_cursor = 0;
                     }
                     Err(payload) => {
-                        job.status = JobStatus::Failed(format!(
-                            "internal error: {}",
-                            panic_message(&*payload)
-                        ));
+                        job.status = JobStatus::Failed(internal_error(&*payload));
                         state.stats.failed += 1;
                         state.stats.waves_poisoned += 1;
                     }
@@ -1231,9 +1224,9 @@ fn scheduler_loop<B: ServiceBackend>(mut backend: B, shared: &Shared) {
                 // scoped worker threads are joined before the unwind
                 // crosses the system, and the page cache recovers poisoned
                 // locks — so the scheduler keeps serving every other job.
-                let result = catch_unwind(AssertUnwindSafe(|| backend.query_shared(&requests)));
+                let result = catch_unwind(AssertUnwindSafe(|| log.query_shared(&requests)));
                 let mut state = shared.state.lock().expect("service state poisoned");
-                match result {
+                let failure = match result {
                     Ok(Ok(batch)) => {
                         state.stats.waves += 1;
                         state.stats.demanded_page_reads += batch.shared.demanded_page_reads;
@@ -1277,37 +1270,30 @@ fn scheduler_loop<B: ServiceBackend>(mut backend: B, shared: &Shared) {
                                 }
                             }
                         }
+                        None
                     }
-                    Ok(Err(reason)) => {
-                        // A non-survivable device error fails the whole
-                        // wave — the same error a solo run would surface.
-                        for (id, _) in &wave {
-                            let job = state.jobs.get_mut(id).expect("running job exists");
-                            job.status = JobStatus::Failed(reason.clone());
-                            let tenant = job.tenant.clone();
-                            state.stats.failed += 1;
-                            if let Some(tenant) = &tenant {
-                                state.tenant_mut(tenant).failed += 1;
-                            }
-                        }
-                    }
+                    // A non-survivable device error fails the whole wave —
+                    // the same error a solo run would surface.
+                    Ok(Err(e)) => Some(e.to_string()),
                     Err(payload) => {
-                        let reason = format!("internal error: {}", panic_message(&*payload));
                         state.stats.waves_poisoned += 1;
-                        for (id, _) in &wave {
-                            let job = state.jobs.get_mut(id).expect("running job exists");
-                            job.status = JobStatus::Failed(reason.clone());
-                            let tenant = job.tenant.clone();
-                            state.stats.failed += 1;
-                            if let Some(tenant) = &tenant {
-                                state.tenant_mut(tenant).failed += 1;
-                            }
+                        Some(internal_error(&*payload))
+                    }
+                };
+                if let Some(reason) = failure {
+                    for (id, _) in &wave {
+                        let job = state.jobs.get_mut(id).expect("running job exists");
+                        job.status = JobStatus::Failed(reason.clone());
+                        let tenant = job.tenant.clone();
+                        state.stats.failed += 1;
+                        if let Some(tenant) = &tenant {
+                            state.tenant_mut(tenant).failed += 1;
                         }
                     }
                 }
                 shared.changed.notify_all();
                 drop(state);
-                publish_shard_rows(&backend, shared);
+                publish_shard_rows(&log, shared);
             }
         }
     }

@@ -201,6 +201,29 @@ impl ShardedLog<MemStore> {
     }
 }
 
+/// Adopts one device as a one-shard topology (epoch `{1, LineHash, 0}`)
+/// whose manifest places every surviving data page on shard 0, so global
+/// frame ordinal `k` is the device's `k`-th data page. Queries answer as
+/// the bare device does, except that `line_pages` and
+/// `degraded.skipped_pages` name pages by frame ordinal.
+impl<S: PageStore> From<MithriLog<S>> for ShardedLog<S> {
+    fn from(log: MithriLog<S>) -> Self {
+        let mut manifest = RoutingManifest::new(RoutingEpoch {
+            shards: 1,
+            mode: RouteMode::LineHash,
+            salt: 0,
+        });
+        for _ in log.data_pages() {
+            manifest.record(0);
+        }
+        ShardedLog {
+            config: log.config().clone(),
+            shards: vec![log],
+            manifest,
+        }
+    }
+}
+
 impl<S: PageStore> ShardedLog<S> {
     /// Creates a fresh topology over caller-provided (empty) stores, one
     /// per shard.
@@ -892,6 +915,49 @@ RAS KERNEL INFO generating core.2275\n";
         assert_eq!(merged.ledger, reference.ledger);
         assert_eq!(merged.pages_scanned, reference.pages_scanned);
         assert_eq!(merged.modeled_time, reference.modeled_time);
+    }
+
+    #[test]
+    fn an_adopted_device_answers_as_a_fresh_one_shard_topology() {
+        // Every field but wall_time, via Debug so no field can be missed.
+        fn sans_wall_time(mut outcome: QueryOutcome) -> String {
+            outcome.wall_time = std::time::Duration::ZERO;
+            format!("{outcome:?}")
+        }
+        let config = SystemConfig {
+            segment_pages: 4,
+            ..SystemConfig::for_tests()
+        };
+        let mut solo = MithriLog::new(config.clone());
+        solo.ingest(&corpus()).unwrap();
+        let mut fresh = ShardedLog::new(config, ShardOptions::default());
+        fresh.ingest(&corpus()).unwrap();
+        // Page 5 sits in the second segment, so it outlives the retention
+        // pass below and keeps its ordinal.
+        let victim = solo.data_pages()[5].0;
+        solo.device_mut().quarantine_page(victim);
+        fresh.shard_mut(0).device_mut().quarantine_page(victim);
+        let mut adopted = ShardedLog::from(solo);
+        assert_eq!(adopted.manifest_bytes(), fresh.manifest_bytes());
+
+        let check =
+            |adopted: &mut ShardedLog<MemStore>, fresh: &mut ShardedLog<MemStore>, stage: &str| {
+                for q in ["FATAL", "KERNEL AND NOT parity", "NOT terminated"] {
+                    let got = adopted.query_str(q).unwrap();
+                    let want = fresh.query_str(q).unwrap();
+                    assert_eq!(got.degraded.skipped_pages, vec![5], "{stage}, {q}");
+                    assert_eq!(sans_wall_time(got), sans_wall_time(want), "{stage}, {q}");
+                }
+            };
+        check(&mut adopted, &mut fresh, "adopted");
+
+        adopted.ingest(&corpus()).unwrap();
+        fresh.ingest(&corpus()).unwrap();
+        let keep = adopted.sealed_segment_count() - 1;
+        let dropped = adopted.apply_retention(keep).unwrap();
+        assert_eq!(dropped.segments_dropped, 1);
+        assert_eq!(fresh.apply_retention(keep).unwrap().segments_dropped, 1);
+        check(&mut adopted, &mut fresh, "after ingest and retention");
     }
 
     #[test]

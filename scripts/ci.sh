@@ -19,6 +19,9 @@ cargo test --workspace -q
 echo "==> cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 
+echo "==> cargo doc --workspace --no-deps --lib (intra-doc links resolve, no rustdoc warnings)"
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --lib
+
 echo "==> fused filter kernel (byte walk == reference line loop == set semantics, random pages and queries)"
 cargo test -p mithrilog-filter --lib -q fused_walk_equals_reference_and_set_semantics
 

@@ -44,9 +44,29 @@ fn probe_data_pages(text: &[u8]) -> Vec<u64> {
     probe.data_pages().iter().map(|p| p.0).collect()
 }
 
+/// `outcome` with its pages named as a service names them: by global
+/// frame ordinal, the position of the device page in `frames` (the data
+/// pages in ingest order).
+fn in_frame_ordinals(mut outcome: QueryOutcome, frames: &[u64]) -> QueryOutcome {
+    let ordinal_of = |page: &mut u64| {
+        *page = frames
+            .iter()
+            .position(|f| f == page)
+            .expect("an outcome names only data pages") as u64;
+    };
+    outcome.line_pages.iter_mut().for_each(ordinal_of);
+    outcome
+        .degraded
+        .skipped_pages
+        .iter_mut()
+        .for_each(ordinal_of);
+    outcome
+}
+
 /// Everything except wall-clock must be identical.
 fn assert_outcomes_identical(a: &QueryOutcome, b: &QueryOutcome, context: &str) {
     assert_eq!(a.lines, b.lines, "{context}: matched lines");
+    assert_eq!(a.line_pages, b.line_pages, "{context}: line pages");
     assert_eq!(a.offloaded, b.offloaded, "{context}: offload path");
     assert_eq!(a.used_index, b.used_index, "{context}: plan kind");
     assert_eq!(a.pages_scanned, b.pages_scanned, "{context}: plan size");
@@ -183,9 +203,11 @@ fn threaded_submissions_through_service_match_solo_runs() {
         (data_pages[4], FaultKind::TornWrite { valid_bytes: 64 }),
     ];
 
+    // The service names pages by global frame ordinal.
     let solo: Vec<QueryOutcome> = QUERIES
         .iter()
         .map(|q| faulted_system(ds.text(), &schedule).query_str(q).unwrap())
+        .map(|outcome| in_frame_ordinals(outcome, &data_pages))
         .collect();
 
     let service = Service::spawn(

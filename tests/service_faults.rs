@@ -377,7 +377,10 @@ fn a_panic_on_a_scatter_thread_fails_only_its_own_wave() {
 fn quarantined_pages_cost_zero_retries_on_every_repeat() {
     let ds = corpus(120_000);
     let pages = probe_data_pages(ds.text());
-    let doomed = pages[pages.len() / 2];
+    // The service names pages by global frame ordinal: the position in
+    // `pages`.
+    let doomed_ordinal = pages.len() as u64 / 2;
+    let doomed = pages[doomed_ordinal as usize];
     // A page that never stops failing: retries exhaust, scrub quarantines.
     let system = faulted_system(
         ds.text(),
@@ -409,7 +412,7 @@ fn quarantined_pages_cost_zero_retries_on_every_repeat() {
         assert_eq!(outcome.ledger.retries, 0, "{:?}", outcome.ledger);
         assert_eq!(outcome.degraded.retries, 0, "{:?}", outcome.degraded);
         assert!(
-            outcome.degraded.skipped_pages.contains(&doomed),
+            outcome.degraded.skipped_pages.contains(&doomed_ordinal),
             "{:?}",
             outcome.degraded
         );
@@ -463,7 +466,8 @@ fn online_scrub_lane_quarantines_during_idle_time() {
     let JobOutput::Query { outcome, .. } = handle.wait(id).unwrap() else {
         panic!("expected a query output");
     };
-    assert!(outcome.degraded.skipped_pages.contains(&doomed));
+    // Global frame ordinal 1 is `pages[1]`.
+    assert!(outcome.degraded.skipped_pages.contains(&1));
     assert_eq!(outcome.ledger.retries, 0);
     service.shutdown();
 }
