@@ -55,7 +55,7 @@ pub use gzf::Gzf;
 pub use lz4::Lz4;
 pub use lzah::{Lzah, LzahConfig, LzahScratch};
 pub use lzrw1::Lzrw1;
-pub use paged::{compress_paged, decompress_page, PagedLog};
+pub use paged::{compress_paged, decompress_page, PageFrame, PagedLog};
 pub use snappy::Snappy;
 
 /// A lossless compression codec.

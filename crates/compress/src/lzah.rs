@@ -423,161 +423,219 @@ fn hash_word(word: &[u8], hash_bits: u8) -> usize {
 /// Streaming LZAH encoder with checkpoint/rollback, used for packing pages
 /// (each storage page must decompress independently, so the page builder
 /// needs to know exactly when adding one more line would overflow the page).
+///
+/// Every buffer lives as long as the encoder: a page packer reuses one
+/// encoder, its window and its checkpoint for every frame it builds, so
+/// packing allocates once per frame (the finished frame), not per line or
+/// word.
 #[derive(Debug, Clone)]
 pub(crate) struct LzahStreamEncoder {
     config: LzahConfig,
     table: Vec<u8>,
-    /// Serialized chunks so far (complete chunks only).
-    done: Vec<u8>,
-    /// Header bits of the current partial chunk.
-    header: Vec<u8>,
-    /// Packed payloads of the current partial chunk.
-    payload: Vec<u8>,
+    /// The frame's chunks so far, the open one included: each is one
+    /// header word followed by its packed payloads. Closed chunks are
+    /// padded to a word boundary, so every chunk starts word-aligned.
+    chunks: Vec<u8>,
+    /// Offset in `chunks` of the open chunk's header word (valid while
+    /// `pairs_in_chunk > 0`).
+    header_at: usize,
+    /// The current window word, zero-padded after a newline cut.
+    window: Vec<u8>,
     pairs_in_chunk: usize,
     total_pairs: usize,
     original_len: usize,
+    /// The state before the current trial push.
+    trial: Checkpoint,
 }
 
-/// A rollback checkpoint: scalar state plus an undo log of table writes.
-#[derive(Debug)]
-pub(crate) struct Checkpoint {
-    done_len: usize,
-    header: Vec<u8>,
-    /// Full payload contents: a chunk flush during the checkpointed span
-    /// clears `payload`, so a length alone cannot restore it.
-    payload: Vec<u8>,
+/// A rollback checkpoint: the encoder's scalar state plus an undo log of
+/// the table words a trial push overwrote. Reused across trials; the log
+/// keeps its capacity.
+#[derive(Debug, Clone, Default)]
+struct Checkpoint {
+    chunks_len: usize,
+    header_at: usize,
     pairs_in_chunk: usize,
     total_pairs: usize,
     original_len: usize,
-    undo: Vec<(usize, Vec<u8>)>,
+    /// Table slots overwritten since the checkpoint, in write order.
+    undo_slots: Vec<usize>,
+    /// Their previous contents, one word per entry of `undo_slots`.
+    undo_words: Vec<u8>,
 }
 
 impl LzahStreamEncoder {
     pub(crate) fn new(config: LzahConfig) -> Self {
         LzahStreamEncoder {
             table: vec![0u8; config.table_entries() * config.word_bytes],
-            done: Vec::new(),
-            header: Vec::new(),
-            payload: Vec::new(),
+            chunks: Vec::new(),
+            header_at: 0,
+            window: vec![0u8; config.word_bytes],
             pairs_in_chunk: 0,
             total_pairs: 0,
             original_len: 0,
+            trial: Checkpoint::default(),
             config,
         }
     }
 
-    /// Exact size of the frame if finished now.
+    /// Exact size of the frame if finished now: the open chunk's payload
+    /// rounds up to a word like a closed one's.
     pub(crate) fn frame_len(&self) -> usize {
-        let w = self.config.word_bytes;
-        let mut len = HEADER_LEN + self.done.len();
-        if self.pairs_in_chunk > 0 {
-            len += w + self.payload.len().div_ceil(w) * w;
-        }
-        len
+        HEADER_LEN + self.chunks.len().next_multiple_of(self.config.word_bytes)
     }
 
     pub(crate) fn original_len(&self) -> usize {
         self.original_len
     }
 
-    pub(crate) fn checkpoint(&self) -> Checkpoint {
-        Checkpoint {
-            done_len: self.done.len(),
-            header: self.header.clone(),
-            payload: self.payload.clone(),
-            pairs_in_chunk: self.pairs_in_chunk,
-            total_pairs: self.total_pairs,
-            original_len: self.original_len,
-            undo: Vec::new(),
-        }
+    /// An upper bound on how much pushing a `len`-byte span (no newline
+    /// before its last byte) can grow [`frame_len`](Self::frame_len).
+    ///
+    /// With a word of `w` bytes, every window of such a span but the last
+    /// is a full word, so the push emits `p = ⌈len / w⌉` pairs. Each pair
+    /// adds one header bit and one payload: a literal word or a two-byte
+    /// table index. A chunk's payload is padded to a word boundary, and the
+    /// padded payload of `n` pairs is at most `n·max(w, 2)` bytes (for
+    /// `w ≥ 2` the sum is at most `n·w`, a multiple of `w`; for `w = 1`
+    /// nothing pads), so the pairs grow the chunks they join by at most
+    /// `p·max(w, 2)`. A chunk's `8w` header bits fill one word, so the
+    /// pairs open at most `c = ⌈p / 8w⌉` new chunks, each adding one header
+    /// word. The growth is at most `p·max(w, 2) + c·w`.
+    pub(crate) fn max_line_growth(&self, len: usize) -> usize {
+        let w = self.config.word_bytes;
+        let pairs = len.div_ceil(w);
+        let chunks = pairs.div_ceil(self.config.pairs_per_chunk());
+        pairs * w.max(2) + chunks * w
     }
 
-    pub(crate) fn rollback(&mut self, cp: Checkpoint) {
-        self.done.truncate(cp.done_len);
-        self.header = cp.header;
-        self.payload = cp.payload;
+    /// Pushes `bytes` (no newline before its last byte) when the frame
+    /// then still fits in `limit` bytes, and reports whether it did; on
+    /// `false` the encoder is as it was. The push is a trial (checkpoint,
+    /// push, roll back on overflow) only when
+    /// [`max_line_growth`](Self::max_line_growth) says it could cross the
+    /// limit; otherwise it cannot overflow and goes straight in.
+    pub(crate) fn push_within(&mut self, bytes: &[u8], limit: usize) -> bool {
+        if self.frame_len() + self.max_line_growth(bytes.len()) <= limit {
+            self.push_bytes(bytes, false);
+            return true;
+        }
+        self.checkpoint();
+        self.push_bytes(bytes, true);
+        let fits = self.frame_len() <= limit;
+        if !fits {
+            self.rollback();
+        }
+        fits
+    }
+
+    /// Records the encoder's state for [`rollback`](Self::rollback),
+    /// clearing the undo log.
+    pub(crate) fn checkpoint(&mut self) {
+        let cp = &mut self.trial;
+        cp.chunks_len = self.chunks.len();
+        cp.header_at = self.header_at;
+        cp.pairs_in_chunk = self.pairs_in_chunk;
+        cp.total_pairs = self.total_pairs;
+        cp.original_len = self.original_len;
+        cp.undo_slots.clear();
+        cp.undo_words.clear();
+    }
+
+    /// Restores the state the last [`checkpoint`](Self::checkpoint)
+    /// recorded, undoing every push since (each must have logged its table
+    /// writes).
+    pub(crate) fn rollback(&mut self) {
+        let w = self.config.word_bytes;
+        let cp = &self.trial;
+        self.chunks.truncate(cp.chunks_len);
+        if cp.pairs_in_chunk > 0 {
+            // Pushes since the checkpoint may have set header bits of later
+            // pairs in the chunk that was open then.
+            let header = &mut self.chunks[cp.header_at..cp.header_at + w];
+            for i in cp.pairs_in_chunk..self.config.pairs_per_chunk() {
+                header[i / 8] &= !(1 << (i % 8));
+            }
+        }
+        self.header_at = cp.header_at;
         self.pairs_in_chunk = cp.pairs_in_chunk;
         self.total_pairs = cp.total_pairs;
         self.original_len = cp.original_len;
         // Undo table writes in reverse order.
-        for (idx, old) in cp.undo.into_iter().rev() {
-            let w = self.config.word_bytes;
-            self.table[idx * w..(idx + 1) * w].copy_from_slice(&old);
+        for (k, &idx) in cp.undo_slots.iter().enumerate().rev() {
+            self.table[idx * w..(idx + 1) * w].copy_from_slice(&cp.undo_words[k * w..(k + 1) * w]);
         }
     }
 
-    fn push_pair(&mut self, is_match: bool, payload: &[u8]) {
+    /// Appends one pair whose payload is the table index `idx` (a match)
+    /// or the current window (a literal).
+    fn push_pair(&mut self, is_match: bool, idx: usize) {
         let w = self.config.word_bytes;
         if self.pairs_in_chunk == 0 {
-            self.header = vec![0u8; w];
+            self.header_at = self.chunks.len();
+            self.chunks.resize(self.header_at + w, 0);
         }
         if is_match {
             let i = self.pairs_in_chunk;
-            self.header[i / 8] |= 1 << (i % 8);
+            self.chunks[self.header_at + i / 8] |= 1 << (i % 8);
+            self.chunks.extend_from_slice(&(idx as u16).to_le_bytes());
+        } else {
+            self.chunks.extend_from_slice(&self.window);
         }
-        self.payload.extend_from_slice(payload);
         self.pairs_in_chunk += 1;
         self.total_pairs += 1;
         if self.pairs_in_chunk == self.config.pairs_per_chunk() {
-            self.flush_chunk();
+            self.close_chunk();
         }
     }
 
-    fn flush_chunk(&mut self) {
+    /// Pads the open chunk's payload to a word boundary (Figure 9).
+    fn close_chunk(&mut self) {
         if self.pairs_in_chunk == 0 {
             return;
         }
-        let w = self.config.word_bytes;
-        self.done.extend_from_slice(&self.header);
-        self.done.extend_from_slice(&self.payload);
-        let pad = self.payload.len().div_ceil(w) * w - self.payload.len();
-        self.done.extend(std::iter::repeat_n(0u8, pad));
-        self.header.clear();
-        self.payload.clear();
+        let padded = self.chunks.len().next_multiple_of(self.config.word_bytes);
+        self.chunks.resize(padded, 0);
         self.pairs_in_chunk = 0;
     }
 
     /// Encodes a byte span (typically one line, *including* its newline),
-    /// recording table overwrites into `undo` if provided.
-    pub(crate) fn push_bytes(&mut self, bytes: &[u8], undo: Option<&mut Checkpoint>) {
+    /// logging table overwrites for a rollback when `undo` is set.
+    pub(crate) fn push_bytes(&mut self, bytes: &[u8], undo: bool) {
         let w = self.config.word_bytes;
-        let mut undo = undo;
         let mut pos = 0;
-        let mut window = vec![0u8; w];
         while pos < bytes.len() {
-            let avail = (bytes.len() - pos).min(w);
-            window.fill(0);
-            window[..avail].copy_from_slice(&bytes[pos..pos + avail]);
+            let avail = &bytes[pos..bytes.len().min(pos + w)];
             let advance = if self.config.newline_realign {
-                // `window` is zero past `avail`, so a cut never lands there.
-                newline_cut(&window).min(avail)
+                newline_cut(avail)
             } else {
-                avail
+                avail.len()
             };
-            // Zero-pad after a newline so next-line bytes are excluded from
-            // the stored word.
-            window[advance..].fill(0);
-            let idx = hash_word(&window, self.config.hash_bits);
-            let slot = &self.table[idx * w..(idx + 1) * w];
-            if slot == window.as_slice() {
-                self.push_pair(true, &(idx as u16).to_le_bytes());
-            } else {
-                if let Some(cp) = undo.as_deref_mut() {
-                    cp.undo.push((idx, slot.to_vec()));
+            // Zero-pad the window after a newline (or the input's end) so
+            // next-line bytes are excluded from the stored word.
+            self.window[..advance].copy_from_slice(&avail[..advance]);
+            self.window[advance..].fill(0);
+            let idx = hash_word(&self.window, self.config.hash_bits);
+            let slot = &mut self.table[idx * w..(idx + 1) * w];
+            let is_match = *slot == *self.window;
+            if !is_match {
+                if undo {
+                    self.trial.undo_slots.push(idx);
+                    self.trial.undo_words.extend_from_slice(slot);
                 }
-                self.table[idx * w..(idx + 1) * w].copy_from_slice(&window);
-                let lit = window.clone();
-                self.push_pair(false, &lit);
+                slot.copy_from_slice(&self.window);
             }
+            self.push_pair(is_match, idx);
             pos += advance;
             self.original_len += advance;
         }
     }
 
-    /// Finishes the frame and returns the compressed bytes.
-    pub(crate) fn finish(mut self) -> Vec<u8> {
-        self.flush_chunk();
-        let mut out = Vec::with_capacity(HEADER_LEN + self.done.len());
+    /// Finishes the frame, returns its bytes and resets the encoder for
+    /// the next frame (empty table, no pairs), keeping every buffer.
+    pub(crate) fn finish(&mut self) -> Vec<u8> {
+        self.close_chunk();
+        let mut out = Vec::with_capacity(HEADER_LEN + self.chunks.len());
         out.extend_from_slice(MAGIC);
         out.push(1);
         out.push(self.config.word_bytes as u8);
@@ -589,7 +647,11 @@ impl LzahStreamEncoder {
         });
         out.extend_from_slice(&(self.original_len as u64).to_le_bytes());
         out.extend_from_slice(&(self.total_pairs as u64).to_le_bytes());
-        out.extend_from_slice(&self.done);
+        out.extend_from_slice(&self.chunks);
+        self.table.fill(0);
+        self.chunks.clear();
+        self.total_pairs = 0;
+        self.original_len = 0;
         out
     }
 }
@@ -601,7 +663,7 @@ impl Codec for Lzah {
 
     fn compress(&self, input: &[u8]) -> Vec<u8> {
         let mut enc = LzahStreamEncoder::new(self.config);
-        enc.push_bytes(input, None);
+        enc.push_bytes(input, false);
         enc.finish()
     }
 
@@ -776,12 +838,12 @@ mod tests {
     fn stream_encoder_rollback_restores_state() {
         let cfg = LzahConfig::default();
         let mut enc = LzahStreamEncoder::new(cfg);
-        enc.push_bytes(b"first line of text here\n", None);
+        enc.push_bytes(b"first line of text here\n", false);
         let baseline_len = enc.frame_len();
-        let mut cp = enc.checkpoint();
-        enc.push_bytes(b"second line that will be rolled back\n", Some(&mut cp));
+        enc.checkpoint();
+        enc.push_bytes(b"second line that will be rolled back\n", true);
         assert!(enc.frame_len() > baseline_len);
-        enc.rollback(cp);
+        enc.rollback();
         assert_eq!(enc.frame_len(), baseline_len);
         // After rollback the encoder must behave as if the second line never
         // happened: finishing now must decode to only the first line.
@@ -793,22 +855,23 @@ mod tests {
     #[test]
     fn rollback_across_a_chunk_flush_restores_payload() {
         // Regression: a checkpoint taken mid-chunk, followed by a push that
-        // crosses the 128-pair chunk boundary (flushing and clearing the
-        // payload buffer), must restore the partial chunk on rollback.
+        // crosses the 128-pair chunk boundary (padding the chunk and setting
+        // header bits past the checkpoint), must restore the partial chunk
+        // on rollback: the frame equals one that never saw the pushes.
         let cfg = LzahConfig::default();
         let mut enc = LzahStreamEncoder::new(cfg);
         let line = "unique-prefix abcdefghij klmnopqrst 0123456789\n";
         // Fill close to (but below) one chunk: each line is 3 windows.
         for i in 0..40 {
-            enc.push_bytes(format!("{i:03}{line}").as_bytes(), None);
+            enc.push_bytes(format!("{i:03}{line}").as_bytes(), false);
         }
-        let mut cp = enc.checkpoint();
+        enc.checkpoint();
         // This push crosses the 128-pair boundary.
         for i in 0..10 {
-            enc.push_bytes(format!("x{i}{line}").as_bytes(), Some(&mut cp));
+            enc.push_bytes(format!("x{i}{line}").as_bytes(), true);
         }
-        enc.rollback(cp);
-        enc.push_bytes(b"final line\n", None);
+        enc.rollback();
+        enc.push_bytes(b"final line\n", false);
         let packed = enc.finish();
         let out = Lzah::default().decompress(&packed).expect("valid frame");
         let mut expect = Vec::new();
@@ -817,6 +880,7 @@ mod tests {
         }
         expect.extend_from_slice(b"final line\n");
         assert_eq!(out, expect);
+        assert_eq!(packed, Lzah::default().compress(&expect));
     }
 
     #[test]
@@ -864,7 +928,10 @@ mod tests {
         let cfg = LzahConfig::default();
         let mut enc = LzahStreamEncoder::new(cfg);
         for i in 0..100 {
-            enc.push_bytes(format!("line number {i} with some text\n").as_bytes(), None);
+            enc.push_bytes(
+                format!("line number {i} with some text\n").as_bytes(),
+                false,
+            );
         }
         let predicted = enc.frame_len();
         let actual = enc.finish().len();

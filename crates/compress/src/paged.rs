@@ -56,6 +56,11 @@ impl PagedLog {
         &self.pages
     }
 
+    /// Consumes the log, yielding its pages in order.
+    pub fn into_pages(self) -> Vec<PageFrame> {
+        self.pages
+    }
+
     /// Number of pages.
     pub fn page_count(&self) -> usize {
         self.pages.len()
@@ -107,17 +112,15 @@ pub fn compress_paged(input: &[u8], config: LzahConfig, page_bytes: usize) -> Pa
     let mut enc = LzahStreamEncoder::new(config);
     let mut lines_in_page = 0usize;
     let mut page_starts_mid_line = false;
-    let mut next_starts_mid_line = false;
 
     let mut flush =
         |enc: &mut LzahStreamEncoder, lines: &mut usize, mid: &mut bool, next_mid: bool| {
-            let finished = std::mem::replace(enc, LzahStreamEncoder::new(config));
-            let raw_len = finished.original_len();
+            let raw_len = enc.original_len();
             if raw_len == 0 {
                 return;
             }
             pages.push(PageFrame {
-                data: finished.finish(),
+                data: enc.finish(),
                 raw_len,
                 lines: *lines,
                 starts_mid_line: *mid,
@@ -135,14 +138,11 @@ pub fn compress_paged(input: &[u8], config: LzahConfig, page_bytes: usize) -> Pa
             .unwrap_or(input.len());
         let line = &input[pos..line_end];
 
-        let mut cp = enc.checkpoint();
-        enc.push_bytes(line, Some(&mut cp));
-        if enc.frame_len() <= page_bytes {
+        if enc.push_within(line, page_bytes) {
             lines_in_page += 1;
             pos = line_end;
             continue;
         }
-        enc.rollback(cp);
 
         if enc.original_len() > 0 {
             // Page has content: flush it and retry the line on a fresh page.
@@ -161,26 +161,19 @@ pub fn compress_paged(input: &[u8], config: LzahConfig, page_bytes: usize) -> Pa
         let step = config.word_bytes.max(16);
         loop {
             let next = (fitted + step).min(line.len());
-            if next == fitted {
-                break;
-            }
-            let mut cp = enc.checkpoint();
-            enc.push_bytes(&line[fitted..next], Some(&mut cp));
-            if enc.frame_len() > page_bytes {
-                enc.rollback(cp);
+            if next == fitted || !enc.push_within(&line[fitted..next], page_bytes) {
                 break;
             }
             fitted = next;
         }
         assert!(fitted > 0, "page too small for a single input word");
         lines_in_page += usize::from(fitted == line.len());
-        next_starts_mid_line = fitted < line.len();
         pos += fitted;
         flush(
             &mut enc,
             &mut lines_in_page,
             &mut page_starts_mid_line,
-            next_starts_mid_line,
+            fitted < line.len(),
         );
     }
     flush(
@@ -189,7 +182,6 @@ pub fn compress_paged(input: &[u8], config: LzahConfig, page_bytes: usize) -> Pa
         &mut page_starts_mid_line,
         false,
     );
-    let _ = next_starts_mid_line;
 
     let raw_bytes = input.len();
     PagedLog {
@@ -298,6 +290,158 @@ mod tests {
             rebuilt.extend_from_slice(&decompress_page(p).unwrap());
         }
         assert_eq!(rebuilt, corpus);
+    }
+
+    /// A frame as the equivalence test compares it.
+    type Frame = (Vec<u8>, usize, usize, bool);
+
+    fn frames_of(paged: &PagedLog) -> Vec<Frame> {
+        paged
+            .pages()
+            .iter()
+            .map(|p| {
+                (
+                    p.data().to_vec(),
+                    p.raw_len(),
+                    p.lines(),
+                    p.starts_mid_line(),
+                )
+            })
+            .collect()
+    }
+
+    /// The packer before the growth bound: every line (and every piece of
+    /// a split line) is a trial push — checkpoint, push, roll back on
+    /// overflow — and every page starts on a fresh encoder.
+    fn compress_paged_reference(input: &[u8], config: LzahConfig, page_bytes: usize) -> Vec<Frame> {
+        let mut pages = Vec::new();
+        let mut enc = LzahStreamEncoder::new(config);
+        let mut lines_in_page = 0usize;
+        let mut mid = false;
+        let mut flush = |enc: &mut LzahStreamEncoder, lines: &mut usize, mid: &mut bool, next| {
+            let mut finished = std::mem::replace(enc, LzahStreamEncoder::new(config));
+            let raw_len = finished.original_len();
+            if raw_len == 0 {
+                return;
+            }
+            pages.push((finished.finish(), raw_len, *lines, *mid));
+            *lines = 0;
+            *mid = next;
+        };
+        let trial = |enc: &mut LzahStreamEncoder, bytes: &[u8]| {
+            enc.checkpoint();
+            enc.push_bytes(bytes, true);
+            let fits = enc.frame_len() <= page_bytes;
+            if !fits {
+                enc.rollback();
+            }
+            fits
+        };
+        let mut pos = 0usize;
+        while pos < input.len() {
+            let line_end = input[pos..]
+                .iter()
+                .position(|&b| b == b'\n')
+                .map_or(input.len(), |k| pos + k + 1);
+            let line = &input[pos..line_end];
+            if trial(&mut enc, line) {
+                lines_in_page += 1;
+                pos = line_end;
+                continue;
+            }
+            if enc.original_len() > 0 {
+                flush(&mut enc, &mut lines_in_page, &mut mid, false);
+                continue;
+            }
+            let mut fitted = 0usize;
+            let step = config.word_bytes.max(16);
+            loop {
+                let next = (fitted + step).min(line.len());
+                if next == fitted || !trial(&mut enc, &line[fitted..next]) {
+                    break;
+                }
+                fitted = next;
+            }
+            assert!(fitted > 0, "page too small for a single input word");
+            lines_in_page += usize::from(fitted == line.len());
+            pos += fitted;
+            flush(&mut enc, &mut lines_in_page, &mut mid, fitted < line.len());
+        }
+        flush(&mut enc, &mut lines_in_page, &mut mid, false);
+        pages
+    }
+
+    /// Random log-ish text: template lines that compress, one-byte lines,
+    /// incompressible lines, and now and then a line longer than a page.
+    fn random_input(rng: &mut proptest::prelude::TestRng, page_bytes: usize) -> Vec<u8> {
+        let mut text = Vec::new();
+        for _ in 0..rng.below(200) {
+            match rng.below(10) {
+                0 => text.push(b'\n'),
+                1 => text.extend_from_slice(b"x\n"),
+                2 | 3 => {
+                    let len = rng.below(200);
+                    text.extend((0..len).map(|_| match rng.below(255) as u8 {
+                        b'\n' => 0xFF,
+                        b => b,
+                    }));
+                    text.push(b'\n');
+                }
+                4 if rng.below(8) == 0 => {
+                    let len = page_bytes + rng.below(2 * page_bytes);
+                    text.extend((0..len).map(|_| b'!' + rng.below(90) as u8));
+                    text.push(b'\n');
+                }
+                _ => {
+                    let line = format!(
+                        "2005.06.{:02} R{:02}-M1 RAS KERNEL INFO {} cache parity {}\n",
+                        rng.below(30),
+                        rng.below(4),
+                        ["ok", "corrected", "FATAL"][rng.below(3)],
+                        rng.below(1 << 20),
+                    );
+                    text.extend_from_slice(line.as_bytes());
+                }
+            }
+        }
+        if rng.below(4) == 0 {
+            text.pop();
+        }
+        text
+    }
+
+    #[test]
+    fn bounded_trials_pack_exactly_like_trying_every_line() {
+        let mut rng = proptest::prelude::TestRng::from_name("packer");
+        let (mut exact_fits, mut spills) = (0, 0);
+        for case in 0..300 {
+            let config = LzahConfig {
+                word_bytes: [8, 12, 16][rng.below(3)],
+                hash_bits: 4 + rng.below(7) as u8,
+                newline_realign: true,
+            };
+            let page_bytes = 128 + rng.below(1024);
+            let input = random_input(&mut rng, page_bytes);
+            // The first frame's own length is a capacity it lands exactly
+            // at; one byte less pushes its last line just past.
+            let first = compress_paged_reference(&input, config, page_bytes)
+                .first()
+                .map_or(page_bytes, |f| f.0.len());
+            for page in [page_bytes, first, first - 1]
+                .into_iter()
+                .filter(|&p| p >= 128)
+            {
+                let got = frames_of(&compress_paged(&input, config, page));
+                let want = compress_paged_reference(&input, config, page);
+                assert!(got == want, "case {case}: {config:?}, page {page}");
+                exact_fits += got.iter().filter(|f| f.0.len() == page).count();
+                spills += got.iter().filter(|f| f.3).count();
+            }
+        }
+        assert!(
+            exact_fits > 0 && spills > 0,
+            "{exact_fits} exact, {spills} spills"
+        );
     }
 
     #[test]

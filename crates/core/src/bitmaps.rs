@@ -38,15 +38,25 @@ pub(crate) const MAX_SAT_TOKEN_LEN: usize = 64;
 const BITMAP_MAGIC: &[u8; 4] = b"MLBM";
 const BITMAP_VERSION: u32 = 1;
 
-/// FNV-1a bucket of a token for the presence bitmaps.
-pub(crate) fn token_bucket(token: &[u8], buckets: usize) -> usize {
-    debug_assert!(buckets > 0);
+/// FNV-1a hash of a token: page analysis hashes each occurrence once with
+/// it, and its residue picks the token's presence-bitmap bucket.
+fn fnv1a(token: &[u8]) -> u64 {
     let mut h: u64 = 0xCBF2_9CE4_8422_2325;
     for &b in token {
         h ^= u64::from(b);
         h = h.wrapping_mul(0x0000_0100_0000_01B3);
     }
-    (h % buckets as u64) as usize
+    h
+}
+
+/// FNV-1a bucket of a token for the presence bitmaps.
+pub(crate) fn token_bucket(token: &[u8], buckets: usize) -> usize {
+    debug_assert!(buckets > 0);
+    bucket_of(fnv1a(token), buckets)
+}
+
+fn bucket_of(hash: u64, buckets: usize) -> usize {
+    (hash % buckets as u64) as usize
 }
 
 /// Per-page marks accumulated while a page sits in the open segment:
@@ -76,55 +86,45 @@ pub(crate) struct PageFacts {
 }
 
 impl PageFacts {
-    /// Walks `text` once, line by line, feeding every line's tokens to the
-    /// distinct set, the marks and the statistics.
+    /// Walks `text` once, line by line, hashing every token occurrence
+    /// once into a table of the page's distinct tokens and feeding the
+    /// statistics on the way; the distinct set, the marks and the
+    /// saturating tokens then come from the table's entries alone.
     ///
     /// Line iteration mirrors the filter engine exactly: `\n`-separated
-    /// segments with empty ones skipped. A line with no tokens (all
-    /// delimiters) still counts as a line, so it blocks every saturation —
-    /// conservative by construction.
+    /// segments with empty ones skipped. A token saturates when the count
+    /// of lines holding it equals the count of non-empty lines, so a line
+    /// with no tokens (all delimiters) still counts as a line and blocks
+    /// every saturation — conservative by construction.
     pub(crate) fn of(tokenizer: &Tokenizer, buckets: usize, text: &[u8]) -> PageFacts {
-        let mut distinct = Vec::new();
         let mut stats = DatapathStats::new();
-        let mut any = (buckets > 0).then(|| Bitmap::new(buckets));
-        // `None` until the first non-empty line seeds the candidate set.
-        let mut sat: Option<Vec<&[u8]>> = None;
-        let mut line_tokens: Vec<&[u8]> = Vec::new();
+        let mut table = TokenTable::for_text(text.len());
+        // Non-empty lines seen so far; also the current line's number.
+        let mut lines = 0;
         for line in text.split(|b| *b == b'\n').filter(|l| !l.is_empty()) {
-            line_tokens.clear();
-            line_tokens.extend(tokenizer.tokens(line));
-            stats.record_tokens(tokenizer, line, line_tokens.iter().copied());
-            distinct.extend(line_tokens.iter().map(|t| {
-                let start = t.as_ptr() as usize - text.as_ptr() as usize;
-                start..start + t.len()
-            }));
-            let Some(any) = &mut any else {
-                continue;
-            };
-            for tok in &line_tokens {
-                any.set(token_bucket(tok, buckets));
-            }
-            line_tokens.sort_unstable();
-            line_tokens.dedup();
-            match &mut sat {
-                None => {
-                    let short = line_tokens.iter().filter(|t| t.len() <= MAX_SAT_TOKEN_LEN);
-                    sat = Some(short.copied().collect());
-                }
-                Some(cands) => cands.retain(|c| line_tokens.binary_search(c).is_ok()),
-            }
+            lines += 1;
+            let tokens = tokenizer
+                .tokens(line)
+                .inspect(|tok| table.add(text, tok, lines));
+            stats.record_tokens(tokenizer, line, tokens);
         }
-        distinct.sort_unstable_by(|a, b| text[a.clone()].cmp(&text[b.clone()]));
-        distinct.dedup_by(|a, b| text[a.clone()] == text[b.clone()]);
-        distinct.shrink_to_fit();
-        let sat = sat.unwrap_or_default().into_iter();
-        let saturating = sat
-            .take(MAX_SAT_TOKENS_PER_PAGE)
-            .map(<[u8]>::to_vec)
-            .collect();
-        let marks = any.map(|any| PageMarks { any, saturating });
+        let mut entries = table.entries;
+        entries.sort_unstable_by(|a, b| text[a.range.clone()].cmp(&text[b.range.clone()]));
+        let marks = (buckets > 0).then(|| {
+            let mut any = Bitmap::new(buckets);
+            for entry in &entries {
+                any.set(bucket_of(entry.hash, buckets));
+            }
+            let saturating = entries
+                .iter()
+                .filter(|e| e.lines == lines && e.range.len() <= MAX_SAT_TOKEN_LEN)
+                .take(MAX_SAT_TOKENS_PER_PAGE)
+                .map(|e| text[e.range.clone()].to_vec())
+                .collect();
+            PageMarks { any, saturating }
+        });
         PageFacts {
-            distinct,
+            distinct: entries.iter().map(|e| e.range.clone()).collect(),
             marks,
             stats,
         }
@@ -134,6 +134,85 @@ impl PageFacts {
     /// text the facts were taken from.
     pub(crate) fn distinct<'t>(&'t self, text: &'t [u8]) -> impl Iterator<Item = &'t [u8]> + 't {
         self.distinct.iter().map(move |r| &text[r.clone()])
+    }
+}
+
+/// One distinct token of a page under analysis.
+struct TokenEntry {
+    /// Its first occurrence, as a byte range into the page text.
+    range: Range<usize>,
+    hash: u64,
+    /// The last non-empty line (numbered from 1) it was seen on.
+    last_line: usize,
+    /// How many non-empty lines hold it.
+    lines: usize,
+}
+
+/// Open-addressed (linear probing) table of a page's distinct tokens,
+/// keyed by FNV-1a hash and token bytes. It lives for one page.
+struct TokenTable {
+    /// Entry index + 1 per slot; 0 marks an empty slot. The length is a
+    /// power of two, kept at least twice the entry count.
+    slots: Vec<u32>,
+    entries: Vec<TokenEntry>,
+}
+
+impl TokenTable {
+    /// A table sized for a page of `text_len` bytes: log pages hold about
+    /// one distinct token per 32–64 bytes, and the table grows past that.
+    fn for_text(text_len: usize) -> Self {
+        let entries = (text_len / 32).max(16);
+        TokenTable {
+            slots: vec![0; (2 * entries).next_power_of_two()],
+            entries: Vec::with_capacity(entries),
+        }
+    }
+
+    fn slot_of(hash: u64, mask: usize) -> usize {
+        (hash ^ (hash >> 32)) as usize & mask
+    }
+
+    /// Records one occurrence of `tok` (a subslice of `text`) on line
+    /// number `line`.
+    fn add(&mut self, text: &[u8], tok: &[u8], line: usize) {
+        let hash = fnv1a(tok);
+        let mask = self.slots.len() - 1;
+        let mut slot = Self::slot_of(hash, mask);
+        while let Some(index) = self.slots[slot].checked_sub(1) {
+            let entry = &mut self.entries[index as usize];
+            if entry.hash == hash && text[entry.range.clone()] == *tok {
+                if entry.last_line != line {
+                    entry.last_line = line;
+                    entry.lines += 1;
+                }
+                return;
+            }
+            slot = (slot + 1) & mask;
+        }
+        let start = tok.as_ptr() as usize - text.as_ptr() as usize;
+        self.entries.push(TokenEntry {
+            range: start..start + tok.len(),
+            hash,
+            last_line: line,
+            lines: 1,
+        });
+        self.slots[slot] = u32::try_from(self.entries.len()).expect("a page holds < 4G tokens");
+        if 2 * self.entries.len() > self.slots.len() {
+            self.grow();
+        }
+    }
+
+    /// Doubles the slot array and re-places every entry by its stored hash.
+    fn grow(&mut self) {
+        self.slots = vec![0; 2 * self.slots.len()];
+        let mask = self.slots.len() - 1;
+        for (index, entry) in self.entries.iter().enumerate() {
+            let mut slot = Self::slot_of(entry.hash, mask);
+            while self.slots[slot] != 0 {
+                slot = (slot + 1) & mask;
+            }
+            self.slots[slot] = index as u32 + 1;
+        }
     }
 }
 
@@ -377,6 +456,145 @@ mod tests {
 
     fn marks() -> Vec<PageMarks> {
         PAGES.iter().map(|p| page_marks(&tok(), 256, p)).collect()
+    }
+
+    /// The sort-based page analysis the hashed walk replaced, kept as the
+    /// oracle: every occurrence's range collected, sorted by bytes and
+    /// deduplicated; each line's tokens sorted so the saturating candidates
+    /// (the first line's short tokens) are narrowed by binary search.
+    fn reference_facts(tokenizer: &Tokenizer, buckets: usize, text: &[u8]) -> PageFacts {
+        let mut distinct = Vec::new();
+        let mut stats = DatapathStats::new();
+        let mut any = (buckets > 0).then(|| Bitmap::new(buckets));
+        // `None` until the first non-empty line seeds the candidate set.
+        let mut sat: Option<Vec<&[u8]>> = None;
+        let mut line_tokens: Vec<&[u8]> = Vec::new();
+        for line in text.split(|b| *b == b'\n').filter(|l| !l.is_empty()) {
+            line_tokens.clear();
+            line_tokens.extend(tokenizer.tokens(line));
+            stats.record_tokens(tokenizer, line, line_tokens.iter().copied());
+            distinct.extend(line_tokens.iter().map(|t| {
+                let start = t.as_ptr() as usize - text.as_ptr() as usize;
+                start..start + t.len()
+            }));
+            let Some(any) = &mut any else {
+                continue;
+            };
+            for tok in &line_tokens {
+                any.set(token_bucket(tok, buckets));
+            }
+            line_tokens.sort_unstable();
+            line_tokens.dedup();
+            match &mut sat {
+                None => {
+                    let short = line_tokens.iter().filter(|t| t.len() <= MAX_SAT_TOKEN_LEN);
+                    sat = Some(short.copied().collect());
+                }
+                Some(cands) => cands.retain(|c| line_tokens.binary_search(c).is_ok()),
+            }
+        }
+        distinct.sort_unstable_by(|a, b| text[a.clone()].cmp(&text[b.clone()]));
+        distinct.dedup_by(|a, b| text[a.clone()] == text[b.clone()]);
+        let sat = sat.unwrap_or_default().into_iter();
+        let saturating = sat
+            .take(MAX_SAT_TOKENS_PER_PAGE)
+            .map(<[u8]>::to_vec)
+            .collect();
+        let marks = any.map(|any| PageMarks { any, saturating });
+        PageFacts {
+            distinct,
+            marks,
+            stats,
+        }
+    }
+
+    /// What one generated page exercised, for the coverage check.
+    #[derive(Default)]
+    struct Shapes {
+        repeats_in_line: bool,
+        empty_line: bool,
+        delimiter_line: bool,
+        long_token: bool,
+        over_sat_cap: bool,
+        mid_line: bool,
+    }
+
+    /// A random page: lines of tokens drawn from a small vocabulary (so
+    /// tokens repeat within and across lines), empty and delimiter-only
+    /// lines, tokens longer than [`MAX_SAT_TOKEN_LEN`], sometimes twenty
+    /// tokens on every line (more than [`MAX_SAT_TOKENS_PER_PAGE`]
+    /// saturate), sometimes cut at a random byte so it starts mid-line.
+    fn random_page(rng: &mut proptest::prelude::TestRng, seen: &mut Shapes) -> Vec<u8> {
+        const VOCAB: [&str; 8] = ["RAS", "KERNEL", "a", "b", "node-7", "FATAL", "x", "RAS:"];
+        const DELIMS: [&str; 5] = [" ", "  ", "\t", " \t ", "\r"];
+        let long = "L".repeat(MAX_SAT_TOKEN_LEN + 1 + rng.below(8));
+        let common: Vec<String> = (0..20).map(|i| format!("c{i:02}")).collect();
+        let everywhere = rng.below(4) == 0;
+        let mut page = String::new();
+        for _ in 0..rng.below(12) {
+            match rng.below(8) {
+                0 => seen.empty_line = true,
+                1 => {
+                    seen.delimiter_line = true;
+                    page.push_str(DELIMS[rng.below(DELIMS.len())]);
+                }
+                _ => {
+                    let mut line: Vec<&str> = Vec::new();
+                    for _ in 0..1 + rng.below(8) {
+                        line.push(if rng.below(10) == 0 {
+                            &long
+                        } else {
+                            VOCAB[rng.below(VOCAB.len())]
+                        });
+                    }
+                    if everywhere {
+                        line.extend(common.iter().map(String::as_str));
+                    }
+                    let mut sorted = line.clone();
+                    sorted.sort_unstable();
+                    seen.repeats_in_line |= sorted.windows(2).any(|w| w[0] == w[1]);
+                    seen.long_token |= line.contains(&long.as_str());
+                    for tok in line {
+                        page.push_str(tok);
+                        page.push_str(DELIMS[rng.below(DELIMS.len())]);
+                    }
+                }
+            }
+            if rng.below(6) != 0 {
+                page.push('\n');
+            }
+        }
+        let mut page = page.into_bytes();
+        if !page.is_empty() && rng.below(3) == 0 {
+            seen.mid_line = true;
+            page.drain(..rng.below(page.len()));
+        }
+        page
+    }
+
+    #[test]
+    fn hashed_walk_equals_the_sort_based_reference() {
+        let t = tok();
+        let mut rng = proptest::prelude::TestRng::from_name("page_facts");
+        let mut seen = Shapes::default();
+        for case in 0..2_000 {
+            let page = random_page(&mut rng, &mut seen);
+            for buckets in [0, 1 + rng.below(300)] {
+                let got = PageFacts::of(&t, buckets, &page);
+                let want = reference_facts(&t, buckets, &page);
+                let text = String::from_utf8_lossy(&page);
+                assert!(
+                    got.distinct(&page).eq(want.distinct(&page)),
+                    "case {case}: distinct differs on {text:?}"
+                );
+                assert_eq!(got.marks, want.marks, "case {case}: marks on {text:?}");
+                assert_eq!(got.stats, want.stats, "case {case}: stats on {text:?}");
+                let full = want.marks.as_ref().map(|m| m.saturating.len());
+                seen.over_sat_cap |= full == Some(MAX_SAT_TOKENS_PER_PAGE);
+            }
+        }
+        assert!(seen.repeats_in_line && seen.empty_line && seen.delimiter_line);
+        assert!(seen.long_token && seen.over_sat_cap && seen.mid_line);
     }
 
     #[test]

@@ -617,6 +617,13 @@ pub(crate) fn scan_wave<'q, S: PageStore>(
 /// pool existed.
 const COMPRESS_SHARD_BYTES: usize = 1 << 20;
 
+/// Fewest pages one ingest page-analysis worker takes. Spawning and joining
+/// a scoped worker costs ≈ 50 µs on a 2-CPU host, about half the analysis
+/// of one 13 KB Spirit2 page, and stalls the calling thread besides; eight
+/// pages keep that overhead small. A batch of fewer pages per thread is
+/// analysed on fewer threads (a handful of pages on the caller alone).
+pub(crate) const MIN_ANALYSIS_PAGES_PER_WORKER: usize = 8;
+
 /// Compresses `text` into page-sized LZAH frames using up to `threads`
 /// workers: the input splits at line boundaries into fixed-size shards,
 /// each shard compresses independently (pages already reset the codec's
@@ -630,39 +637,38 @@ pub(crate) fn compress_paged_striped(
     threads: usize,
 ) -> Vec<PagedLog> {
     let shards = shard_at_lines(text, COMPRESS_SHARD_BYTES);
-    let workers = threads.max(1).min(shards.len().max(1));
-    if workers <= 1 {
-        return shards
-            .into_iter()
-            .map(|s| compress_paged(s, config, page_bytes))
-            .collect();
+    map_striped(&shards, threads, |shard| {
+        compress_paged(shard, config, page_bytes)
+    })
+}
+
+/// Maps `f` over `items` on up to `threads` workers, each taking one
+/// contiguous run of items (the calling thread takes the first), and
+/// returns the results in item order — so the output never depends on the
+/// thread count.
+pub(crate) fn map_striped<T: Sync, R: Send>(
+    items: &[T],
+    threads: usize,
+    f: impl Fn(&T) -> R + Sync,
+) -> Vec<R> {
+    let workers = threads.clamp(1, items.len().max(1));
+    if workers == 1 {
+        return items.iter().map(f).collect();
     }
-    let mut slots: Vec<Option<PagedLog>> = Vec::with_capacity(shards.len());
-    slots.resize_with(shards.len(), || None);
-    let compressed: Vec<(usize, PagedLog)> = thread::scope(|scope| {
-        let shards = &shards;
-        let handles: Vec<_> = (0..workers)
-            .map(|w| {
-                scope.spawn(move || {
-                    (w..shards.len())
-                        .step_by(workers)
-                        .map(|i| (i, compress_paged(shards[i], config, page_bytes)))
-                        .collect::<Vec<_>>()
-                })
-            })
+    let f = &f;
+    let mut runs = items.chunks(items.len().div_ceil(workers));
+    let first = runs.next().expect("two workers have items");
+    thread::scope(|scope| {
+        let rest: Vec<_> = runs
+            .map(|run| scope.spawn(move || run.iter().map(f).collect::<Vec<R>>()))
             .collect();
-        handles
-            .into_iter()
-            .flat_map(|h| h.join().expect("compression worker panicked"))
-            .collect()
-    });
-    for (slot, paged) in compressed {
-        slots[slot] = Some(paged);
-    }
-    slots
-        .into_iter()
-        .map(|s| s.expect("every shard compressed"))
-        .collect()
+        let mut out: Vec<R> = Vec::with_capacity(items.len());
+        out.extend(first.iter().map(f));
+        for handle in rest {
+            out.extend(handle.join().expect("striped worker panicked"));
+        }
+        out
+    })
 }
 
 /// Splits `text` into chunks of roughly `target` bytes, never inside a

@@ -3,7 +3,7 @@ use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 use std::ops::Range;
 use std::time::{Duration, Instant};
 
-use mithrilog_compress::{Codec, Lzah};
+use mithrilog_compress::{Codec, Lzah, PageFrame, PagedLog};
 use mithrilog_filter::FilterPipeline;
 use mithrilog_index::{InvertedIndex, QueryPlan};
 use mithrilog_query::{parse, Query};
@@ -316,11 +316,10 @@ pub struct PreparedIngest<'a> {
 /// and account for it without re-tokenizing.
 #[derive(Debug)]
 struct PreparedFrame {
-    /// The LZAH-compressed page payload.
-    data: Vec<u8>,
+    /// The LZAH-compressed page.
+    frame: PageFrame,
     /// The frame's raw-text range within `PreparedIngest::text`.
     raw_range: Range<usize>,
-    lines: u64,
     /// The page's analysis, with token ranges relative to the frame's raw
     /// text. Computed here, in the pure half, so overlapped ingest stays
     /// byte-identical to direct ingest.
@@ -334,28 +333,36 @@ impl<'a> PreparedIngest<'a> {
     /// on any thread while the owning system serves queries. Compression
     /// stripes across the configured worker pool with input-dependent shard
     /// boundaries, so the frame layout is byte-identical for every thread
-    /// count.
+    /// count; page analysis then stripes the frames across the same pool in
+    /// contiguous runs of at least a few pages, joined in page order.
     pub fn build(config: &SystemConfig, text: Cow<'a, [u8]>) -> Self {
-        let shards = exec::compress_paged_striped(
-            &text,
-            config.lzah,
-            config.device.page_bytes,
-            config.resolved_query_threads(),
-        );
-        let tokenizer = Tokenizer::new(config.tokenizer.clone());
-        let mut frames = Vec::new();
+        let threads = config.resolved_query_threads();
+        let shards =
+            exec::compress_paged_striped(&text, config.lzah, config.device.page_bytes, threads);
         let mut offset = 0usize;
-        for frame in shards.iter().flat_map(|paged| paged.pages()) {
-            let raw_range = offset..offset + frame.raw_len();
-            offset += frame.raw_len();
-            let facts = PageFacts::of(&tokenizer, config.bitmap_buckets, &text[raw_range.clone()]);
-            frames.push(PreparedFrame {
-                data: frame.data().to_vec(),
+        let pages: Vec<(PageFrame, Range<usize>)> = shards
+            .into_iter()
+            .flat_map(PagedLog::into_pages)
+            .map(|frame| {
+                let raw_range = offset..offset + frame.raw_len();
+                offset = raw_range.end;
+                (frame, raw_range)
+            })
+            .collect();
+        let tokenizer = Tokenizer::new(config.tokenizer.clone());
+        let workers = threads.min(pages.len() / exec::MIN_ANALYSIS_PAGES_PER_WORKER);
+        let facts = exec::map_striped(&pages, workers, |(_, range)| {
+            PageFacts::of(&tokenizer, config.bitmap_buckets, &text[range.clone()])
+        });
+        let frames = pages
+            .into_iter()
+            .zip(facts)
+            .map(|((frame, raw_range), facts)| PreparedFrame {
+                frame,
                 raw_range,
-                lines: frame.lines() as u64,
                 facts,
-            });
-        }
+            })
+            .collect();
         PreparedIngest { text, frames }
     }
 
@@ -380,44 +387,6 @@ impl<'a> PreparedIngest<'a> {
     pub fn frame_key(&self, index: usize) -> &[u8] {
         let slice = &self.text[self.frames[index].raw_range.clone()];
         slice.split(|b| *b == b'\n').next().unwrap_or(slice)
-    }
-
-    /// Splits the prepared frames into `shards` independent prepared
-    /// ingests, sending frame `i` to `routes[i]`, preserving relative frame
-    /// order within each shard. The frame payloads are reused byte-for-byte
-    /// (never recompressed), so the k-th frame routed to a shard lands
-    /// there exactly as it would have landed on a single device — the
-    /// invariant the shard layer's order-preserving merge rests on.
-    ///
-    /// # Panics
-    ///
-    /// When `routes.len() != frame_count()` or any route is `>= shards`.
-    pub fn partition(&self, routes: &[usize], shards: usize) -> Vec<PreparedIngest<'static>> {
-        assert_eq!(
-            routes.len(),
-            self.frames.len(),
-            "one route per prepared frame"
-        );
-        let mut parts: Vec<(Vec<u8>, Vec<PreparedFrame>)> =
-            (0..shards).map(|_| (Vec::new(), Vec::new())).collect();
-        for (frame, &shard) in self.frames.iter().zip(routes) {
-            let (text, frames) = &mut parts[shard];
-            let start = text.len();
-            text.extend_from_slice(&self.text[frame.raw_range.clone()]);
-            frames.push(PreparedFrame {
-                data: frame.data.clone(),
-                raw_range: start..text.len(),
-                lines: frame.lines,
-                facts: frame.facts.clone(),
-            });
-        }
-        parts
-            .into_iter()
-            .map(|(text, frames)| PreparedIngest {
-                text: Cow::Owned(text),
-                frames,
-            })
-            .collect()
     }
 }
 
@@ -1134,30 +1103,57 @@ impl<S: PageStore> MithriLog<S> {
         &mut self,
         prep: &PreparedIngest<'_>,
     ) -> Result<IngestReport, MithriLogError> {
+        self.apply_ingest_frames(prep, 0..prep.frames.len())
+    }
+
+    /// Applies the frames of `prep` whose indices `frames` yields, in that
+    /// order, exactly as [`MithriLog::apply_ingest`] applies all of them:
+    /// a shard applies its share of a routed batch straight from the one
+    /// shared [`PreparedIngest`], copying no frame.
+    ///
+    /// # Errors
+    ///
+    /// Propagates storage errors.
+    ///
+    /// # Panics
+    ///
+    /// When an index is `>= prep.frame_count()`.
+    pub fn apply_ingest_frames(
+        &mut self,
+        prep: &PreparedIngest<'_>,
+        frames: impl IntoIterator<Item = usize>,
+    ) -> Result<IngestReport, MithriLogError> {
         let mut report = IngestReport {
             raw_bytes: 0,
             lines: 0,
             data_pages: 0,
             compressed_bytes: 0,
         };
-        for frame in &prep.frames {
-            let page = self.ssd.append(&frame.data)?;
+        for prepared in frames.into_iter().map(|i| &prep.frames[i]) {
+            let PreparedFrame {
+                frame,
+                raw_range,
+                facts,
+            } = prepared;
+            let lines = frame.lines() as u64;
+            let compressed = frame.data().len() as u64;
+            let page = self.ssd.append(frame.data())?;
             self.data_pages.push(page);
             self.pending.data_pages.push(page.0);
             self.page_gens.insert(page.0, self.open.generation);
             self.open.pages.push(page);
-            self.open.page_marks.extend(frame.facts.marks.clone());
-            self.fold_page(page, &prep.text[frame.raw_range.clone()], &frame.facts)?;
+            self.open.page_marks.extend(facts.marks.clone());
+            self.fold_page(page, &prep.text[raw_range.clone()], facts)?;
 
-            report.raw_bytes += frame.raw_range.len() as u64;
-            report.lines += frame.lines;
+            report.raw_bytes += raw_range.len() as u64;
+            report.lines += lines;
             report.data_pages += 1;
-            report.compressed_bytes += frame.data.len() as u64;
-            self.open.raw_bytes += frame.raw_range.len() as u64;
-            self.open.lines += frame.lines;
-            self.open.compressed_bytes += frame.data.len() as u64;
+            report.compressed_bytes += compressed;
+            self.open.raw_bytes += raw_range.len() as u64;
+            self.open.lines += lines;
+            self.open.compressed_bytes += compressed;
 
-            self.logical_clock += frame.lines;
+            self.logical_clock += lines;
             if self.index.should_snapshot() {
                 let watermark = PageId(self.ssd.page_count());
                 self.index

@@ -409,19 +409,23 @@ impl<S: PageStore> ShardedLog<S> {
         prep: &PreparedIngest<'_>,
     ) -> Result<IngestReport, ShardError> {
         let routes = self.routes_for(tenant, prep);
-        let parts = prep.partition(&routes, self.shards.len());
         let mut total = IngestReport {
             raw_bytes: 0,
             lines: 0,
             data_pages: 0,
             compressed_bytes: 0,
         };
-        for (shard, part) in parts.iter().enumerate() {
-            if part.frame_count() == 0 {
+        for (shard, log) in self.shards.iter_mut().enumerate() {
+            // Frame `i` goes to `routes[i]`, in batch order, so the k-th
+            // frame routed to a shard lands there exactly as it would on a
+            // single device — the invariant the order-preserving merge
+            // rests on. A shard with no frames commits nothing.
+            if !routes.contains(&shard) {
                 continue;
             }
-            let report = self.shards[shard]
-                .apply_ingest(part)
+            let mine = (0..routes.len()).filter(|&i| routes[i] == shard);
+            let report = log
+                .apply_ingest_frames(prep, mine)
                 .map_err(|source| ShardError::Shard { shard, source })?;
             total.raw_bytes += report.raw_bytes;
             total.lines += report.lines;

@@ -29,6 +29,10 @@ echo "==> cold-page kernels (sliced CRC32 == bitwise reference; decompress_into 
 cargo test -p mithrilog-storage --lib -q crc::tests
 cargo test --test properties -q lzah_into_agrees
 
+echo "==> ingest kernels (hashed page analysis == sort-based reference; bounded-trial packer == trial-every-line reference)"
+cargo test -p mithrilog --lib -q hashed_walk_equals_the_sort_based_reference
+cargo test -p mithrilog-compress --lib -q bounded_trials_pack_exactly_like_trying_every_line
+
 echo "==> ingest identity (golden device image after ingest and rebuild; rebuild keeps the journal totals)"
 cargo test --test recovery -q -- --exact golden_device_image_after_ingest_and_after_rebuild
 cargo test --test recovery -q -- --exact rebuild_keeps_the_journal_totals_so_later_mounts_load_the_checkpoint
@@ -89,7 +93,7 @@ cargo run --release -p mithrilog-bench --quiet --bin repro -- --check
 echo "==> bench_e2e (its own workspace: a crate API change must not break it unnoticed)"
 cargo build --release --offline --manifest-path benchmark/Cargo.toml
 (cd benchmark && cargo test --offline -q)
-for WORKLOAD in scan_cold probe_warm shard_scatter serve_mixed; do
+for WORKLOAD in scan_cold probe_warm shard_scatter ingest_stream serve_mixed; do
   BENCH_LINE=$(benchmark/run.sh --workload "$WORKLOAD" --seed 42 --seconds 3 --trace 0 | tail -n 1)
   echo "$BENCH_LINE"
   case "$BENCH_LINE" in

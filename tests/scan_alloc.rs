@@ -11,7 +11,8 @@
 //! solo query *is* a wave of one, and a four-request wave builds its page
 //! union and fans every page out without allocating per page either. The
 //! LZAH decode kernel on its own, with a reused scratch, allocates nothing
-//! per frame. On the write side, the one token walk per page that
+//! per frame. On the write side, the page packer allocates about once per
+//! frame, never per line, and the one token walk per page that
 //! `PreparedIngest::build` adds to compression allocates a bounded number
 //! of times per frame, never once per distinct token. A two-shard
 //! scatter-gather wave allocates a fixed handful per shard and per query
@@ -205,23 +206,27 @@ fn steady_state_scan_allocates_o1_per_query_not_per_page() {
         "decompress allocated only {fresh} times for {n} frames"
     );
 
-    // The ingest build half: compression plus one page analysis per frame
-    // (distinct tokens, pruning marks, datapath statistics). Everything
-    // beyond compression's own allocations is a fixed handful per frame.
+    // The ingest build half. The page packer reuses one encoder, window
+    // and rollback log for the whole input, so compression allocates about
+    // once per frame (the finished frame), never per line or word. Page
+    // analysis (distinct tokens, pruning marks, datapath statistics) adds
+    // a fixed handful per frame beyond compression's own allocations.
     let before = allocations();
-    drop(compress_paged(
-        ds.text(),
-        config.lzah,
-        config.device.page_bytes,
-    ));
+    let paged = compress_paged(ds.text(), config.lzah, config.device.page_bytes);
     let compress = allocations() - before;
+    let frames = paged.page_count() as u64;
+    drop(paged);
+    assert!(
+        compress <= 2 * frames + 32,
+        "compression allocated {compress} times for {frames} frames"
+    );
     let before = allocations();
     let prep = PreparedIngest::build(&config, Cow::Borrowed(ds.text()));
     let build = allocations() - before;
-    let frames = prep.frame_count();
+    assert_eq!(prep.frame_count(), pages);
     assert_eq!(frames, pages);
     assert!(
-        build <= compress + 48 * frames,
+        build <= compress + 16 * frames,
         "build allocated {build} times for {frames} frames; compression \
          alone allocates {compress}"
     );
