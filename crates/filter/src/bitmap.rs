@@ -31,6 +31,18 @@ impl Bitmap {
         &self.limbs
     }
 
+    /// The indices of the set bits, in increasing order.
+    pub(crate) fn ones(&self) -> impl Iterator<Item = usize> + '_ {
+        self.limbs.iter().enumerate().flat_map(|(i, &limb)| {
+            let mut rest = limb;
+            std::iter::from_fn(move || {
+                let bit = (rest != 0).then(|| rest.trailing_zeros() as usize)?;
+                rest &= rest - 1;
+                Some(i * 64 + bit)
+            })
+        })
+    }
+
     /// Whether no bit is set.
     pub fn is_empty(&self) -> bool {
         self.limbs.iter().all(|&l| l == 0)
@@ -174,6 +186,8 @@ mod tests {
         }
         assert_eq!(b.count_ones(), 8);
         assert!(!b.get(2));
+        let ones: Vec<usize> = b.ones().collect();
+        assert_eq!(ones, [0, 1, 63, 64, 127, 128, 200, 255]);
     }
 
     #[test]

@@ -55,7 +55,6 @@ pub struct HashFilter<'a> {
     untouched: LineVerdict,
     /// Assembly buffer for tokens arriving as multi-word fragments.
     pending: Vec<u8>,
-    tokens_processed: u64,
 }
 
 impl<'a> HashFilter<'a> {
@@ -74,7 +73,6 @@ impl<'a> HashFilter<'a> {
                 matched_set,
             },
             pending: Vec::new(),
-            tokens_processed: 0,
         }
     }
 
@@ -99,7 +97,6 @@ impl<'a> HashFilter<'a> {
         if token.is_empty() {
             return;
         }
-        self.tokens_processed += 1;
         let Some((row, entry)) = self.compiled.table().lookup(token) else {
             // Token not mentioned by any query: ignore (paper: "this input
             // token can be ignored").
@@ -189,25 +186,11 @@ impl<'a> HashFilter<'a> {
     /// Clears all per-line evaluation state (bitmaps, poison flags, the
     /// multi-word assembly buffer) without reallocating, so one filter can
     /// be reused across pages and scans instead of constructed per call.
-    /// The cumulative [`HashFilter::tokens_processed`] and
-    /// [`HashFilter::lookups`] counters are preserved; callers that need
-    /// per-run stats take deltas around the run.
     pub fn reset(&mut self) {
         self.bitmaps.fill(0);
         self.violated = 0;
         self.touched = false;
         self.pending.clear();
-    }
-
-    /// Total tokens processed since construction.
-    pub fn tokens_processed(&self) -> u64 {
-        self.tokens_processed
-    }
-
-    /// Total hash table lookups performed (one per token in this model; the
-    /// hardware probes both rows in parallel in one cycle).
-    pub fn lookups(&self) -> u64 {
-        self.tokens_processed
     }
 }
 
@@ -378,15 +361,5 @@ mod tests {
         let cq = CompiledQuery::compile(&q, FilterParams::default()).unwrap();
         assert!(!eval(&cq, "x"));
         assert!(!eval(&cq, "anything"));
-    }
-
-    #[test]
-    fn counters_accumulate() {
-        let cq = compiled("A");
-        let mut f = HashFilter::new(&cq);
-        f.evaluate_line(["a", "b", "c"].map(str::as_bytes));
-        f.evaluate_line(["d"].map(str::as_bytes));
-        assert_eq!(f.tokens_processed(), 4);
-        assert_eq!(f.lookups(), 4);
     }
 }

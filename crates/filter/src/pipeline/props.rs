@@ -74,9 +74,7 @@ fn reference(pipeline: &FilterPipeline, text: &[u8]) -> Reference {
         }
         out.stats.lines_in += 1;
         out.stats.bytes_in += line.len() as u64 + 1;
-        let before = filter.tokens_processed();
         let verdict = filter.evaluate_line(pipeline.tokenizer.tokens(line));
-        out.stats.tokens += filter.tokens_processed() - before;
         assert_eq!(verdict.keep, verdict.matched_set.is_some());
         if verdict.keep {
             out.stats.lines_kept += 1;
@@ -512,6 +510,293 @@ fn fused_walk_equals_reference_and_set_semantics() {
             "delimiter sets without newline",
             seen.newline_not_a_delimiter,
         ),
+    ] {
+        assert!(count >= 10, "only {count} {what}: {seen:?}");
+    }
+}
+
+/// Which shapes a skim case contained; summed over all cases and asserted
+/// on.
+#[derive(Debug, Default)]
+struct SkimSeen {
+    cases: usize,
+    /// Hits the skim stops at, by their lane in the step that finds them.
+    hit_lanes: [usize; 8],
+    /// Hits found by a step that reads past the end of the text.
+    hits_in_tail: usize,
+    hits_at_first_byte: usize,
+    hits_at_last_byte: usize,
+    anchors_inside_tokens: usize,
+    empty_lines_before_hits: usize,
+    crlf_after_hits: usize,
+    unterminated_last_lines: usize,
+    newline_not_a_delimiter: usize,
+    one_anchor: usize,
+    two_anchors: usize,
+    shorter_than_an_anchor_and_a_word: usize,
+    fallback_pages: usize,
+    pages_skimmed_to_the_end: usize,
+}
+
+/// A page for the skim: mostly filler lines that hold no anchor, some lines
+/// with an anchor (and then maybe the rest of its set, so some are kept),
+/// near misses that share an anchor's first and last byte, and anchors
+/// glued to longer tokens.
+fn skim_case(rng: &mut TestRng, seen: &mut SkimSeen) -> (TokenizerConfig, CompiledQuery, Vec<u8>) {
+    let mut delimiters = vec![b' ', b'\t'];
+    if chance(rng, 80) {
+        delimiters.push(b'\r');
+    }
+    if chance(rng, 70) {
+        delimiters.push(b'\n');
+    } else {
+        seen.newline_not_a_delimiter += 1;
+    }
+    let word_bytes = [16, 8][rng.below(2)];
+    let tokenizer = TokenizerConfig {
+        delimiters,
+        ..TokenizerConfig::with_word_bytes(word_bytes)
+    };
+    let params = FilterParams {
+        word_bytes,
+        ..FilterParams::default()
+    };
+
+    // One or two sets, each anchored by a term longer than its others;
+    // filler is drawn from other letters, so it never equals a term.
+    let mut sets: Vec<Vec<Term>> = Vec::new();
+    let mut anchors: Vec<Vec<u8>> = Vec::new();
+    for _ in 0..1 + rng.below(2) {
+        let len = if chance(rng, 70) {
+            2 + rng.below(10)
+        } else {
+            LENGTHS[rng.below(LENGTHS.len())]
+        };
+        let anchor = letters(rng, len);
+        let mut set = vec![Term::new(&anchor, false)];
+        for _ in 0..rng.below(3) {
+            if len > 1 {
+                let shorter = 1 + rng.below(len - 1);
+                set.push(Term::new(letters(rng, shorter), false));
+            }
+        }
+        if chance(rng, 30) {
+            set.push(Term::new(format!("no{}", letters(rng, 3)), true));
+        }
+        anchors.push(anchor.into_bytes());
+        sets.push(set);
+    }
+    let query = Query::try_new(
+        sets.iter()
+            .map(|set| set.iter().cloned().collect::<IntersectionSet>())
+            .collect(),
+    )
+    .expect("sets are non-empty");
+    let compiled = CompiledQuery::compile(&query, params).expect("a few short terms fit");
+    match compiled.anchors().len() {
+        1 => seen.one_anchor += 1,
+        _ => seen.two_anchors += 1,
+    }
+
+    let gaps: Vec<u8> = tokenizer
+        .delimiters
+        .iter()
+        .copied()
+        .filter(|&d| d != b'\n')
+        .collect();
+    let filler = |rng: &mut TestRng| -> Vec<u8> {
+        let len = 1 + rng.below(12);
+        (0..len).map(|_| b"efgh:-"[rng.below(6)]).collect()
+    };
+    let near_miss = |rng: &mut TestRng, anchor: &[u8]| -> Vec<u8> {
+        let mut token = anchor.to_vec();
+        if token.len() > 2 && chance(rng, 50) {
+            let at = 1 + rng.below(token.len() - 2);
+            token[at] = b'z'; // same first and last byte
+        } else if chance(rng, 50) {
+            token.insert(0, b'x');
+        } else {
+            token.push(b'x');
+        }
+        token
+    };
+
+    let short = chance(rng, 10);
+    let lines = if short {
+        rng.below(3)
+    } else {
+        40 + rng.below(261)
+    };
+    let hit_percent = if short || chance(rng, 25) { 70 } else { 3 };
+    let mut text = Vec::new();
+    for n in 0..lines {
+        let set = rng.below(sets.len());
+        let anchor = &anchors[set];
+        let mut tokens: Vec<Vec<u8>> = (0..rng.below(if short { 2 } else { 9 }))
+            .map(|_| filler(rng))
+            .collect();
+        if chance(rng, hit_percent) {
+            let at = rng.below(tokens.len() + 1);
+            tokens.insert(at, anchor.clone());
+            if chance(rng, 50) {
+                for term in sets[set].iter().skip(1).filter(|t| !t.is_negated()) {
+                    tokens.push(term.token().as_bytes().to_vec());
+                }
+            }
+        }
+        if chance(rng, 15) {
+            let at = rng.below(tokens.len() + 1);
+            tokens.insert(at, near_miss(rng, anchor));
+        }
+        if n == 0 && chance(rng, 15) {
+            tokens.insert(0, anchor.clone());
+        }
+        let last = n + 1 == lines;
+        if last && chance(rng, 25) {
+            tokens.push(anchor.clone());
+        }
+        for (i, token) in tokens.iter().enumerate() {
+            if i > 0 || chance(rng, 10) {
+                for _ in 0..1 + rng.below(2) {
+                    text.push(gaps[rng.below(gaps.len())]);
+                }
+            }
+            text.extend_from_slice(token);
+        }
+        if last && chance(rng, 40) {
+            break;
+        }
+        match rng.below(100) {
+            0..=74 => text.push(b'\n'),
+            75..=87 => text.extend_from_slice(b"\r\n"),
+            _ => text.extend_from_slice(b"\n\n"),
+        }
+    }
+    (tokenizer, compiled, text)
+}
+
+/// Replays the skim's stops on `text` from the oracle's tokens, to count
+/// the shapes it met: which lines hold an anchor, where the first one
+/// starts, and whether the page falls back to walking every line.
+fn tally_skim(tokenizer: &TokenizerConfig, anchors: &[Vec<u8>], text: &[u8], seen: &mut SkimSeen) {
+    let reach = anchors.iter().map(Vec::len).max().unwrap_or(0) + 7;
+    if text.len() < reach + 1 {
+        seen.shorter_than_an_anchor_and_a_word += 1;
+    }
+    if !text.is_empty() && text.last() != Some(&b'\n') {
+        seen.unterminated_last_lines += 1;
+    }
+    let is_token_at = |p: usize, anchor: &[u8]| {
+        let end = p + anchor.len();
+        let boundary = |b: Option<&u8>| b.is_none_or(|b| *b == b'\n' || tokenizer.is_delimiter(*b));
+        text.get(p..end) == Some(anchor)
+            && boundary(p.checked_sub(1).map(|i| &text[i]))
+            && boundary(text.get(end))
+    };
+    for anchor in anchors {
+        for p in 0..text.len() {
+            let glued = p.checked_sub(1).map(|i| text[i]) == Some(b'x')
+                || text.get(p + anchor.len()) == Some(&b'x');
+            let inside = glued && text.get(p..p + anchor.len()) == Some(anchor);
+            seen.anchors_inside_tokens += usize::from(inside);
+        }
+    }
+    let (mut from, mut skipped, mut walked) = (0usize, 0u64, 0u64);
+    let mut offset = 0usize;
+    for line in text.split(|b| *b == b'\n') {
+        let (start, end) = (offset, offset + line.len());
+        offset = end + 1;
+        let hit = (start..end).find(|&p| anchors.iter().any(|a| is_token_at(p, a)));
+        match hit {
+            Some(p) => {
+                seen.hit_lanes[(p - from) % 8] += 1;
+                let step = from + (p - from) / 8 * 8;
+                seen.hits_in_tail += usize::from(step + reach > text.len());
+                seen.hits_at_first_byte += usize::from(p == 0);
+                let last = anchors
+                    .iter()
+                    .any(|a| p + a.len() == text.len() && is_token_at(p, a));
+                seen.hits_at_last_byte += usize::from(last);
+                seen.empty_lines_before_hits += usize::from(start >= 2 && text[start - 2] == b'\n');
+                seen.crlf_after_hits += usize::from(line.ends_with(b"\r"));
+                walked += 1;
+                from = offset.min(text.len());
+                if walked > skipped {
+                    seen.fallback_pages += 1;
+                    return;
+                }
+            }
+            None => skipped += u64::from(!line.is_empty()),
+        }
+    }
+    seen.pages_skimmed_to_the_end += 1;
+}
+
+#[test]
+fn skim_skips_exactly_the_lines_the_walk_drops() {
+    let mut rng = TestRng::from_name("skim_skips_exactly_the_lines_the_walk_drops");
+    let mut seen = SkimSeen::default();
+    for _ in 0..400 {
+        let (tokenizer, compiled, text) = skim_case(&mut rng, &mut seen);
+        seen.cases += 1;
+        tally_skim(&tokenizer, compiled.anchors(), &text, &mut seen);
+        let pipeline = FilterPipeline {
+            tokenizer: Tokenizer::new(tokenizer.clone()),
+            compiled,
+        };
+        let want = reference(&pipeline, &text);
+        let context = || {
+            format!(
+                "delimiters {:?} anchors {:?} text {:?}",
+                tokenizer.delimiters,
+                pipeline
+                    .compiled
+                    .anchors()
+                    .iter()
+                    .map(|a| String::from_utf8_lossy(a))
+                    .collect::<Vec<_>>(),
+                String::from_utf8_lossy(&text)
+            )
+        };
+        let mut filter = HashFilter::new(&pipeline.compiled);
+        let mut kept = vec![3..4, 0..1]; // stale: the kernel must clear it
+        for _ in 0..2 {
+            let stats = pipeline.filter_text_with_stats_into(&text, &mut filter, &mut kept);
+            assert_eq!(kept, want.kept, "{}", context());
+            assert_eq!(stats, want.stats, "{}", context());
+        }
+    }
+    for (what, count) in [
+        ("hits in lane 0", seen.hit_lanes[0]),
+        ("hits in lane 1", seen.hit_lanes[1]),
+        ("hits in lane 2", seen.hit_lanes[2]),
+        ("hits in lane 3", seen.hit_lanes[3]),
+        ("hits in lane 4", seen.hit_lanes[4]),
+        ("hits in lane 5", seen.hit_lanes[5]),
+        ("hits in lane 6", seen.hit_lanes[6]),
+        ("hits in lane 7", seen.hit_lanes[7]),
+        ("hits found by a step past the end", seen.hits_in_tail),
+        ("hits at the first byte", seen.hits_at_first_byte),
+        ("hits at the last byte", seen.hits_at_last_byte),
+        ("anchors inside longer tokens", seen.anchors_inside_tokens),
+        ("empty lines before a hit", seen.empty_lines_before_hits),
+        ("CRLF after a hit", seen.crlf_after_hits),
+        (
+            "texts without a trailing newline",
+            seen.unterminated_last_lines,
+        ),
+        (
+            "delimiter sets without newline",
+            seen.newline_not_a_delimiter,
+        ),
+        ("one-anchor queries", seen.one_anchor),
+        ("two-anchor queries", seen.two_anchors),
+        (
+            "pages shorter than an anchor and a word",
+            seen.shorter_than_an_anchor_and_a_word,
+        ),
+        ("pages that fall back to the walk", seen.fallback_pages),
+        ("pages skimmed to the end", seen.pages_skimmed_to_the_end),
     ] {
         assert!(count >= 10, "only {count} {what}: {seen:?}");
     }

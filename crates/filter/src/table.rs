@@ -207,6 +207,13 @@ impl CuckooTable {
         out
     }
 
+    /// The full token stored in `row`, if the row is occupied.
+    pub(crate) fn token(&self, row: usize) -> Option<Vec<u8>> {
+        self.slots[row]
+            .as_ref()
+            .map(|entry| self.entry_token(entry))
+    }
+
     /// Looks up a token, returning its row and entry if present.
     #[inline]
     pub fn lookup(&self, token: &[u8]) -> Option<(usize, &TableEntry)> {

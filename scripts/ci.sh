@@ -22,8 +22,10 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "==> cargo doc --workspace --no-deps --lib (intra-doc links resolve, no rustdoc warnings)"
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --lib
 
-echo "==> fused filter kernel (byte walk == reference line loop == set semantics, random pages and queries)"
+echo "==> fused filter kernel (byte walk == reference line loop == set semantics; anchor skim == walk; exact lane mask)"
 cargo test -p mithrilog-filter --lib -q fused_walk_equals_reference_and_set_semantics
+cargo test -p mithrilog-filter --lib -q skim_skips_exactly_the_lines_the_walk_drops
+cargo test -p mithrilog-filter --lib -q counting_mask_is_exact_in_every_lane
 
 echo "==> cold-page kernels (sliced CRC32 == bitwise reference; decompress_into == decompress on mutilated frames)"
 cargo test -p mithrilog-storage --lib -q crc::tests
