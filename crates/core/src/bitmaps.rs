@@ -26,6 +26,8 @@ use mithrilog_filter::Bitmap;
 use mithrilog_query::Query;
 use mithrilog_tokenizer::{DatapathStats, Tokenizer};
 
+use crate::le::{take_bytes, take_u32, take_u64};
+
 /// Saturating tokens kept per page before segment-level selection.
 pub(crate) const MAX_SAT_TOKENS_PER_PAGE: usize = 16;
 /// Saturating tokens kept per sealed segment (selection: most pages
@@ -339,14 +341,9 @@ impl SegmentBitmaps {
     /// `None` (the caller then plans the segment conservatively).
     pub(crate) fn from_bytes(bytes: &[u8]) -> Option<SegmentBitmaps> {
         let mut rest = bytes;
-        if rest.len() < 8 || &rest[..4] != BITMAP_MAGIC {
+        if take_bytes(&mut rest, 4)? != BITMAP_MAGIC || take_u32(&mut rest)? != BITMAP_VERSION {
             return None;
         }
-        let version = u32::from_le_bytes(rest[4..8].try_into().ok()?);
-        if version != BITMAP_VERSION {
-            return None;
-        }
-        rest = &rest[8..];
         let buckets = take_u64(&mut rest)? as usize;
         let pages = take_u64(&mut rest)? as usize;
         if buckets == 0 || buckets > 1 << 24 || pages > 1 << 32 {
@@ -363,11 +360,10 @@ impl SegmentBitmaps {
         let mut sat_tokens = Vec::with_capacity(sat_count);
         for _ in 0..sat_count {
             let len = take_u64(&mut rest)? as usize;
-            if len > MAX_SAT_TOKEN_LEN || rest.len() < len {
+            if len > MAX_SAT_TOKEN_LEN {
                 return None;
             }
-            sat_tokens.push(rest[..len].to_vec());
-            rest = &rest[len..];
+            sat_tokens.push(take_bytes(&mut rest, len)?.to_vec());
         }
         if sat_tokens.windows(2).any(|w| w[0] >= w[1]) {
             return None;
@@ -424,15 +420,6 @@ fn unpack_bits(rest: &mut &[u8], bits: usize) -> Option<Bitmap> {
     }
     *rest = &rest[bytes..];
     Some(bm)
-}
-
-fn take_u64(rest: &mut &[u8]) -> Option<u64> {
-    if rest.len() < 8 {
-        return None;
-    }
-    let v = u64::from_le_bytes(rest[..8].try_into().ok()?);
-    *rest = &rest[8..];
-    Some(v)
 }
 
 #[cfg(test)]

@@ -42,6 +42,7 @@ mod config;
 mod control;
 mod error;
 mod exec;
+mod le;
 mod outcome;
 mod system;
 

@@ -231,6 +231,30 @@ pub struct DegradedRead {
 }
 
 impl DegradedRead {
+    /// Sets [`DegradedRead::estimated_missed_lines`]: every lost page
+    /// (skipped or clipped) is charged this read's observed line density,
+    /// `lines_scanned` over `pages_filtered`; when no page was filtered, the
+    /// store's average, `total_lines` over `total_pages`, stands in. A
+    /// single device and a sharded topology both estimate here, so the two
+    /// agree to the line.
+    pub fn estimate_missed_lines(
+        &mut self,
+        lines_scanned: u64,
+        pages_filtered: u64,
+        total_lines: u64,
+        total_pages: u64,
+    ) {
+        let lost = self.skipped_pages.len() as u64 + self.budget_clipped + self.deadline_clipped;
+        let per_page = if pages_filtered > 0 {
+            lines_scanned.div_ceil(pages_filtered)
+        } else if total_pages > 0 {
+            total_lines.div_ceil(total_pages)
+        } else {
+            0
+        };
+        self.estimated_missed_lines = per_page * lost;
+    }
+
     /// Whether anything at all was lost or recovered around.
     pub fn is_degraded(&self) -> bool {
         !self.skipped_pages.is_empty()

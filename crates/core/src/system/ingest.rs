@@ -3,13 +3,14 @@ use std::ops::Range;
 
 use mithrilog_compress::{PageFrame, PagedLog};
 use mithrilog_storage::{
-    append_commit, append_record, crc32, write_superblock_commit, CheckpointRef, CommitRecord,
-    Crc32, DropRecord, JournalRecord, PageId, PageStore, SealRecord, Superblock,
+    append_blob, append_commit, append_record, crc32, write_superblock_commit, CommitRecord,
+    DropRecord, JournalRecord, PageId, PageStore, SealRecord, Superblock,
 };
 use mithrilog_tokenizer::Tokenizer;
 
 use super::{
-    BitmapRef, MithriLog, OpenSegment, PendingCommit, Segment, CHECKPOINT_MAGIC, CHECKPOINT_VERSION,
+    crc_summary, BitmapRef, MithriLog, OpenSegment, PendingCommit, Segment, CHECKPOINT_MAGIC,
+    CHECKPOINT_VERSION,
 };
 use crate::bitmaps::{PageFacts, SegmentBitmaps};
 use crate::config::SystemConfig;
@@ -286,15 +287,11 @@ impl<S: PageStore> MithriLog<S> {
     /// never fails — a later [`MithriLog::verify_segment`] correctly flags
     /// the segment instead.
     fn segment_crc(&mut self, pages: &[PageId]) -> u32 {
-        let mut summary = Crc32::new();
-        for page in pages {
-            let crc = match self.ssd.page_crc(page.0) {
-                Some(c) => c,
-                None => self.ssd.read(*page).map(|raw| crc32(&raw)).unwrap_or(0),
-            };
-            summary.update(&crc.to_le_bytes());
-        }
-        summary.finalize()
+        let ssd = &mut self.ssd;
+        crc_summary(pages.iter().map(|page| {
+            ssd.page_crc(page.0)
+                .unwrap_or_else(|| ssd.read(*page).map(|raw| crc32(&raw)).unwrap_or(0))
+        }))
     }
 
     /// Runs the journaled commit protocol, making everything ingested since
@@ -314,16 +311,7 @@ impl<S: PageStore> MithriLog<S> {
         self.index.seal_storage();
         self.persist_segment_bitmaps()?;
         let blob = self.checkpoint_blob();
-        let page_bytes = self.config.device.page_bytes;
-        let ckpt = CheckpointRef {
-            first_page: self.ssd.page_count(),
-            page_count: blob.len().div_ceil(page_bytes) as u64,
-            byte_len: blob.len() as u64,
-            crc: crc32(&blob),
-        };
-        for chunk in blob.chunks(page_bytes) {
-            self.ssd.append(chunk)?;
-        }
+        let ckpt = append_blob(&mut self.ssd, &blob)?;
         let sequence = self.superblock.sequence + 1;
         let record = CommitRecord {
             sequence,
@@ -350,7 +338,7 @@ impl<S: PageStore> MithriLog<S> {
         self.ssd.sync()?; // barrier 1: payload before the flip
         let sb = Superblock {
             format_version: Superblock::FORMAT_VERSION,
-            page_bytes: page_bytes as u32,
+            page_bytes: self.config.device.page_bytes as u32,
             sequence: record.sequence,
             committed_pages: self.ssd.page_count(),
             journal_head: Some(head),
@@ -368,7 +356,6 @@ impl<S: PageStore> MithriLog<S> {
     /// before the checkpoint blob is built so the refs it serializes are
     /// complete; the pages ride the same commit as the seal record.
     fn persist_segment_bitmaps(&mut self) -> Result<(), MithriLogError> {
-        let page_bytes = self.config.device.page_bytes;
         for seg in &self.segments {
             let Some(bitmaps) = &seg.bitmaps else {
                 continue;
@@ -376,18 +363,10 @@ impl<S: PageStore> MithriLog<S> {
             if self.bitmap_refs.contains_key(&seg.id) {
                 continue;
             }
-            let blob = bitmaps.to_bytes();
-            let bref = BitmapRef {
-                segment_id: seg.id,
-                first_page: self.ssd.page_count(),
-                page_count: blob.len().div_ceil(page_bytes) as u64,
-                byte_len: blob.len() as u64,
-                crc: crc32(&blob),
-            };
-            for chunk in blob.chunks(page_bytes) {
-                self.ssd.append(chunk)?;
-            }
-            self.bitmap_refs.insert(seg.id, bref);
+            let blob = append_blob(&mut self.ssd, &bitmaps.to_bytes())?;
+            let segment_id = seg.id;
+            self.bitmap_refs
+                .insert(segment_id, BitmapRef { segment_id, blob });
         }
         Ok(())
     }
@@ -422,10 +401,10 @@ impl<S: PageStore> MithriLog<S> {
         out.extend_from_slice(&(self.bitmap_refs.len() as u64).to_le_bytes());
         for bref in self.bitmap_refs.values() {
             out.extend_from_slice(&bref.segment_id.to_le_bytes());
-            out.extend_from_slice(&bref.first_page.to_le_bytes());
-            out.extend_from_slice(&bref.page_count.to_le_bytes());
-            out.extend_from_slice(&bref.byte_len.to_le_bytes());
-            out.extend_from_slice(&bref.crc.to_le_bytes());
+            out.extend_from_slice(&bref.blob.first_page.to_le_bytes());
+            out.extend_from_slice(&bref.blob.page_count.to_le_bytes());
+            out.extend_from_slice(&bref.blob.byte_len.to_le_bytes());
+            out.extend_from_slice(&bref.blob.crc.to_le_bytes());
         }
         out
     }

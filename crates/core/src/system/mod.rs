@@ -1,7 +1,18 @@
+//! The host side of one device: [`MithriLog`] and its state, split by seam.
+//!
+//! * `mount` — formatting, mounting with crash recovery, checkpoint loads
+//!   and index rebuilds;
+//! * `ingest` — page frames, sealing and the journaled commit;
+//! * `plan` — the wave planner (index probe, bitmap pruning, clips);
+//! * `query` — shared scans and outcome assembly;
+//! * `scrub` — integrity scans, sidecar checks and retention.
+
 use std::collections::{BTreeMap, HashMap};
 
 use mithrilog_index::InvertedIndex;
-use mithrilog_storage::{MemStore, PageId, PageStore, SealRecord, SimSsd, Superblock};
+use mithrilog_storage::{
+    CheckpointRef, Crc32, MemStore, PageId, PageStore, SealRecord, SimSsd, Superblock,
+};
 use mithrilog_tokenizer::{DatapathStats, ScatterGather, Tokenizer};
 
 use crate::bitmaps::{PageMarks, SegmentBitmaps};
@@ -78,17 +89,15 @@ pub struct MithriLog<S = MemStore> {
     bitmap_refs: BTreeMap<u64, BitmapRef>,
 }
 
-/// Durable location of one segment's bitmap sidecar blob: raw device pages
-/// appended before the owning commit's checkpoint, validated by byte length
-/// and CRC at load time. Corruption here only costs pruning power — the
-/// segment plans conservatively until its bitmaps are rebuilt.
+/// Durable location of one segment's bitmap sidecar blob: a checksummed
+/// page run appended before the owning commit's checkpoint (see
+/// [`append_blob`](mithrilog_storage::append_blob)). Corruption here only
+/// costs pruning power — the segment plans conservatively until its bitmaps
+/// are rebuilt.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct BitmapRef {
     segment_id: u64,
-    first_page: u64,
-    page_count: u64,
-    byte_len: u64,
-    crc: u32,
+    blob: CheckpointRef,
 }
 
 /// One sealed segment: an immutable run of data pages with its own CRC
@@ -108,6 +117,16 @@ struct Segment {
     /// disabled or the persisted sidecar failed validation — the planner
     /// then treats every page of the segment as alive).
     bitmaps: Option<SegmentBitmaps>,
+}
+
+/// A segment's CRC summary: CRC32 over the little-endian per-page CRC32s,
+/// in page order — what sealing records and verification recomputes.
+fn crc_summary(page_crcs: impl IntoIterator<Item = u32>) -> u32 {
+    let mut summary = Crc32::new();
+    for crc in page_crcs {
+        summary.update(&crc.to_le_bytes());
+    }
+    summary.finalize()
 }
 
 /// The open segment: pages accumulate here until `segment_pages` is
@@ -157,26 +176,6 @@ impl<S: PageStore> MithriLog<S> {
     /// The configuration in use.
     pub fn config(&self) -> &SystemConfig {
         &self.config
-    }
-
-    /// Overrides the worker count for subsequent queries and ingests
-    /// (`0` = one worker per modeled flash channel). Changing it never
-    /// changes results — the datapath is byte-identical for every thread
-    /// count — only wall-clock time.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `threads` exceeds [`SystemConfig::MAX_QUERY_THREADS`];
-    /// callers taking untrusted input should validate with
-    /// [`SystemConfig::checked_query_threads`] first.
-    pub fn set_query_threads(&mut self, threads: usize) {
-        assert!(
-            threads <= SystemConfig::MAX_QUERY_THREADS,
-            "query_threads {} exceeds the {} maximum",
-            threads,
-            SystemConfig::MAX_QUERY_THREADS
-        );
-        self.config.query_threads = threads;
     }
 
     /// Total raw bytes ingested.
@@ -292,7 +291,7 @@ impl<S: PageStore> MithriLog<S> {
     pub fn bitmap_sidecar_locations(&self) -> Vec<(u64, u64, u64)> {
         self.bitmap_refs
             .values()
-            .map(|r| (r.segment_id, r.first_page, r.page_count))
+            .map(|r| (r.segment_id, r.blob.first_page, r.blob.page_count))
             .collect()
     }
 }

@@ -3,8 +3,8 @@ use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 use mithrilog_compress::{Codec, Lzah};
 use mithrilog_index::InvertedIndex;
 use mithrilog_storage::{
-    crc32, format_device, read_active_superblock, replay_journal, CheckpointRef, FileStore,
-    JournalRecord, MemStore, PageId, PageStore, SealRecord, SimSsd,
+    format_device, read_active_superblock, read_blob, replay_journal, CheckpointRef, FileStore,
+    JournalRecord, MemStore, PageId, PageStore, SealRecord, SimSsd, Superblock,
 };
 use mithrilog_tokenizer::{DatapathStats, ScatterGather, Tokenizer};
 
@@ -17,23 +17,8 @@ use crate::bitmaps::{PageFacts, PageMarks, SegmentBitmaps};
 use crate::cache::PageCache;
 use crate::config::SystemConfig;
 use crate::error::MithriLogError;
+use crate::le::{take_section, take_u32, take_u64};
 use crate::outcome::{IndexRecovery, RecoveryReport};
-
-fn take_u32(bytes: &[u8]) -> Option<(u32, &[u8])> {
-    let (head, rest) = bytes.split_first_chunk::<4>()?;
-    Some((u32::from_le_bytes(*head), rest))
-}
-
-fn take_u64(bytes: &[u8]) -> Option<(u64, &[u8])> {
-    let (head, rest) = bytes.split_first_chunk::<8>()?;
-    Some((u64::from_le_bytes(*head), rest))
-}
-
-fn take_section(bytes: &[u8]) -> Option<(&[u8], &[u8])> {
-    let (len, rest) = take_u64(bytes)?;
-    let len = usize::try_from(len).ok()?;
-    (rest.len() >= len).then(|| rest.split_at(len))
-}
 
 impl MithriLog<MemStore> {
     /// Creates an empty system on an in-memory device.
@@ -74,10 +59,10 @@ impl MithriLog<FileStore> {
 
 impl<S: PageStore> MithriLog<S> {
     /// Creates an empty system on an explicit page store (e.g. a
-    /// [`FileStore`](mithrilog_storage::FileStore) for corpora larger than
-    /// RAM, or a [`FaultyStore`](mithrilog_storage::FaultyStore) for fault
-    /// drills), formatting it: the dual-slot superblock is written and
-    /// synced before the system is usable.
+    /// [`FileStore`] for corpora larger than RAM, or a
+    /// [`FaultyStore`](mithrilog_storage::FaultyStore) for fault drills),
+    /// formatting it: the dual-slot superblock is written and synced before
+    /// the system is usable.
     ///
     /// The store must be empty — an existing formatted store is mounted
     /// with [`MithriLog::open_store`] instead, never silently reformatted.
@@ -88,48 +73,16 @@ impl<S: PageStore> MithriLog<S> {
     /// configured device page size or the store is not empty; storage
     /// errors from formatting.
     pub fn with_store(store: S, config: SystemConfig) -> Result<Self, MithriLogError> {
-        config.validate().map_err(MithriLogError::Config)?;
-        if store.page_bytes() != config.device.page_bytes {
-            return Err(MithriLogError::Config(format!(
-                "store page size ({} bytes) must match the device model ({} bytes)",
-                store.page_bytes(),
-                config.device.page_bytes
-            )));
-        }
-        if store.page_count() != 0 {
+        let mut ssd = Self::device_for(store, &config)?;
+        if ssd.page_count() != 0 {
             return Err(MithriLogError::Config(format!(
                 "store already holds {} pages; mount it with open_store \
                  instead of reformatting",
-                store.page_count()
+                ssd.page_count()
             )));
         }
-        let page_bytes = config.device.page_bytes;
-        let mut ssd = SimSsd::new(store, config.device);
-        ssd.set_retry_policy(config.retry)
-            .map_err(|e| MithriLogError::Config(e.to_string()))?;
         let superblock = format_device(&mut ssd)?;
-        Ok(MithriLog {
-            ssd,
-            index: InvertedIndex::with_page_bytes(config.index, page_bytes),
-            tokenizer: Tokenizer::new(config.tokenizer.clone()),
-            data_pages: Vec::new(),
-            total_raw_bytes: 0,
-            total_lines: 0,
-            total_compressed_bytes: 0,
-            stats: DatapathStats::new(),
-            scatter: ScatterGather::new(config.tokenizer.lanes),
-            logical_clock: 0,
-            superblock,
-            pending: PendingCommit::default(),
-            page_cache: Self::build_page_cache(&config),
-            segments: Vec::new(),
-            open: OpenSegment::new(0),
-            next_segment_id: 0,
-            next_generation: 1,
-            page_gens: HashMap::new(),
-            bitmap_refs: BTreeMap::new(),
-            config,
-        })
+        Ok(Self::empty(ssd, config, superblock))
     }
 
     /// Mounts an existing formatted store, running crash recovery: the
@@ -153,17 +106,7 @@ impl<S: PageStore> MithriLog<S> {
         store: S,
         config: SystemConfig,
     ) -> Result<(Self, RecoveryReport), MithriLogError> {
-        config.validate().map_err(MithriLogError::Config)?;
-        if store.page_bytes() != config.device.page_bytes {
-            return Err(MithriLogError::Config(format!(
-                "store page size ({} bytes) must match the device model ({} bytes)",
-                store.page_bytes(),
-                config.device.page_bytes
-            )));
-        }
-        let mut ssd = SimSsd::new(store, config.device);
-        ssd.set_retry_policy(config.retry)
-            .map_err(|e| MithriLogError::Config(e.to_string()))?;
+        let mut ssd = Self::device_for(store, &config)?;
         let superblock = read_active_superblock(&mut ssd)?;
         if superblock.page_bytes as usize != config.device.page_bytes {
             return Err(MithriLogError::Config(format!(
@@ -172,15 +115,17 @@ impl<S: PageStore> MithriLog<S> {
                 superblock.page_bytes, config.device.page_bytes
             )));
         }
+        let mut system = Self::empty(ssd, config, superblock);
+        let committed = system.superblock.committed_pages;
 
         // Estimate the acknowledged-never lines in the tail we are about to
         // discard: any tail page that decompresses was an in-flight data
         // page. (Index/journal pages in the tail do not decompress.)
-        let codec = Lzah::new(config.lzah);
-        let physical = ssd.page_count();
+        let codec = Lzah::new(system.config.lzah);
+        let physical = system.ssd.page_count();
         let mut uncommitted_lines = 0u64;
-        for page in superblock.committed_pages..physical {
-            if let Ok(raw) = ssd.read(PageId(page)) {
+        for page in committed..physical {
+            if let Ok(raw) = system.ssd.read(PageId(page)) {
                 if let Ok(text) = codec.decompress(&raw) {
                     uncommitted_lines += text
                         .split(|b| *b == b'\n')
@@ -189,16 +134,13 @@ impl<S: PageStore> MithriLog<S> {
                 }
             }
         }
-        ssd.truncate(superblock.committed_pages)?;
+        system.ssd.truncate(committed)?;
 
         // Replay the journal: commits rebuild the committed pages and
         // totals in ingest order; seals and drops rebuild the segment map.
-        let records = replay_journal(&mut ssd, superblock.journal_head)?;
+        let records = replay_journal(&mut system.ssd, system.superblock.journal_head)?;
         let mut commit_pages: Vec<PageId> = Vec::new();
         let mut commits_replayed = 0u64;
-        let mut total_lines = 0u64;
-        let mut total_raw_bytes = 0u64;
-        let mut total_compressed_bytes = 0u64;
         let mut seals: BTreeMap<u64, SealRecord> = BTreeMap::new();
         let mut drops: BTreeSet<u64> = BTreeSet::new();
         for record in records {
@@ -206,9 +148,9 @@ impl<S: PageStore> MithriLog<S> {
                 JournalRecord::Commit(commit) => {
                     commits_replayed += 1;
                     commit_pages.extend(commit.data_pages.iter().map(|&p| PageId(p)));
-                    total_lines += commit.lines;
-                    total_raw_bytes += commit.raw_bytes;
-                    total_compressed_bytes += commit.compressed_bytes;
+                    system.total_lines += commit.lines;
+                    system.total_raw_bytes += commit.raw_bytes;
+                    system.total_compressed_bytes += commit.compressed_bytes;
                 }
                 JournalRecord::Seal(seal) => {
                     seals.insert(seal.segment_id, seal);
@@ -230,38 +172,36 @@ impl<S: PageStore> MithriLog<S> {
                 ))
             })?;
             dropped_pages.extend(seal.pages.iter().copied());
-            total_lines -= seal.lines;
-            total_raw_bytes -= seal.raw_bytes;
-            total_compressed_bytes -= seal.compressed_bytes;
+            system.total_lines -= seal.lines;
+            system.total_raw_bytes -= seal.raw_bytes;
+            system.total_compressed_bytes -= seal.compressed_bytes;
         }
-        let data_pages: Vec<PageId> = commit_pages
+        system.data_pages = commit_pages
             .into_iter()
             .filter(|p| !dropped_pages.contains(&p.0))
             .collect();
+        system.logical_clock = system.total_lines;
 
         // Active sealed segments, oldest first; each gets a fresh cache
-        // generation (a mount is an invalidation event).
-        let mut next_generation = 1u64;
-        let mut next_segment_id = 0u64;
-        let mut page_gens: HashMap<u64, u64> = HashMap::new();
+        // generation. Recovery counts as an invalidation event: every
+        // generation is past anything cached before.
         let mut sealed_pages: HashSet<u64> = HashSet::new();
-        let mut segments: Vec<Segment> = Vec::new();
         let mut sealed_totals = [0u64; 3];
         for (id, seal) in &seals {
-            next_segment_id = next_segment_id.max(id + 1);
+            system.next_segment_id = system.next_segment_id.max(id + 1);
             if drops.contains(id) {
                 continue;
             }
-            let generation = next_generation;
-            next_generation += 1;
+            let generation = system.next_generation;
+            system.next_generation += 1;
             for p in &seal.pages {
-                page_gens.insert(*p, generation);
+                system.page_gens.insert(*p, generation);
                 sealed_pages.insert(*p);
             }
             sealed_totals[0] += seal.raw_bytes;
             sealed_totals[1] += seal.lines;
             sealed_totals[2] += seal.compressed_bytes;
-            segments.push(Segment {
+            system.segments.push(Segment {
                 id: *id,
                 crc: seal.crc,
                 pages: seal.pages.iter().map(|&p| PageId(p)).collect(),
@@ -275,107 +215,52 @@ impl<S: PageStore> MithriLog<S> {
 
         // The open segment is whatever committed pages no active seal
         // claims; its totals follow exactly by subtraction.
-        let open_pages: Vec<PageId> = data_pages
+        let open_pages: Vec<PageId> = system
+            .data_pages
             .iter()
             .filter(|p| !sealed_pages.contains(&p.0))
             .copied()
             .collect();
-        let open_generation = next_generation;
-        next_generation += 1;
+        let open_generation = system.next_generation;
+        system.next_generation += 1;
         for p in &open_pages {
-            page_gens.insert(p.0, open_generation);
+            system.page_gens.insert(p.0, open_generation);
         }
-        let open = OpenSegment {
+        system.open = OpenSegment {
             pages: open_pages,
-            raw_bytes: total_raw_bytes - sealed_totals[0],
-            lines: total_lines - sealed_totals[1],
-            compressed_bytes: total_compressed_bytes - sealed_totals[2],
+            raw_bytes: system.total_raw_bytes - sealed_totals[0],
+            lines: system.total_lines - sealed_totals[1],
+            compressed_bytes: system.total_compressed_bytes - sealed_totals[2],
             generation: open_generation,
             page_marks: Vec::new(),
         };
 
-        let restored = superblock
-            .checkpoint
-            .and_then(|ckpt| Self::load_checkpoint(&mut ssd, &config, &ckpt))
-            .filter(|(_, _, _, _, totals)| {
-                *totals == [total_raw_bytes, total_lines, total_compressed_bytes]
-            });
-        let index_recovery = if restored.is_some() {
-            IndexRecovery::Checkpoint
-        } else {
-            IndexRecovery::Rebuilt
-        };
-        let (index, stats, scatter, mut bitmap_refs, logical_clock) = match restored {
-            Some((index, stats, scatter, refs, _)) => (index, stats, scatter, refs, total_lines),
-            None => (
-                InvertedIndex::with_page_bytes(config.index, config.device.page_bytes),
-                DatapathStats::new(),
-                ScatterGather::new(config.tokenizer.lanes),
-                BTreeMap::new(),
-                total_lines,
-            ),
+        let index_recovery = match system.restore_checkpoint() {
+            Some(()) => IndexRecovery::Checkpoint,
+            None => IndexRecovery::Rebuilt,
         };
 
         // Attach persisted segment bitmaps, validating each sidecar blob:
         // a failed CRC/decode drops that segment's bitmaps (conservative
         // planning) and is reported — degraded, never lying. A mount with
         // bitmaps disabled discards the directory outright.
-        let active_ids: HashSet<u64> = segments.iter().map(|s| s.id).collect();
-        bitmap_refs.retain(|id, _| active_ids.contains(id));
-        let mut segment_bitmaps_dropped = 0u64;
-        if config.bitmap_buckets == 0 {
-            bitmap_refs.clear();
-        } else {
-            for seg in &mut segments {
-                if let Some(bref) = bitmap_refs.get(&seg.id).copied() {
-                    match Self::load_segment_bitmaps(&mut ssd, &config, &bref, seg.pages.len()) {
-                        Some(bitmaps) => seg.bitmaps = Some(bitmaps),
-                        None => {
-                            segment_bitmaps_dropped += 1;
-                            bitmap_refs.remove(&seg.id);
-                        }
-                    }
-                }
-            }
+        if system.config.bitmap_buckets == 0 {
+            system.bitmap_refs.clear();
         }
+        let segment_bitmaps_dropped = system.check_sidecars();
 
         let report = RecoveryReport {
-            superblock_sequence: superblock.sequence,
-            committed_pages: superblock.committed_pages,
-            uncommitted_pages_discarded: physical - superblock.committed_pages,
+            superblock_sequence: system.superblock.sequence,
+            committed_pages: committed,
+            uncommitted_pages_discarded: physical - committed,
             commits_replayed,
-            data_pages_recovered: data_pages.len() as u64,
-            lines_recovered: total_lines,
+            data_pages_recovered: system.data_pages.len() as u64,
+            lines_recovered: system.total_lines,
             uncommitted_lines_discarded: uncommitted_lines,
-            segments_recovered: segments.len() as u64,
+            segments_recovered: system.segments.len() as u64,
             segments_dropped: drops.len() as u64,
             index: index_recovery,
             segment_bitmaps_dropped,
-        };
-
-        let mut system = MithriLog {
-            ssd,
-            index,
-            tokenizer: Tokenizer::new(config.tokenizer.clone()),
-            data_pages,
-            total_raw_bytes,
-            total_lines,
-            total_compressed_bytes,
-            stats,
-            scatter,
-            logical_clock,
-            superblock,
-            pending: PendingCommit::default(),
-            page_cache: Self::build_page_cache(&config),
-            segments,
-            open,
-            next_segment_id,
-            // Recovery counts as an invalidation event: every segment got a
-            // fresh generation above, past anything cached before.
-            next_generation,
-            page_gens,
-            bitmap_refs,
-            config,
         };
         if report.index == IndexRecovery::Rebuilt {
             system.reindex_from_pages()?;
@@ -388,129 +273,92 @@ impl<S: PageStore> MithriLog<S> {
         Ok((system, report))
     }
 
-    fn build_page_cache(config: &SystemConfig) -> Option<PageCache> {
-        (config.page_cache_bytes > 0).then(|| PageCache::new(config.page_cache_bytes))
+    /// The checks and device setup every constructor shares: a valid
+    /// config, a store whose page size matches the device model, and the
+    /// configured retry policy. Touches no page.
+    fn device_for(store: S, config: &SystemConfig) -> Result<SimSsd<S>, MithriLogError> {
+        config.validate().map_err(MithriLogError::Config)?;
+        if store.page_bytes() != config.device.page_bytes {
+            return Err(MithriLogError::Config(format!(
+                "store page size ({} bytes) must match the device model ({} bytes)",
+                store.page_bytes(),
+                config.device.page_bytes
+            )));
+        }
+        let mut ssd = SimSsd::new(store, config.device);
+        ssd.set_retry_policy(config.retry)
+            .map_err(|e| MithriLogError::Config(e.to_string()))?;
+        Ok(ssd)
     }
 
-    /// Parses the sidecar directory section of a checkpoint. Entries must
-    /// ascend strictly by segment id and consume the section exactly.
-    fn parse_bitmap_refs(bytes: &[u8]) -> Option<BTreeMap<u64, BitmapRef>> {
-        let (count, mut rest) = take_u64(bytes)?;
-        let mut refs = BTreeMap::new();
-        let mut last: Option<u64> = None;
-        for _ in 0..count {
-            if rest.len() < 36 {
-                return None;
-            }
-            let segment_id = u64::from_le_bytes(rest[..8].try_into().ok()?);
-            let first_page = u64::from_le_bytes(rest[8..16].try_into().ok()?);
-            let page_count = u64::from_le_bytes(rest[16..24].try_into().ok()?);
-            let byte_len = u64::from_le_bytes(rest[24..32].try_into().ok()?);
-            let crc = u32::from_le_bytes(rest[32..36].try_into().ok()?);
-            rest = &rest[36..];
-            if last.is_some_and(|l| l >= segment_id) {
-                return None;
-            }
-            last = Some(segment_id);
-            refs.insert(
-                segment_id,
-                BitmapRef {
-                    segment_id,
-                    first_page,
-                    page_count,
-                    byte_len,
-                    crc,
-                },
-            );
+    /// An empty system on `ssd` at `superblock` — the one place the struct
+    /// is assembled. A format uses it as is; a mount then fills in the
+    /// state it recovers.
+    fn empty(ssd: SimSsd<S>, config: SystemConfig, superblock: Superblock) -> Self {
+        MithriLog {
+            ssd,
+            index: InvertedIndex::with_page_bytes(config.index, config.device.page_bytes),
+            tokenizer: Tokenizer::new(config.tokenizer.clone()),
+            data_pages: Vec::new(),
+            total_raw_bytes: 0,
+            total_lines: 0,
+            total_compressed_bytes: 0,
+            stats: DatapathStats::new(),
+            scatter: ScatterGather::new(config.tokenizer.lanes),
+            logical_clock: 0,
+            superblock,
+            pending: PendingCommit::default(),
+            page_cache: (config.page_cache_bytes > 0)
+                .then(|| PageCache::new(config.page_cache_bytes)),
+            segments: Vec::new(),
+            open: OpenSegment::new(0),
+            next_segment_id: 0,
+            next_generation: 1,
+            page_gens: HashMap::new(),
+            bitmap_refs: BTreeMap::new(),
+            config,
         }
+    }
+
+    /// Restores the index, the datapath statistics, the scatter schedule
+    /// and the sidecar directory from the committed checkpoint. Any
+    /// failure — no checkpoint, unreadable pages, CRC mismatch, malformed
+    /// sections, parameter drift, totals that disagree with the journal —
+    /// returns `None` with nothing restored, and recovery falls back to a
+    /// full reindex; the checkpoint is an optimization, never a
+    /// correctness dependency.
+    fn restore_checkpoint(&mut self) -> Option<()> {
+        let blob = read_blob(&mut self.ssd, &self.superblock.checkpoint?)?;
+        let mut rest = blob.strip_prefix(CHECKPOINT_MAGIC)?;
+        if take_u32(&mut rest)? != CHECKPOINT_VERSION {
+            return None;
+        }
+        for total in [
+            self.total_raw_bytes,
+            self.total_lines,
+            self.total_compressed_bytes,
+        ] {
+            if take_u64(&mut rest)? != total {
+                return None;
+            }
+        }
+        let index_bytes = take_section(&mut rest)?;
+        let stats_bytes = take_section(&mut rest)?;
+        let scatter_bytes = take_section(&mut rest)?;
+        let refs_bytes = take_section(&mut rest)?;
         if !rest.is_empty() {
             return None;
         }
-        Some(refs)
-    }
-
-    /// Reads and validates the checkpoint blob `ckpt` points at. Any
-    /// failure — unreadable pages, CRC mismatch, malformed sections,
-    /// parameter drift — returns `None` and recovery falls back to a full
-    /// reindex; the checkpoint is an optimization, never a correctness
-    /// dependency.
-    #[allow(clippy::type_complexity)]
-    fn load_checkpoint(
-        ssd: &mut SimSsd<S>,
-        config: &SystemConfig,
-        ckpt: &CheckpointRef,
-    ) -> Option<(
-        InvertedIndex,
-        DatapathStats,
-        ScatterGather,
-        BTreeMap<u64, BitmapRef>,
-        [u64; 3],
-    )> {
-        let mut blob = Vec::with_capacity(ckpt.byte_len as usize);
-        for page in ckpt.first_page..ckpt.first_page + ckpt.page_count {
-            blob.extend_from_slice(&ssd.read(PageId(page)).ok()?);
-        }
-        if (ckpt.byte_len as usize) > blob.len() {
-            return None;
-        }
-        blob.truncate(ckpt.byte_len as usize);
-        if crc32(&blob) != ckpt.crc {
-            return None;
-        }
-        let rest = blob.strip_prefix(CHECKPOINT_MAGIC)?;
-        let (version, mut rest) = take_u32(rest)?;
-        if version != CHECKPOINT_VERSION {
-            return None;
-        }
-        let mut totals = [0u64; 3];
-        for t in &mut totals {
-            let (v, r) = take_u64(rest)?;
-            *t = v;
-            rest = r;
-        }
-        let (index_bytes, rest) = take_section(rest)?;
-        let (stats_bytes, rest) = take_section(rest)?;
-        let (scatter_bytes, rest) = take_section(rest)?;
-        let (refs_bytes, rest) = take_section(rest)?;
-        if !rest.is_empty() {
-            return None;
-        }
-        let index =
-            InvertedIndex::restore_checkpoint(config.index, config.device.page_bytes, index_bytes)?;
+        let page_bytes = self.config.device.page_bytes;
+        let index = InvertedIndex::restore_checkpoint(self.config.index, page_bytes, index_bytes)?;
         let stats = DatapathStats::from_bytes(stats_bytes)?;
         let scatter = ScatterGather::from_bytes(scatter_bytes)?;
-        if scatter.lanes() != config.tokenizer.lanes {
+        if scatter.lanes() != self.config.tokenizer.lanes {
             return None;
         }
-        let refs = Self::parse_bitmap_refs(refs_bytes)?;
-        Some((index, stats, scatter, refs, totals))
-    }
-
-    /// Loads one segment's bitmap sidecar from its durable ref, validating
-    /// byte length, CRC, decode, and geometry against the live segment.
-    /// Any failure returns `None`: the segment plans conservatively.
-    pub(super) fn load_segment_bitmaps(
-        ssd: &mut SimSsd<S>,
-        config: &SystemConfig,
-        bref: &BitmapRef,
-        segment_pages: usize,
-    ) -> Option<SegmentBitmaps> {
-        let mut blob = Vec::with_capacity(bref.byte_len as usize);
-        for page in bref.first_page..bref.first_page + bref.page_count {
-            blob.extend_from_slice(&ssd.read(PageId(page)).ok()?);
-        }
-        if (bref.byte_len as usize) > blob.len() {
-            return None;
-        }
-        blob.truncate(bref.byte_len as usize);
-        if crc32(&blob) != bref.crc {
-            return None;
-        }
-        let bitmaps = SegmentBitmaps::from_bytes(&blob)?;
-        if bitmaps.buckets() != config.bitmap_buckets || bitmaps.pages() != segment_pages {
-            return None;
-        }
-        Some(bitmaps)
+        let refs = parse_bitmap_refs(refs_bytes)?;
+        (self.index, self.stats, self.scatter, self.bitmap_refs) = (index, stats, scatter, refs);
+        Some(())
     }
 
     /// Rebuilds the in-memory index (and the rest of the host-side state)
@@ -540,16 +388,13 @@ impl<S: PageStore> MithriLog<S> {
     /// ingest-time line count, which counts blank lines and a line longer
     /// than a page once.
     fn reindex_from_pages(&mut self) -> Result<(), MithriLogError> {
-        let codec = Lzah::new(self.config.lzah);
         self.index =
             InvertedIndex::with_page_bytes(self.config.index, self.config.device.page_bytes);
         self.stats = DatapathStats::new();
         self.scatter = ScatterGather::new(self.config.tokenizer.lanes);
-        let buckets = self.config.bitmap_buckets;
         let mut marks_by_page: HashMap<u64, PageMarks> = HashMap::new();
         for page in self.data_pages.clone() {
-            let text = codec.decompress(&self.ssd.read(page)?)?;
-            let facts = PageFacts::of(&self.tokenizer, buckets, &text);
+            let (text, facts) = self.analyse_page(page)?;
             self.fold_page(page, &text, &facts)?;
             marks_by_page.extend(facts.marks.map(|m| (page.0, m)));
         }
@@ -557,6 +402,7 @@ impl<S: PageStore> MithriLog<S> {
         // segments re-freeze deterministically (byte-identical to their
         // seal-time sidecars), the open segment gets its marks back. The
         // fresh sidecars become durable at the next commit.
+        let buckets = self.config.bitmap_buckets;
         if buckets > 0 {
             for seg in &mut self.segments {
                 let marks: Option<Vec<PageMarks>> = seg
@@ -580,15 +426,45 @@ impl<S: PageStore> MithriLog<S> {
     /// mount path's counterpart to the marks [`PreparedIngest::build`]
     /// accumulates during normal ingest.
     fn rebuild_open_marks(&mut self) -> Result<(), MithriLogError> {
-        let codec = Lzah::new(self.config.lzah);
         let mut marks = Vec::with_capacity(self.open.pages.len());
         for page in self.open.pages.clone() {
-            let text = codec.decompress(&self.ssd.read(page)?)?;
-            marks.extend(PageFacts::of(&self.tokenizer, self.config.bitmap_buckets, &text).marks);
+            marks.extend(self.analyse_page(page)?.1.marks);
         }
         self.open.page_marks = marks;
         Ok(())
     }
+
+    /// Reads, decodes and analyses one data page: the page step of every
+    /// rescan, yielding the same [`PageFacts`] ingest computed for it.
+    fn analyse_page(&mut self, page: PageId) -> Result<(Vec<u8>, PageFacts), MithriLogError> {
+        let text = Lzah::new(self.config.lzah).decompress(&self.ssd.read(page)?)?;
+        let facts = PageFacts::of(&self.tokenizer, self.config.bitmap_buckets, &text);
+        Ok((text, facts))
+    }
+}
+
+/// Parses the sidecar directory section of a checkpoint. Entries must
+/// ascend strictly by segment id and consume the section exactly.
+fn parse_bitmap_refs(mut bytes: &[u8]) -> Option<BTreeMap<u64, BitmapRef>> {
+    let count = take_u64(&mut bytes)?;
+    let mut refs = BTreeMap::new();
+    for _ in 0..count {
+        let segment_id = take_u64(&mut bytes)?;
+        let blob = CheckpointRef {
+            first_page: take_u64(&mut bytes)?,
+            page_count: take_u64(&mut bytes)?,
+            byte_len: take_u64(&mut bytes)?,
+            crc: take_u32(&mut bytes)?,
+        };
+        if refs
+            .last_key_value()
+            .is_some_and(|(&last, _)| last >= segment_id)
+        {
+            return None;
+        }
+        refs.insert(segment_id, BitmapRef { segment_id, blob });
+    }
+    bytes.is_empty().then_some(refs)
 }
 
 #[cfg(test)]

@@ -291,20 +291,25 @@ impl<S: PageStore> MithriLog<S> {
             // walk already sits on the device ledger) plus the scan's.
             let mut ledger = planned.plan_ledger;
             ledger.merge(&scan.ledger);
+            let modeled_time = self.model_query_time(&ledger, scan.bytes_filtered, &scan.lines);
+            let mut degraded = DegradedRead {
+                skipped_pages: scan.skipped_pages,
+                retries: ledger.retries,
+                estimated_missed_lines: 0,
+                index_fallback: planned.index_fallback,
+                budget_clipped: planned.budget_clipped,
+                deadline_clipped: planned.deadline_clipped,
+            };
             // Estimate what the lost pages held from *this query's*
             // observed line density when at least one page was scanned; the
             // global average (which counts pages from other epochs) is only
             // a fallback for the nothing-was-scanned case.
-            let lost =
-                scan.skipped_pages.len() as u64 + planned.budget_clipped + planned.deadline_clipped;
-            let estimated_missed_lines = if lost == 0 {
-                0
-            } else if scan.pages_filtered > 0 {
-                scan.lines_scanned.div_ceil(scan.pages_filtered) * lost
-            } else {
-                self.avg_lines_per_page() * lost
-            };
-            let modeled_time = self.model_query_time(&ledger, scan.bytes_filtered, &scan.lines);
+            degraded.estimate_missed_lines(
+                scan.lines_scanned,
+                scan.pages_filtered,
+                self.total_lines,
+                self.data_pages.len() as u64,
+            );
             outcomes.push(QueryOutcome {
                 lines: scan.lines,
                 line_pages: scan.line_pages,
@@ -316,31 +321,13 @@ impl<S: PageStore> MithriLog<S> {
                 ledger,
                 modeled_time,
                 wall_time,
-                degraded: DegradedRead {
-                    skipped_pages: scan.skipped_pages,
-                    retries: ledger.retries,
-                    estimated_missed_lines,
-                    index_fallback: planned.index_fallback,
-                    budget_clipped: planned.budget_clipped,
-                    deadline_clipped: planned.deadline_clipped,
-                },
+                degraded,
             });
         }
         Ok(SharedBatchOutcome {
             outcomes,
             shared: report,
         })
-    }
-
-    /// Average ingested lines per data page, rounded up — the extrapolation
-    /// basis for estimating what a skipped page cost.
-    fn avg_lines_per_page(&self) -> u64 {
-        let pages = self.data_pages.len() as u64;
-        if pages == 0 {
-            0
-        } else {
-            self.total_lines.div_ceil(pages)
-        }
     }
 
     /// Modeled prototype time for one query: the index's latency-bound root

@@ -1,8 +1,9 @@
 use std::collections::HashSet;
 
-use mithrilog_storage::{crc32, Crc32, PageId, PageStore};
+use mithrilog_storage::{crc32, read_blob, PageId, PageStore};
 
-use super::{BitmapRef, MithriLog, Segment};
+use super::{crc_summary, MithriLog, Segment};
+use crate::bitmaps::SegmentBitmaps;
 use crate::error::MithriLogError;
 #[cfg(doc)]
 use crate::outcome::DegradedRead;
@@ -11,44 +12,44 @@ use crate::outcome::RetentionReport;
 use mithrilog_storage::SimSsd;
 
 impl<S: PageStore> MithriLog<S> {
-    /// Scans the whole device, verifying every page checksum, and returns a
-    /// corruption report (see [`SimSsd::scrub`]). Pages that fail
-    /// verification are quarantined: subsequent reads fail up front with
-    /// zero charges until the page is rewritten.
+    /// Scans the whole device, verifying every page checksum and every
+    /// bitmap sidecar, and returns a corruption report (see
+    /// [`SimSsd::scrub`]). Pages that fail verification are quarantined:
+    /// subsequent reads fail up front with zero charges until the page is
+    /// rewritten. Exactly an online pass run to completion: one unbounded
+    /// [`MithriLog::scrub_slice`].
     pub fn scrub(&mut self) -> mithrilog_storage::ScrubReport {
-        let mut report = self.ssd.scrub();
-        report.bitmaps_dropped += self.verify_sidecars();
-        report
+        self.scrub_slice(0, u64::MAX).report
     }
 
-    /// Re-validates every persisted pruning-bitmap sidecar against its
-    /// checkpoint directory entry (CRC, decode, geometry). A sidecar that
-    /// fails is dropped — the segment's in-memory bitmaps are cleared and
-    /// its directory entry removed, so planning falls back to the
-    /// conservative page set (degrade, don't lie) and the next commit
-    /// persists a fresh sidecar if the bitmaps are ever rebuilt. Returns
-    /// the number of sidecars dropped.
-    fn verify_sidecars(&mut self) -> u64 {
-        let mut dropped = 0u64;
-        let refs: Vec<BitmapRef> = self.bitmap_refs.values().copied().collect();
-        for bref in refs {
-            let seg_pages = self
-                .segments
-                .iter()
-                .find(|s| s.id == bref.segment_id)
-                .map(|s| s.pages.len());
-            let Some(seg_pages) = seg_pages else {
-                // Directory entry for a segment that no longer exists;
-                // defensive cleanup, not a verification failure.
-                self.bitmap_refs.remove(&bref.segment_id);
+    /// Validates every sidecar the directory lists against its live
+    /// segment (byte length, CRC, decode, geometry). A valid sidecar
+    /// attaches to a segment that holds no bitmaps yet (a mount); a failing
+    /// one is dropped — directory entry and in-memory bitmaps both — so
+    /// planning falls back to the conservative page set (degrade, don't
+    /// lie) and the next commit persists a fresh sidecar if the bitmaps are
+    /// ever rebuilt. Entries for segments that no longer exist are
+    /// discarded uncounted. Returns the number of sidecars dropped.
+    pub(super) fn check_sidecars(&mut self) -> u64 {
+        let live: HashSet<u64> = self.segments.iter().map(|s| s.id).collect();
+        self.bitmap_refs.retain(|id, _| live.contains(id));
+        let buckets = self.config.bitmap_buckets;
+        let mut dropped = 0;
+        for seg in &mut self.segments {
+            let Some(bref) = self.bitmap_refs.get(&seg.id) else {
                 continue;
             };
-            let ok =
-                Self::load_segment_bitmaps(&mut self.ssd, &self.config, &bref, seg_pages).is_some();
-            if !ok {
-                dropped += 1;
-                self.bitmap_refs.remove(&bref.segment_id);
-                if let Some(seg) = self.segments.iter_mut().find(|s| s.id == bref.segment_id) {
+            let pages = seg.pages.len();
+            let loaded = read_blob(&mut self.ssd, &bref.blob)
+                .and_then(|blob| SegmentBitmaps::from_bytes(&blob))
+                .filter(|b| b.buckets() == buckets && b.pages() == pages);
+            match loaded {
+                Some(bitmaps) => {
+                    seg.bitmaps.get_or_insert(bitmaps);
+                }
+                None => {
+                    dropped += 1;
+                    self.bitmap_refs.remove(&seg.id);
                     seg.bitmaps = None;
                 }
             }
@@ -58,9 +59,15 @@ impl<S: PageStore> MithriLog<S> {
 
     /// Verifies one bounded slice of the device, for incremental (online)
     /// scrubbing between foreground work (see [`SimSsd::scrub_slice`]).
-    /// Like [`MithriLog::scrub`], failing pages are quarantined.
+    /// Like [`MithriLog::scrub`], failing pages are quarantined, and the
+    /// slice that completes a pass also re-validates the bitmap sidecars,
+    /// counting the ones it drops in `report.bitmaps_dropped`.
     pub fn scrub_slice(&mut self, start: u64, max_pages: u64) -> mithrilog_storage::ScrubSlice {
-        self.ssd.scrub_slice(start, max_pages)
+        let mut slice = self.ssd.scrub_slice(start, max_pages);
+        if slice.complete {
+            slice.report.bitmaps_dropped += self.check_sidecars();
+        }
+        slice
     }
 
     /// Verifies one sealed segment end to end: every member page is read
@@ -68,18 +75,13 @@ impl<S: PageStore> MithriLog<S> {
     /// one. `None` for an unknown (never sealed, or already dropped) id;
     /// `Some(false)` when any page is unreadable or the summary mismatches.
     pub fn verify_segment(&mut self, id: u64) -> Option<bool> {
-        let (pages, want) = {
-            let seg = self.segments.iter().find(|s| s.id == id)?;
-            (seg.pages.clone(), seg.crc)
-        };
-        let mut summary = Crc32::new();
-        for page in &pages {
-            match self.ssd.read(*page) {
-                Ok(raw) => summary.update(&crc32(&raw).to_le_bytes()),
-                Err(_) => return Some(false),
-            }
-        }
-        Some(summary.finalize() == want)
+        let seg = self.segments.iter().find(|s| s.id == id)?;
+        let crcs: Option<Vec<u32>> = seg
+            .pages
+            .iter()
+            .map(|page| self.ssd.read(*page).ok().map(|raw| crc32(&raw)))
+            .collect();
+        Some(crcs.is_some_and(|crcs| crc_summary(crcs) == seg.crc))
     }
 
     /// Scrubs exactly one sealed segment's pages (see

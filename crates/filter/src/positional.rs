@@ -1,6 +1,6 @@
 //! Positional (prefix-tree) queries — the paper's §4.3 extension: "to
 //! support prefix trees, a small field is added to the hash table entry
-//! specifying the column each token should appear at, and [the] tokenizer
+//! specifying the column each token should appear at, and \[the\] tokenizer
 //! modified to also emit an increasing column counter per token. This does
 //! not change the performance datapath at all."
 //!

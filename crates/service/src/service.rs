@@ -1007,12 +1007,15 @@ fn run_ingest<S: PageStore>(
 /// the stats and re-arming the online scrub pass when the device changed.
 fn settle_ingest(shared: &Shared, id: JobId, outcome: IngestOutcome, scrub_done: &mut bool) {
     let mut state = shared.state.lock().expect("service state poisoned");
-    let job = state.jobs.get_mut(&id).expect("running job exists");
-    let tenant = job.tenant.clone();
-    let succeeded = match outcome {
+    match outcome {
         Ok(Ok((report, sealed, retention))) => {
+            let job = state.jobs.get_mut(&id).expect("running job exists");
             job.status = JobStatus::Done(JobOutput::Ingest(report));
+            let tenant = job.tenant.clone();
             state.stats.completed += 1;
+            if let Some(tenant) = &tenant {
+                state.tenant_mut(tenant).completed += 1;
+            }
             state.stats.segments_sealed += sealed;
             state.stats.ingests_overlapped += 1;
             if let Some(retention) = retention {
@@ -1021,30 +1024,31 @@ fn settle_ingest(shared: &Shared, id: JobId, outcome: IngestOutcome, scrub_done:
             // New pages to verify (and rewritten pages left quarantine):
             // re-arm the online scrub pass.
             *scrub_done = false;
-            true
         }
         Ok(Err(e)) => {
-            job.status = JobStatus::Failed(e.to_string());
-            state.stats.failed += 1;
+            fail_job(&mut state, id, e.to_string());
             *scrub_done = false;
-            false
         }
         Err(payload) => {
-            job.status = JobStatus::Failed(internal_error(&*payload));
-            state.stats.failed += 1;
             state.stats.waves_poisoned += 1;
-            false
-        }
-    };
-    if let Some(tenant) = &tenant {
-        let stats = state.tenant_mut(tenant);
-        if succeeded {
-            stats.completed += 1;
-        } else {
-            stats.failed += 1;
+            fail_job(&mut state, id, internal_error(&*payload));
         }
     }
     shared.changed.notify_all();
+}
+
+/// Settles job `id` as failed with `reason`, dropping its payload. Every
+/// failure settles here, so the service's and the tenant's `failed`
+/// counters always move together.
+fn fail_job(state: &mut State, id: JobId, reason: String) {
+    let job = state.jobs.get_mut(&id).expect("failed job exists");
+    job.status = JobStatus::Failed(reason);
+    job.kind = None;
+    let tenant = job.tenant.clone();
+    state.stats.failed += 1;
+    if let Some(tenant) = &tenant {
+        state.tenant_mut(tenant).failed += 1;
+    }
 }
 
 /// Renders a caught panic payload as a job failure message.
@@ -1114,6 +1118,7 @@ fn scheduler_loop<S: PageStore>(mut log: ShardedLog<S>, shared: &Shared) {
                         state.stats.scrub_slices += 1;
                         state.stats.pages_scrubbed += slice.report.pages_checked;
                         state.stats.pages_quarantined += slice.report.quarantined.len() as u64;
+                        state.stats.bitmaps_dropped += slice.report.bitmaps_dropped;
                     }
                     Err(_) => {
                         scrub_done = true;
@@ -1134,14 +1139,7 @@ fn scheduler_loop<S: PageStore>(mut log: ShardedLog<S>, shared: &Shared) {
                     .map(|(id, _)| *id)
                     .collect();
                 for id in orphaned {
-                    let job = state.jobs.get_mut(&id).expect("listed job exists");
-                    job.status = JobStatus::Failed(SubmitError::Closed.to_string());
-                    job.kind = None;
-                    let tenant = job.tenant.clone();
-                    state.stats.failed += 1;
-                    if let Some(tenant) = &tenant {
-                        state.tenant_mut(tenant).failed += 1;
-                    }
+                    fail_job(&mut state, id, SubmitError::Closed.to_string());
                 }
                 state.queued = 0;
                 state.stats.queued = 0;
@@ -1174,20 +1172,16 @@ fn scheduler_loop<S: PageStore>(mut log: ShardedLog<S>, shared: &Shared) {
                 // other lone job.
                 let result = catch_unwind(AssertUnwindSafe(|| log.explain(&request)));
                 let mut state = shared.state.lock().expect("service state poisoned");
-                let job = state.jobs.get_mut(&id).expect("running job exists");
                 match result {
                     Ok(Ok(explain)) => {
+                        let job = state.jobs.get_mut(&id).expect("running job exists");
                         job.status = JobStatus::Done(JobOutput::Explain(Box::new(explain)));
                         state.stats.completed += 1;
                     }
-                    Ok(Err(e)) => {
-                        job.status = JobStatus::Failed(e.to_string());
-                        state.stats.failed += 1;
-                    }
+                    Ok(Err(e)) => fail_job(&mut state, id, e.to_string()),
                     Err(payload) => {
-                        job.status = JobStatus::Failed(internal_error(&*payload));
-                        state.stats.failed += 1;
                         state.stats.waves_poisoned += 1;
+                        fail_job(&mut state, id, internal_error(&*payload));
                     }
                 }
                 shared.changed.notify_all();
@@ -1195,23 +1189,22 @@ fn scheduler_loop<S: PageStore>(mut log: ShardedLog<S>, shared: &Shared) {
             Wave::Scrub(id) => {
                 let result = catch_unwind(AssertUnwindSafe(|| log.scrub()));
                 let mut state = shared.state.lock().expect("service state poisoned");
-                let job = state.jobs.get_mut(&id).expect("running job exists");
                 match result {
                     Ok(report) => {
-                        job.status = JobStatus::Done(JobOutput::Scrub(report.clone()));
                         state.stats.pages_scrubbed += report.pages_checked;
                         state.stats.pages_quarantined += report.quarantined.len() as u64;
                         state.stats.bitmaps_dropped += report.bitmaps_dropped;
                         state.stats.completed += 1;
+                        let job = state.jobs.get_mut(&id).expect("running job exists");
+                        job.status = JobStatus::Done(JobOutput::Scrub(report));
                         // A full pass covered everything the online lane
                         // still owed.
                         scrub_done = true;
                         scrub_cursor = 0;
                     }
                     Err(payload) => {
-                        job.status = JobStatus::Failed(internal_error(&*payload));
-                        state.stats.failed += 1;
                         state.stats.waves_poisoned += 1;
+                        fail_job(&mut state, id, internal_error(&*payload));
                     }
                 }
                 shared.changed.notify_all();
@@ -1282,13 +1275,7 @@ fn scheduler_loop<S: PageStore>(mut log: ShardedLog<S>, shared: &Shared) {
                 };
                 if let Some(reason) = failure {
                     for (id, _) in &wave {
-                        let job = state.jobs.get_mut(id).expect("running job exists");
-                        job.status = JobStatus::Failed(reason.clone());
-                        let tenant = job.tenant.clone();
-                        state.stats.failed += 1;
-                        if let Some(tenant) = &tenant {
-                            state.tenant_mut(tenant).failed += 1;
-                        }
+                        fail_job(&mut state, *id, reason.clone());
                     }
                 }
                 shared.changed.notify_all();

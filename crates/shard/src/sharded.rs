@@ -40,9 +40,9 @@ use std::thread;
 use std::time::Instant;
 
 use mithrilog::{
-    IngestReport, MithriLog, MithriLogError, PlanExplain, PreparedIngest, QueryOutcome,
-    QueryRequest, RecoveryReport, RetentionReport, SegmentSummary, SharedBatchOutcome,
-    SharedScanReport, SystemConfig,
+    DegradedRead, IngestReport, MithriLog, MithriLogError, PlanExplain, PreparedIngest,
+    QueryOutcome, QueryRequest, RecoveryReport, RetentionReport, SegmentSummary,
+    SharedBatchOutcome, SharedScanReport, SystemConfig,
 };
 use mithrilog_storage::{MemStore, PageStore, ScrubReport, ScrubSlice};
 
@@ -789,7 +789,7 @@ fn merge_outcomes(
     for out in &outs {
         ledger.merge(&out.ledger);
     }
-    let mut degraded = mithrilog::DegradedRead::default();
+    let mut degraded = DegradedRead::default();
     for (s, out) in outs.iter().enumerate() {
         for page in &out.degraded.skipped_pages {
             degraded.skipped_pages.push(maps[s][page]);
@@ -807,16 +807,8 @@ fn merge_outcomes(
     // Recompute the missed-line estimate from the merged observations so it
     // matches what a single device scanning the union would have estimated
     // (per-shard estimates round per shard and would not sum identically).
-    let lost =
-        degraded.skipped_pages.len() as u64 + degraded.budget_clipped + degraded.deadline_clipped;
     let pages_filtered = pages_scanned - degraded.skipped_pages.len() as u64;
-    degraded.estimated_missed_lines = if lost == 0 {
-        0
-    } else if pages_filtered > 0 {
-        lines_scanned.div_ceil(pages_filtered) * lost
-    } else {
-        total_lines.div_ceil(total_pages.max(1)) * lost
-    };
+    degraded.estimate_missed_lines(lines_scanned, pages_filtered, total_lines, total_pages);
 
     QueryOutcome {
         lines,

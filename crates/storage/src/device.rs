@@ -718,18 +718,9 @@ impl<S: PageStore> SimSsd<S> {
     /// a corruption report. Reads (and transient retries) are charged to the
     /// ledger like any other access — a scrub is a real full-device scan.
     /// Corrupt and retry-exhausted pages are quarantined (see
-    /// [`SimSsd::scrub_slice`]).
+    /// [`SimSsd::scrub_slice`]): a full scrub is one unbounded slice.
     pub fn scrub(&mut self) -> ScrubReport {
-        let mut report = ScrubReport::default();
-        let mut cursor = 0;
-        loop {
-            let slice = self.scrub_slice(cursor, u64::MAX);
-            report.merge(&slice.report);
-            if slice.complete {
-                return report;
-            }
-            cursor = slice.next;
-        }
+        self.scrub_slice(0, u64::MAX).report
     }
 
     /// Scrubs a bounded slice of the device: at most `max_pages` pages

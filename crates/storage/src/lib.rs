@@ -70,6 +70,6 @@ pub use journal::{
 };
 pub use perf::{CostLedger, DevicePerfModel, Link};
 pub use superblock::{
-    format_device, read_active as read_active_superblock, write_commit as write_superblock_commit,
-    CheckpointRef, Superblock,
+    append_blob, format_device, read_active as read_active_superblock, read_blob,
+    write_commit as write_superblock_commit, CheckpointRef, Superblock,
 };

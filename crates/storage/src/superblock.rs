@@ -12,7 +12,8 @@ use crate::crc::crc32;
 use crate::device::{PageId, PageStore, SimSsd};
 use crate::error::StorageError;
 
-/// Reference to a serialized index checkpoint stored as a run of pages.
+/// Reference to a checksummed blob stored as a run of pages: the index
+/// checkpoint, or a bitmap sidecar (see [`append_blob`] and [`read_blob`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CheckpointRef {
     /// First page of the checkpoint run.
@@ -23,6 +24,47 @@ pub struct CheckpointRef {
     pub byte_len: u64,
     /// CRC32 of the whole blob.
     pub crc: u32,
+}
+
+/// Appends `blob` as a run of pages (the last one padded) and returns the
+/// checksummed reference [`read_blob`] validates it against. The one record
+/// format for every host-side blob: checkpoints and bitmap sidecars alike.
+///
+/// # Errors
+///
+/// Propagates device errors.
+pub fn append_blob<S: PageStore>(
+    ssd: &mut SimSsd<S>,
+    blob: &[u8],
+) -> Result<CheckpointRef, StorageError> {
+    let page_bytes = ssd.page_bytes();
+    let blob_ref = CheckpointRef {
+        first_page: ssd.page_count(),
+        page_count: blob.len().div_ceil(page_bytes) as u64,
+        byte_len: blob.len() as u64,
+        crc: crc32(blob),
+    };
+    for chunk in blob.chunks(page_bytes) {
+        ssd.append(chunk)?;
+    }
+    Ok(blob_ref)
+}
+
+/// Reads back the blob `blob_ref` points at: its pages concatenated and cut
+/// to the recorded length. `None` when a page is unreadable, the run is
+/// shorter than the length, or the CRC does not match.
+pub fn read_blob<S: PageStore>(ssd: &mut SimSsd<S>, blob_ref: &CheckpointRef) -> Option<Vec<u8>> {
+    let len = usize::try_from(blob_ref.byte_len).ok()?;
+    // No capacity from the ref: a damaged length must not size an allocation.
+    let mut blob = Vec::new();
+    for page in blob_ref.first_page..blob_ref.first_page + blob_ref.page_count {
+        blob.extend_from_slice(&ssd.read(PageId(page)).ok()?);
+    }
+    if len > blob.len() {
+        return None;
+    }
+    blob.truncate(len);
+    (crc32(&blob) == blob_ref.crc).then_some(blob)
 }
 
 /// The device superblock: the single source of truth for what is committed.

@@ -19,8 +19,8 @@ cargo test --workspace -q
 echo "==> cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 
-echo "==> cargo doc --workspace --no-deps --lib (intra-doc links resolve, no rustdoc warnings)"
-RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --lib
+echo "==> cargo doc --workspace --no-deps --lib --document-private-items (intra-doc links resolve, private ones too; no rustdoc warnings)"
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --lib --document-private-items
 
 echo "==> fused filter kernel (byte walk == reference line loop == set semantics; anchor skim == walk; exact lane mask)"
 cargo test -p mithrilog-filter --lib -q fused_walk_equals_reference_and_set_semantics

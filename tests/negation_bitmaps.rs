@@ -334,6 +334,58 @@ fn corrupt_sidecar_at_scrub_degrades_not_lies() {
     );
 }
 
+/// The same corruption found by bounded `scrub_slice` calls alone, the way
+/// a service's idle lane scrubs: the slice that completes the pass checks
+/// the sidecars and counts the broken one.
+#[test]
+fn corrupt_sidecar_at_online_scrub_slice_is_dropped() {
+    let text = corpus(250_000);
+    let mut system = MithriLog::new(bitmap_config());
+    system.ingest(&text).unwrap();
+    let sidecars = system.bitmap_sidecar_locations();
+    assert!(!sidecars.is_empty(), "need a persisted sidecar to corrupt");
+    let pruned_before = system.query_str("NOT RAS").unwrap().pages_scanned;
+
+    let (_, first_page, page_count) = sidecars[0];
+    let page_bytes = system.device().page_bytes();
+    for p in first_page..first_page + page_count {
+        system
+            .device_mut()
+            .store_mut()
+            .write_page(mithrilog_storage::PageId(p), &vec![0xA5u8; page_bytes])
+            .unwrap();
+    }
+
+    let mut cursor = 0;
+    let mut dropped = 0;
+    let mut slices = 0;
+    loop {
+        let slice = system.scrub_slice(cursor, 8);
+        dropped += slice.report.bitmaps_dropped;
+        slices += 1;
+        assert!(slices < 10_000, "the scrub pass must terminate");
+        if slice.complete {
+            break;
+        }
+        cursor = slice.next;
+    }
+    assert!(slices > 1, "the pass must take several slices");
+    assert!(
+        dropped >= 1,
+        "the online pass must count the corrupt sidecar"
+    );
+    assert_eq!(
+        system.bitmap_sidecar_locations().len(),
+        sidecars.len() - 1,
+        "the broken sidecar's ref is gone"
+    );
+    let after = system.query_str("NOT RAS").unwrap().pages_scanned;
+    assert!(
+        after > pruned_before,
+        "the dropped segment must plan conservatively ({after} vs {pruned_before})"
+    );
+}
+
 // ---------------------------------------------------------------------------
 // Property: pruning never skips a page holding a matching line. Random
 // corpora over a tiny token alphabet (so 8 hash buckets collide hard),
