@@ -3,7 +3,7 @@ use std::time::Duration;
 use mithrilog_storage::CostLedger;
 
 /// Report of one ingest call.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct IngestReport {
     /// Raw bytes ingested.
     pub raw_bytes: u64,
@@ -23,6 +23,23 @@ impl IngestReport {
         } else {
             self.raw_bytes as f64 / self.compressed_bytes as f64
         }
+    }
+
+    /// Accumulates another batch's report (a multi-device layer sums its
+    /// members' shares of one routed batch). The exhaustive destructuring
+    /// makes a field added to the report a compile error here instead of a
+    /// silently dropped sum.
+    pub fn merge(&mut self, other: &IngestReport) {
+        let IngestReport {
+            raw_bytes,
+            lines,
+            data_pages,
+            compressed_bytes,
+        } = *other;
+        self.raw_bytes += raw_bytes;
+        self.lines += lines;
+        self.data_pages += data_pages;
+        self.compressed_bytes += compressed_bytes;
     }
 }
 

@@ -52,16 +52,24 @@ struct PreparedFrame {
 }
 
 impl<'a> PreparedIngest<'a> {
-    /// Compresses and tokenizes `text` into apply-ready page frames.
+    /// Compresses and tokenizes `text` into apply-ready page frames on the
+    /// configured worker pool ([`SystemConfig::resolved_query_threads`]).
     ///
     /// Pure in `(config, text)`: no device or index access, so it can run
-    /// on any thread while the owning system serves queries. Compression
-    /// stripes across the configured worker pool with input-dependent shard
-    /// boundaries, so the frame layout is byte-identical for every thread
-    /// count; page analysis then stripes the frames across the same pool in
-    /// contiguous runs of at least a few pages, joined in page order.
+    /// on any thread while the owning system serves queries.
     pub fn build(config: &SystemConfig, text: Cow<'a, [u8]>) -> Self {
-        let threads = config.resolved_query_threads();
+        Self::build_on(config, config.resolved_query_threads(), text)
+    }
+
+    /// [`PreparedIngest::build`] on `threads` workers, for a caller that
+    /// owns a larger thread budget than one device's pool (a multi-device
+    /// layer builds one batch for all of its devices).
+    ///
+    /// Compression stripes across the workers with input-dependent shard
+    /// boundaries, so the frame layout is byte-identical for every thread
+    /// count; page analysis then stripes the frames across the same workers
+    /// in contiguous runs of at least a few pages, joined in page order.
+    pub fn build_on(config: &SystemConfig, threads: usize, text: Cow<'a, [u8]>) -> Self {
         let shards =
             exec::compress_paged_striped(&text, config.lzah, config.device.page_bytes, threads);
         let mut offset = 0usize;
@@ -170,12 +178,7 @@ impl<S: PageStore> MithriLog<S> {
         prep: &PreparedIngest<'_>,
         frames: impl IntoIterator<Item = usize>,
     ) -> Result<IngestReport, MithriLogError> {
-        let mut report = IngestReport {
-            raw_bytes: 0,
-            lines: 0,
-            data_pages: 0,
-            compressed_bytes: 0,
-        };
+        let mut report = IngestReport::default();
         for prepared in frames.into_iter().map(|i| &prep.frames[i]) {
             let PreparedFrame {
                 frame,

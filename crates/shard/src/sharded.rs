@@ -27,15 +27,18 @@
 //!
 //! # Host threads
 //!
-//! The host scans the shards at the same time too: [`ShardedLog::query_shared`]
-//! runs shard 0 on the calling thread and every other shard on a scoped
-//! thread, so one scan uses up to shards × `query_threads` threads. Batches
-//! are joined and merged in shard order, so completion order never reaches
-//! the result. The merge moves each shard's kept lines into the merged
-//! outcome a page run at a time; it copies no line text.
+//! The host drives the shards at the same time too: a scan, a routed
+//! ingest's apply, a retention pass and a full scrub each run shard 0 on
+//! the calling thread and every other shard on a scoped thread (one fan-out
+//! helper, so one idiom). A scan uses up to shards × `query_threads`
+//! threads, and a routed ingest builds its frames on the same budget.
+//! Results are joined and merged in shard order, so completion order never
+//! reaches the result. The merge moves each shard's kept lines into the
+//! merged outcome a page run at a time; it copies no line text.
 
+use std::any::Any;
 use std::collections::HashMap;
-use std::panic;
+use std::panic::{self, AssertUnwindSafe};
 use std::thread;
 use std::time::Instant;
 
@@ -77,8 +80,9 @@ pub enum ShardError {
     /// The routing manifest was unreadable.
     Manifest(ManifestError),
     /// A shard holds committed frames the (trimmed) manifest never
-    /// referenced — a torn cross-shard ingest the durable-write protocol
-    /// should have prevented. Refusing to guess placement is the only
+    /// referenced — at reopen, a torn cross-shard ingest the durable-write
+    /// protocol should have prevented; on a read, frames added to a member
+    /// behind the router's back. Refusing to guess placement is the only
     /// honest answer.
     Diverged {
         /// The shard holding unreferenced frames.
@@ -94,6 +98,14 @@ pub enum ShardError {
         shard: usize,
         /// The underlying error.
         source: MithriLogError,
+    },
+    /// A routed ingest failed on this shard (the lowest-index one that
+    /// failed). Shards that applied their share hold frames the manifest
+    /// never placed, so every later query and ingest is refused until the
+    /// topology is reopened from its stores.
+    FailedIngest {
+        /// The shard whose apply failed.
+        shard: usize,
     },
 }
 
@@ -112,6 +124,11 @@ impl std::fmt::Display for ShardError {
                  {recovered} frames recovered, {referenced} referenced"
             ),
             ShardError::Shard { shard, source } => write!(f, "shard {shard}: {source}"),
+            ShardError::FailedIngest { shard } => write!(
+                f,
+                "shard {shard} failed a routed ingest, so the shards no longer \
+                 match the routing manifest; reopen the topology from its stores"
+            ),
         }
     }
 }
@@ -175,6 +192,10 @@ pub struct ShardedLog<S: PageStore> {
     shards: Vec<MithriLog<S>>,
     manifest: RoutingManifest,
     config: SystemConfig,
+    /// The lowest shard whose routed apply failed, once one has: the
+    /// shards and the manifest disagree from then on, and the topology
+    /// refuses queries and ingests (see [`ShardError::FailedIngest`]).
+    failed_ingest: Option<usize>,
 }
 
 impl ShardedLog<MemStore> {
@@ -197,6 +218,7 @@ impl ShardedLog<MemStore> {
                 salt: opts.salt,
             }),
             config,
+            failed_ingest: None,
         }
     }
 }
@@ -220,6 +242,7 @@ impl<S: PageStore> From<MithriLog<S>> for ShardedLog<S> {
             config: log.config().clone(),
             shards: vec![log],
             manifest,
+            failed_ingest: None,
         }
     }
 }
@@ -257,6 +280,7 @@ impl<S: PageStore> ShardedLog<S> {
                 salt,
             }),
             config,
+            failed_ingest: None,
         })
     }
 
@@ -310,6 +334,7 @@ impl<S: PageStore> ShardedLog<S> {
                 shards,
                 manifest,
                 config,
+                failed_ingest: None,
             },
             ShardRecovery {
                 shards: reports,
@@ -367,11 +392,27 @@ impl<S: PageStore> ShardedLog<S> {
             .collect()
     }
 
+    /// Host threads the topology drives at once: every shard's query
+    /// worker pool. A scan fans out over this many, and a routed ingest
+    /// builds its frames on the same budget.
+    fn host_threads(&self) -> usize {
+        self.shards.len() * self.config.resolved_query_threads()
+    }
+
+    /// Refuses work that trusts the manifest once a routed apply has
+    /// failed.
+    fn refuse_after_failed_ingest(&self) -> Result<(), ShardError> {
+        match self.failed_ingest {
+            Some(shard) => Err(ShardError::FailedIngest { shard }),
+            None => Ok(()),
+        }
+    }
+
     /// Ingests a batch of log text, routing its frames across the shards.
     ///
     /// # Errors
     ///
-    /// The first member-device error, identified by shard.
+    /// As in [`ShardedLog::apply_prepared`].
     pub fn ingest(&mut self, text: &[u8]) -> Result<IngestReport, ShardError> {
         self.ingest_tagged(None, text)
     }
@@ -379,58 +420,78 @@ impl<S: PageStore> ShardedLog<S> {
     /// Ingests with an optional tenant tag. Under [`RouteMode::Tenant`] a
     /// tagged batch lands wholly on the tenant's home shard; untagged
     /// batches (and every batch under [`RouteMode::LineHash`]) spread by
-    /// frame key.
+    /// frame key. The frames are built on the topology's whole host-thread
+    /// budget, shards × `query_threads`, the budget a scan uses.
     ///
     /// # Errors
     ///
-    /// The first member-device error, identified by shard.
+    /// As in [`ShardedLog::apply_prepared`].
     pub fn ingest_tagged(
         &mut self,
         tenant: Option<&str>,
         text: &[u8],
     ) -> Result<IngestReport, ShardError> {
-        let prep = PreparedIngest::build(&self.config, std::borrow::Cow::Borrowed(text));
+        let prep = PreparedIngest::build_on(
+            &self.config,
+            self.host_threads(),
+            std::borrow::Cow::Borrowed(text),
+        );
         self.apply_prepared(tenant, &prep)
     }
 
     /// Applies an already-prepared ingest (the overlapped-service path):
-    /// routes the finished frames, applies each shard's share serially, and
-    /// records the placement in the manifest.
+    /// routes the finished frames, applies every shard's share at once
+    /// (shard 0 on the calling thread, the others on scoped threads), and
+    /// records the placement in the manifest once every shard has
+    /// committed. Each shard applies its frames in batch order, so its
+    /// pages, journal and index are exactly those a one-shard-at-a-time
+    /// walk leaves.
     ///
     /// # Errors
     ///
-    /// The first member-device error, identified by shard. Frames applied
-    /// to earlier shards before the error are durable on those shards but
-    /// unrecorded in the manifest; reopening trims them away
-    /// (consistent-prefix rule), matching a crash at the same point.
+    /// [`ShardError::FailedIngest`] when an earlier routed apply failed;
+    /// otherwise the lowest-index failing shard's error, identified by
+    /// shard. Every shard runs its share to its end before the error is
+    /// returned, so other shards may have committed frames the manifest
+    /// does not record: from then on the topology answers every query and
+    /// ingest with [`ShardError::FailedIngest`] until it is reopened.
+    ///
+    /// # Panics
+    ///
+    /// A panic on any shard is resumed on the calling thread once every
+    /// shard has stopped (the lowest-index panicking shard's payload), and
+    /// leaves the topology refusing work as a failed apply does.
     pub fn apply_prepared(
         &mut self,
         tenant: Option<&str>,
         prep: &PreparedIngest<'_>,
     ) -> Result<IngestReport, ShardError> {
+        self.refuse_after_failed_ingest()?;
         let routes = self.routes_for(tenant, prep);
-        let mut total = IngestReport {
-            raw_bytes: 0,
-            lines: 0,
-            data_pages: 0,
-            compressed_bytes: 0,
-        };
-        for (shard, log) in self.shards.iter_mut().enumerate() {
+        let applied = fan_out(&mut self.shards, |shard, log| {
             // Frame `i` goes to `routes[i]`, in batch order, so the k-th
             // frame routed to a shard lands there exactly as it would on a
             // single device — the invariant the order-preserving merge
             // rests on. A shard with no frames commits nothing.
             if !routes.contains(&shard) {
-                continue;
+                return Ok(IngestReport::default());
             }
             let mine = (0..routes.len()).filter(|&i| routes[i] == shard);
-            let report = log
-                .apply_ingest_frames(prep, mine)
-                .map_err(|source| ShardError::Shard { shard, source })?;
-            total.raw_bytes += report.raw_bytes;
-            total.lines += report.lines;
-            total.data_pages += report.data_pages;
-            total.compressed_bytes += report.compressed_bytes;
+            log.apply_ingest_frames(prep, mine)
+        });
+        let applied = applied.unwrap_or_else(|failure| {
+            self.failed_ingest = Some(failure.shard);
+            failure.resume()
+        });
+        let mut total = IngestReport::default();
+        for (shard, report) in applied.into_iter().enumerate() {
+            match report {
+                Ok(report) => total.merge(&report),
+                Err(source) => {
+                    self.failed_ingest = Some(shard);
+                    return Err(ShardError::Shard { shard, source });
+                }
+            }
         }
         for &shard in &routes {
             self.manifest.record(shard);
@@ -440,7 +501,12 @@ impl<S: PageStore> ShardedLog<S> {
 
     /// Per-shard maps from local data-page id to global frame ordinal,
     /// accounting for retention having dropped each shard's oldest frames.
-    fn ordinal_maps(&self) -> Vec<HashMap<u64, u64>> {
+    ///
+    /// # Errors
+    ///
+    /// [`ShardError::Diverged`] when a shard holds more data pages than
+    /// the manifest ever placed on it.
+    fn ordinal_maps(&self) -> Result<Vec<HashMap<u64, u64>>, ShardError> {
         let mut placed: Vec<Vec<u64>> = (0..self.shards.len())
             .map(|s| Vec::with_capacity(self.manifest.frames_on(s) as usize))
             .collect();
@@ -450,16 +516,24 @@ impl<S: PageStore> ShardedLog<S> {
         self.shards
             .iter()
             .zip(&placed)
-            .map(|(shard, ords)| {
+            .enumerate()
+            .map(|(i, (shard, ords))| {
                 let pages = shard.data_pages();
                 // Retention drops whole oldest segments, so the surviving
                 // pages are the newest `pages.len()` frames ever placed.
-                let dropped = ords.len() - pages.len();
-                pages
+                let dropped = ords
+                    .len()
+                    .checked_sub(pages.len())
+                    .ok_or(ShardError::Diverged {
+                        shard: i,
+                        referenced: ords.len() as u64,
+                        recovered: pages.len() as u64,
+                    })?;
+                Ok(pages
                     .iter()
                     .enumerate()
                     .map(|(j, p)| (p.0, ords[dropped + j]))
-                    .collect()
+                    .collect())
             })
             .collect()
     }
@@ -481,9 +555,11 @@ impl<S: PageStore> ShardedLog<S> {
     ///
     /// # Errors
     ///
-    /// The lowest-index failing shard's error, identified by shard. Every
-    /// shard runs the batch to its end before the error is returned, so
-    /// shards after the failing one are charged the reads they made.
+    /// [`ShardError::FailedIngest`] once a routed apply has failed;
+    /// otherwise the lowest-index failing shard's error, identified by
+    /// shard. Every shard runs the batch to its end before the error is
+    /// returned, so shards after the failing one are charged the reads
+    /// they made.
     ///
     /// # Panics
     ///
@@ -493,9 +569,15 @@ impl<S: PageStore> ShardedLog<S> {
         &mut self,
         requests: &[QueryRequest],
     ) -> Result<SharedBatchOutcome, ShardError> {
+        self.refuse_after_failed_ingest()?;
         let wall_start = Instant::now();
-        let maps = self.ordinal_maps();
-        let per_shard = scatter(&mut self.shards, requests)?;
+        let maps = self.ordinal_maps()?;
+        let per_shard = fan_out(&mut self.shards, |_, shard| shard.query_shared(requests))
+            .unwrap_or_else(|failure| failure.resume())
+            .into_iter()
+            .enumerate()
+            .map(|(shard, batch)| batch.map_err(|source| ShardError::Shard { shard, source }))
+            .collect::<Result<Vec<_>, _>>()?;
         let wall_time = wall_start.elapsed();
 
         // Transpose by move: `columns[q]` holds query `q`'s outcome from
@@ -561,11 +643,14 @@ impl<S: PageStore> ShardedLog<S> {
             .map_err(|source| ShardError::Shard { shard: 0, source })
     }
 
-    /// Scrubs every shard end to end, merging the findings.
+    /// Scrubs every shard end to end, all at once, merging the findings
+    /// in shard order.
     pub fn scrub(&mut self) -> ScrubReport {
         let mut report = ScrubReport::default();
-        for shard in &mut self.shards {
-            report.merge(&shard.scrub());
+        for shard in fan_out(&mut self.shards, |_, shard| shard.scrub())
+            .unwrap_or_else(|failure| failure.resume())
+        {
+            report.merge(&shard);
         }
         report
     }
@@ -600,19 +685,22 @@ impl<S: PageStore> ShardedLog<S> {
         }
     }
 
-    /// Applies retention per shard: each member keeps at most `keep` sealed
-    /// segments. Reports sum across shards.
+    /// Applies retention on every shard at once: each member keeps at
+    /// most `keep` sealed segments. Reports sum across shards in shard
+    /// order.
     ///
     /// # Errors
     ///
-    /// The first member-device error, identified by shard.
+    /// The lowest-index failing shard's error, identified by shard; every
+    /// shard finishes its pass first.
     pub fn apply_retention(&mut self, keep: u64) -> Result<RetentionReport, ShardError> {
         let mut total = RetentionReport::default();
-        for (i, shard) in self.shards.iter_mut().enumerate() {
-            let r = shard
-                .apply_retention(keep)
-                .map_err(|source| ShardError::Shard { shard: i, source })?;
-            total.merge(&r);
+        for (shard, report) in fan_out(&mut self.shards, |_, log| log.apply_retention(keep))
+            .unwrap_or_else(|failure| failure.resume())
+            .into_iter()
+            .enumerate()
+        {
+            total.merge(&report.map_err(|source| ShardError::Shard { shard, source })?);
         }
         Ok(total)
     }
@@ -669,34 +757,50 @@ impl<S: PageStore> ShardedLog<S> {
     }
 }
 
-/// Runs `requests` on every shard at once: shard 0 on the calling thread,
-/// shards 1.. on scoped threads (a single shard spawns none). Returns the
-/// batches in shard order, or the lowest-index shard's failure: its error,
-/// or its panic resumed here.
-fn scatter<S: PageStore>(
-    shards: &mut [MithriLog<S>],
-    requests: &[QueryRequest],
-) -> Result<Vec<SharedBatchOutcome>, ShardError> {
+/// A shard's panic, caught by [`fan_out`] so the caller learns which
+/// shard it was before resuming it.
+struct ShardPanic {
+    shard: usize,
+    payload: Box<dyn Any + Send>,
+}
+
+impl ShardPanic {
+    fn resume(self) -> ! {
+        panic::resume_unwind(self.payload)
+    }
+}
+
+/// Runs `op(shard_index, shard)` on every shard at once: shard 0 on the
+/// calling thread, shards 1.. on scoped threads (a single shard spawns
+/// none). Every shard runs to its end; the results come back in shard
+/// order, or, when any shard panicked, the lowest-index shard's panic.
+fn fan_out<S, T, F>(shards: &mut [MithriLog<S>], op: F) -> Result<Vec<T>, ShardPanic>
+where
+    S: PageStore,
+    T: Send,
+    F: Fn(usize, &mut MithriLog<S>) -> T + Sync,
+{
     let (first, rest) = shards
         .split_first_mut()
         .expect("a topology has at least one shard");
-    let joined: Vec<thread::Result<_>> = thread::scope(|scope| {
+    let op = &op;
+    let joined: Vec<thread::Result<T>> = thread::scope(|scope| {
         let handles: Vec<_> = rest
             .iter_mut()
-            .map(|shard| scope.spawn(move || shard.query_shared(requests)))
+            .enumerate()
+            .map(|(i, shard)| scope.spawn(move || op(i + 1, shard)))
             .collect();
         let mut joined = Vec::with_capacity(handles.len() + 1);
-        joined.push(Ok(first.query_shared(requests)));
+        // Caught so a panic here is reported with its shard, as a
+        // spawned shard's is.
+        joined.push(panic::catch_unwind(AssertUnwindSafe(|| op(0, first))));
         joined.extend(handles.into_iter().map(|h| h.join()));
         joined
     });
     joined
         .into_iter()
         .enumerate()
-        .map(|(shard, result)| match result {
-            Ok(batch) => batch.map_err(|source| ShardError::Shard { shard, source }),
-            Err(payload) => panic::resume_unwind(payload),
-        })
+        .map(|(shard, result)| result.map_err(|payload| ShardPanic { shard, payload }))
         .collect()
 }
 
@@ -834,6 +938,8 @@ fn merge_outcomes(
 
 #[cfg(test)]
 mod tests {
+    use mithrilog_storage::{CrashPlan, CrashStore, PageId};
+
     use super::*;
 
     const LOG: &str = "\
@@ -1023,54 +1129,182 @@ RAS KERNEL INFO generating core.2275\n";
         assert!(outcome.line_pages.windows(2).all(|w| w[0] <= w[1]));
     }
 
-    #[test]
-    fn the_lowest_failing_shard_names_the_error() {
-        use mithrilog_storage::{CrashPlan, CrashStore};
-        // No cache, so every query reads its pages from the devices.
+    /// A `LineHash` topology over crash-injecting stores, one per plan,
+    /// holding one ingest of the corpus. No cache, so every query reads
+    /// its pages from the devices.
+    fn crash_topology(plans: Vec<CrashPlan>) -> ShardedLog<CrashStore<MemStore>> {
         let config = SystemConfig {
             page_cache_bytes: 0,
             ..SystemConfig::for_tests()
         };
-        let build = |plans: Vec<CrashPlan>| {
-            let stores = plans
-                .into_iter()
-                .map(|plan| CrashStore::new(MemStore::new(config.device.page_bytes), plan))
-                .collect();
-            let mut s =
-                ShardedLog::with_stores(stores, config.clone(), RouteMode::LineHash, 0x5eed)
-                    .unwrap();
-            s.ingest(&corpus()).unwrap();
-            s
-        };
-        // Each member's operation count after the ingest: a plan that
-        // crashes at the next operation leaves the ingest whole.
-        let probe = build(vec![CrashPlan::never(); 4]);
-        let ops: Vec<u64> = (0..4)
+        let stores = plans
+            .into_iter()
+            .map(|plan| CrashStore::new(MemStore::new(config.device.page_bytes), plan))
+            .collect();
+        let mut s = ShardedLog::with_stores(stores, config, RouteMode::LineHash, 0x5eed).unwrap();
+        s.ingest(&corpus()).unwrap();
+        s
+    }
+
+    /// Each member's operation count after [`crash_topology`]'s ingest (a
+    /// plan that crashes at a later operation leaves that ingest whole),
+    /// and the members it populated.
+    fn ops_after_one_ingest(shards: usize) -> (Vec<u64>, Vec<usize>) {
+        let probe = crash_topology(vec![CrashPlan::never(); shards]);
+        let ops = (0..shards)
             .map(|i| probe.shard(i).device().store().ops())
             .collect();
-        let populated: Vec<usize> = (0..4)
+        let populated = (0..shards)
             .filter(|&i| probe.shard(i).data_page_count() > 0)
             .collect();
-        assert!(populated.len() >= 3, "{:?}", probe.shard_rows());
+        (ops, populated)
+    }
+
+    /// Plans that crash each shard in `crashed` `after` operations past
+    /// the first ingest and never crash the rest.
+    fn crash_plans(ops: &[u64], crashed: &[usize], after: u64) -> Vec<CrashPlan> {
+        (0..ops.len())
+            .map(|i| {
+                if crashed.contains(&i) {
+                    CrashPlan::crash_at(ops[i] + after)
+                } else {
+                    CrashPlan::never()
+                }
+            })
+            .collect()
+    }
+
+    #[test]
+    fn the_lowest_failing_shard_names_the_error() {
+        let (ops, populated) = ops_after_one_ingest(4);
+        assert!(populated.len() >= 3, "{populated:?}");
         // Crash every populated shard, then every one but the lowest: the
         // error names the lowest crashed shard, not the first to finish.
         for crashed in [&populated[..], &populated[1..]] {
-            let plans = (0..4)
-                .map(|i| {
-                    if crashed.contains(&i) {
-                        CrashPlan::crash_at(ops[i] + 1)
-                    } else {
-                        CrashPlan::never()
-                    }
-                })
-                .collect();
-            let mut s = build(plans);
+            let mut s = crash_topology(crash_plans(&ops, crashed, 1));
             for &i in crashed {
                 assert!(s.shard_mut(i).device_mut().store_mut().sync().is_err());
             }
             match s.query_str("NOT zz-absent-token-zz") {
                 Err(ShardError::Shard { shard, .. }) => assert_eq!(shard, crashed[0]),
                 other => panic!("crashed shards {crashed:?} answered {other:?}"),
+            }
+        }
+    }
+
+    #[test]
+    fn the_lowest_failing_shard_names_the_ingest_error() {
+        let (ops, populated) = ops_after_one_ingest(4);
+        assert!(populated.len() >= 3, "{populated:?}");
+        // The second ingest of the same corpus routes to the same shards;
+        // each crashed shard dies at its first operation of it, while the
+        // others apply their shares at the same time.
+        for crashed in [&populated[..], &populated[1..]] {
+            let mut s = crash_topology(crash_plans(&ops, crashed, 1));
+            match s.ingest(&corpus()) {
+                Err(ShardError::Shard { shard, .. }) => assert_eq!(shard, crashed[0]),
+                other => panic!("crashed shards {crashed:?} ingested {other:?}"),
+            }
+        }
+    }
+
+    #[test]
+    fn a_failed_routed_ingest_fails_later_reads_instead_of_panicking() {
+        let (ops, populated) = ops_after_one_ingest(2);
+        assert_eq!(populated, [0, 1]);
+        for crashed in 0..2 {
+            // Three operations into the second ingest: the crashed shard
+            // has appended pages it never commits, the other commits its
+            // whole share, and the manifest records neither.
+            let mut s = crash_topology(crash_plans(&ops, &[crashed], 3));
+            match s.ingest(&corpus()) {
+                Err(ShardError::Shard { shard, .. }) => assert_eq!(shard, crashed),
+                other => panic!("shard {crashed} crashed, ingest answered {other:?}"),
+            }
+            let refused = |result: Result<(), ShardError>| match result {
+                Err(e @ ShardError::FailedIngest { shard }) => {
+                    assert_eq!(shard, crashed);
+                    assert!(e.to_string().contains("reopen"), "{e}");
+                }
+                other => panic!("shard {crashed} crashed, then {other:?}"),
+            };
+            refused(s.query_str("FATAL").map(drop));
+            refused(s.query_shared(&[]).map(drop));
+            refused(s.ingest(b"one more line\n").map(drop));
+        }
+    }
+
+    #[test]
+    fn a_shard_ahead_of_the_manifest_is_diverged_not_a_panic() {
+        let mut s = sharded_with(2);
+        // Frames added behind the router's back, as a failed routed apply
+        // leaves them on the shards that committed.
+        s.shard_mut(1).ingest(b"one more line\n").unwrap();
+        match s.query_str("FATAL") {
+            Err(ShardError::Diverged { shard: 1, .. }) => {}
+            other => panic!("expected shard 1 to diverge, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn parallel_apply_leaves_every_shard_as_a_serial_walk_does() {
+        let text = corpus();
+        let cut = text[..text.len() / 2]
+            .iter()
+            .rposition(|&b| b == b'\n')
+            .unwrap()
+            + 1;
+        let batches = [&text[..cut], &text[cut..]];
+        let store_pages = |log: &MithriLog<MemStore>| -> Vec<Vec<u8>> {
+            let store = log.device().store();
+            (0..store.page_count())
+                .map(|p| store.read_page(PageId(p)).unwrap().to_vec())
+                .collect()
+        };
+        for shards in [1, 2, 4] {
+            for threads in [1, 2] {
+                let config = SystemConfig {
+                    query_threads: threads,
+                    segment_pages: 4,
+                    ..SystemConfig::for_tests()
+                };
+                let opts = ShardOptions {
+                    shards,
+                    mode: RouteMode::LineHash,
+                    salt: 0x5eed,
+                };
+                let mut routed = ShardedLog::new(config.clone(), opts);
+                let mut serial: Vec<MithriLog<MemStore>> = (0..shards)
+                    .map(|_| MithriLog::new(config.clone()))
+                    .collect();
+                let mut manifest = RoutingManifest::new(routed.epoch());
+                for batch in batches {
+                    routed.ingest(batch).unwrap();
+                    let prep = PreparedIngest::build(&config, std::borrow::Cow::Borrowed(batch));
+                    let routes: Vec<usize> = (0..prep.frame_count() as usize)
+                        .map(|i| routed.epoch().route_key(prep.frame_key(i)))
+                        .collect();
+                    for (shard, log) in serial.iter_mut().enumerate() {
+                        let mine: Vec<usize> =
+                            (0..routes.len()).filter(|&i| routes[i] == shard).collect();
+                        if !mine.is_empty() {
+                            log.apply_ingest_frames(&prep, mine).unwrap();
+                        }
+                    }
+                    for &shard in &routes {
+                        manifest.record(shard);
+                    }
+                }
+                let at = format!("{shards} shards, {threads} threads");
+                assert_eq!(routed.manifest_bytes(), manifest.encode(), "{at}");
+                for (shard, log) in serial.iter().enumerate() {
+                    let got = routed.shard(shard);
+                    assert_eq!(got.data_pages(), log.data_pages(), "{at}, shard {shard}");
+                    assert!(
+                        store_pages(got) == store_pages(log),
+                        "{at}, shard {shard}: device pages differ"
+                    );
+                }
             }
         }
     }

@@ -86,8 +86,10 @@ cargo test --test segment_store -q
 echo "==> negation bitmaps (pruning byte-identity under faults, sidecar corruption, property)"
 cargo test --test negation_bitmaps -q
 
-echo "==> shard determinism (N-shard results byte-identical to 1-shard under every fault mode)"
+echo "==> shard determinism (N-shard results byte-identical to 1-shard under every fault mode; parallel apply == serial walk; lowest failing shard names the ingest error)"
 cargo test --test shard_determinism -q
+cargo test -p mithrilog-shard --lib -q parallel_apply_leaves_every_shard_as_a_serial_walk_does
+cargo test -p mithrilog-shard --lib -q the_lowest_failing_shard_names_the_ingest_error
 
 echo "==> repro --check (every paper table, figure and model row against crates/bench/expected)"
 cargo run --release -p mithrilog-bench --quiet --bin repro -- --check

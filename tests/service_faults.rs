@@ -16,7 +16,7 @@ use mithrilog::{CancelToken, MithriLog, QueryRequest, SystemConfig};
 use mithrilog_loggen::{generate, Dataset, DatasetProfile, DatasetSpec};
 use mithrilog_service::{JobOutput, JobStatus, Priority, Service, ServiceConfig, WaitError};
 use mithrilog_shard::{RouteMode, ShardOptions, ShardedLog};
-use mithrilog_storage::{FaultKind, FaultPlan, FaultyStore, MemStore};
+use mithrilog_storage::{CrashPlan, CrashStore, FaultKind, FaultPlan, FaultyStore, MemStore};
 
 fn corpus(target_bytes: usize) -> Dataset {
     generate(&DatasetSpec {
@@ -370,6 +370,60 @@ fn a_panic_on_a_scatter_thread_fails_only_its_own_wave() {
     let stats = handle.stats();
     assert_eq!(stats.failed, 1, "{stats:?}");
     assert_eq!(stats.completed, 1, "{stats:?}");
+    service.shutdown();
+}
+
+#[test]
+fn a_failed_routed_ingest_fails_later_queries_without_panicking_their_waves() {
+    let ds = corpus(120_000);
+    let config = SystemConfig::default();
+    let topology = |plans: [CrashPlan; 2]| {
+        let stores = plans
+            .into_iter()
+            .map(|plan| CrashStore::new(MemStore::new(config.device.page_bytes), plan))
+            .collect();
+        let mut log =
+            ShardedLog::with_stores(stores, config.clone(), RouteMode::LineHash, 0x5eed).unwrap();
+        log.ingest(ds.text()).unwrap();
+        log
+    };
+    // Shard 1 dies three operations into the second ingest of the same
+    // text, after appending pages it never commits; shard 0 commits its
+    // whole share, which the routing manifest never records.
+    let probe = topology([CrashPlan::never(); 2]);
+    assert!(
+        probe.shard(0).data_page_count() > 0,
+        "{:?}",
+        probe.shard_rows()
+    );
+    let ops = probe.shard(1).device().store().ops();
+    let system = topology([CrashPlan::never(), CrashPlan::crash_at(ops + 3)]);
+    let service = Service::spawn(system, ServiceConfig::default());
+    let handle = service.handle();
+
+    let id = handle.ingest(ds.text().to_vec()).unwrap();
+    match handle.wait_timeout(id, Duration::from_secs(60)) {
+        Err(WaitError::Failed(reason)) => assert!(reason.starts_with("shard 1:"), "{reason}"),
+        other => panic!("expected shard 1's ingest failure, got {other:?}"),
+    }
+    // Every later query wave fails with a typed error naming the shard,
+    // instead of panicking on the shards' disagreement with the manifest.
+    for query in ["FATAL", "NOT KERNEL"] {
+        let id = handle.submit_str(query, Priority::Normal).unwrap();
+        match handle.wait_timeout(id, Duration::from_secs(60)) {
+            Err(WaitError::Failed(reason)) => {
+                assert!(
+                    reason.contains("shard 1 failed a routed ingest"),
+                    "{reason}"
+                );
+                assert!(reason.contains("reopen"), "{reason}");
+            }
+            other => panic!("expected a refused query, got {other:?}"),
+        }
+    }
+    let stats = handle.stats();
+    assert_eq!(stats.waves_poisoned, 0, "{stats:?}");
+    assert_eq!(stats.failed, 3, "{stats:?}");
     service.shutdown();
 }
 
