@@ -49,6 +49,9 @@ pub struct MithriLog<S = MemStore> {
     /// Data pages in ingest order (index/leaf pages interleave on the same
     /// device but are tracked by the index itself).
     data_pages: Vec<PageId>,
+    /// Data pages retention has dropped since the store was formatted:
+    /// with `data_pages`, every data page this device ever committed.
+    data_pages_dropped: u64,
     total_raw_bytes: u64,
     total_lines: u64,
     total_compressed_bytes: u64,
@@ -282,6 +285,14 @@ impl<S: PageStore> MithriLog<S> {
     /// The ids of the data pages, in ingest order.
     pub fn data_pages(&self) -> &[PageId] {
         &self.data_pages
+    }
+
+    /// Data pages retention has dropped since the store was formatted
+    /// (mount recounts them from the journal's drop records). With
+    /// [`MithriLog::data_page_count`] they count every data page this
+    /// device ever committed.
+    pub fn data_pages_dropped(&self) -> u64 {
+        self.data_pages_dropped
     }
 
     /// Durable locations of the persisted segment bitmap sidecars:

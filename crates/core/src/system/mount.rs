@@ -180,6 +180,7 @@ impl<S: PageStore> MithriLog<S> {
             .into_iter()
             .filter(|p| !dropped_pages.contains(&p.0))
             .collect();
+        system.data_pages_dropped = dropped_pages.len() as u64;
         system.logical_clock = system.total_lines;
 
         // Active sealed segments, oldest first; each gets a fresh cache
@@ -300,6 +301,7 @@ impl<S: PageStore> MithriLog<S> {
             index: InvertedIndex::with_page_bytes(config.index, config.device.page_bytes),
             tokenizer: Tokenizer::new(config.tokenizer.clone()),
             data_pages: Vec::new(),
+            data_pages_dropped: 0,
             total_raw_bytes: 0,
             total_lines: 0,
             total_compressed_bytes: 0,

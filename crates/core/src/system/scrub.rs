@@ -147,6 +147,7 @@ impl<S: PageStore> MithriLog<S> {
         for seg in &dropped {
             report.segments_dropped += 1;
             report.pages_dropped += seg.pages.len() as u64;
+            self.data_pages_dropped += seg.pages.len() as u64;
             report.lines_dropped += seg.lines;
             report.raw_bytes_dropped += seg.raw_bytes;
             self.total_lines -= seg.lines;

@@ -3,9 +3,10 @@
 //! One request per line; every response is one or more lines terminated by
 //! a lone `.` line, so clients read until the terminator regardless of the
 //! payload size. The first response line starts with `OK`, `REJECTED`
-//! (admission control turned the request away) or `ERR`; matched log lines
-//! in a result are prefixed with `L ` so a log line consisting of a single
-//! dot can never forge the terminator.
+//! (admission control turned the request away: `REJECTED queue_full` for
+//! the shared queue, `REJECTED tenant_cap` for the tenant's own cap) or
+//! `ERR`; matched log lines in a result are prefixed with `L ` so a log
+//! line consisting of a single dot can never forge the terminator.
 //!
 //! Requests:
 //!
@@ -31,9 +32,10 @@
 //! rows for every device behind the service.
 //! `explain=1` plans the request — index decision, bitmap pruning, clips —
 //! without scanning a single data page; the result lists one `L` line per
-//! segment. `CANCEL` stops a queued job outright and tells a running job to
-//! stop at its next page boundary. `SCRUB` queues a full verification pass
-//! over every page.
+//! segment. `CANCEL` stops a queued job outright and tells a running query
+//! to stop at its next page boundary; a running ingest, explain or scrub
+//! runs to completion and answers `OK too-late`. `SCRUB` queues a full
+//! verification pass over every page.
 
 use std::collections::BTreeMap;
 use std::time::Duration;
@@ -240,10 +242,17 @@ pub fn render_submit(result: &Result<JobId, SubmitError>) -> String {
     terminated(match result {
         Ok(id) => format!("OK id={id}\n"),
         Err(SubmitError::Rejected {
+            queue_full,
             queue_len,
             capacity,
-            ..
-        }) => format!("REJECTED queue_full queued={queue_len} capacity={capacity}\n"),
+        }) => {
+            let cause = if *queue_full {
+                "queue_full"
+            } else {
+                "tenant_cap"
+            };
+            format!("REJECTED {cause} queued={queue_len} capacity={capacity}\n")
+        }
         Err(SubmitError::Parse(reason)) => format!("ERR parse: {reason}\n"),
         Err(SubmitError::Closed) => "ERR service is shut down\n".to_string(),
     })
@@ -610,6 +619,18 @@ mod tests {
             capacity: 8,
         }))
         .starts_with("REJECTED queue_full"));
+        // A tenant's own cap is not a full shared queue.
+        let tenant_cap = SubmitError::Rejected {
+            queue_full: false,
+            queue_len: 2,
+            capacity: 2,
+        };
+        assert!(render_submit(&Err(tenant_cap.clone()))
+            .starts_with("REJECTED tenant_cap queued=2 capacity=2\n"));
+        assert_eq!(
+            tenant_cap.to_string(),
+            "tenant cap reached (2/2 of the tenant's jobs queued)"
+        );
     }
 
     #[test]

@@ -1,16 +1,17 @@
+use std::any::Any;
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use std::borrow::Cow;
 
 use mithrilog::{
     CancelToken, IngestReport, PlanExplain, PreparedIngest, QueryOutcome, QueryRequest,
-    RetentionReport, ScanAttribution, SharedScanReport, SystemConfig,
+    ScanAttribution, SystemConfig,
 };
-use mithrilog_shard::{ShardError, ShardRow, ShardedLog};
+use mithrilog_shard::{ShardRow, ShardedLog};
 use mithrilog_storage::{PageStore, ScrubReport};
 
 /// Identifier of a submitted job, unique for the lifetime of the service.
@@ -66,16 +67,17 @@ impl Priority {
 /// Why a submission was not admitted.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum SubmitError {
-    /// The bounded submission queue is full. Overload is surfaced here, at
+    /// Admission control turned the job away. Overload is surfaced here, at
     /// admission, instead of as unbounded queueing delay.
     Rejected {
-        /// `true` when the rejection was due to the queue being at
-        /// capacity (currently the only cause, kept explicit so callers
-        /// can distinguish future admission policies).
+        /// `true` when the shared queue was at capacity
+        /// ([`ServiceConfig::max_queue`]); `false` when the submitting
+        /// tenant's own cap ([`ServiceConfig::tenant_max_queued`]) was.
         queue_full: bool,
-        /// Jobs queued at the time of rejection.
+        /// Jobs queued at the time of rejection: in the shared queue, or
+        /// the tenant's own when `queue_full` is `false`.
         queue_len: usize,
-        /// The configured queue capacity.
+        /// The capacity that was reached.
         capacity: usize,
     },
     /// The query text did not parse.
@@ -88,10 +90,18 @@ impl std::fmt::Display for SubmitError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             SubmitError::Rejected {
+                queue_full: true,
                 queue_len,
                 capacity,
-                ..
             } => write!(f, "queue full ({queue_len}/{capacity} jobs queued)"),
+            SubmitError::Rejected {
+                queue_full: false,
+                queue_len,
+                capacity,
+            } => write!(
+                f,
+                "tenant cap reached ({queue_len}/{capacity} of the tenant's jobs queued)"
+            ),
             SubmitError::Parse(reason) => write!(f, "parse error: {reason}"),
             SubmitError::Closed => write!(f, "service is shut down"),
         }
@@ -236,7 +246,7 @@ pub struct ServiceStats {
     pub completed: u64,
     /// Jobs that failed with a hard error.
     pub failed: u64,
-    /// Jobs cancelled before running.
+    /// Jobs cancelled: while queued, or as a query stopped mid-scan.
     pub cancelled: u64,
     /// Jobs currently queued.
     pub queued: u64,
@@ -263,7 +273,7 @@ pub struct ServiceStats {
     /// Pages scrubs newly quarantined.
     pub pages_quarantined: u64,
     /// Pages the wave planner pruned via the index plan alone (see
-    /// [`SharedScanReport::pages_pruned_by_index`]).
+    /// [`mithrilog::SharedScanReport::pages_pruned_by_index`]).
     pub pages_pruned_by_index: u64,
     /// Pages pruned via the per-segment token bitmaps alone.
     pub pages_pruned_by_bitmap: u64,
@@ -309,36 +319,44 @@ pub struct TenantStats {
     pub lines_returned: u64,
 }
 
+/// A job's payload: what the scheduler runs once it claims the job.
 enum JobKind {
-    Query(Box<QueryRequest>, Priority, Option<String>),
+    /// A query, scanned together with the other queries of its wave.
+    Query(Box<QueryRequest>),
     /// Plan-only: the request is planned (index probe, bitmap pruning,
     /// clips) but no data page is scanned.
-    Explain(Box<QueryRequest>, Priority),
+    Explain(Box<QueryRequest>),
     /// Page frames the submitter already built; the scheduler only
     /// applies them.
-    Ingest(Box<PreparedIngest<'static>>, Option<String>),
-    /// A full-device scrub pass; runs alone, like an ingest.
+    Ingest(Box<PreparedIngest<'static>>),
+    /// A full-device scrub pass.
     Scrub,
 }
 
 struct Job {
+    /// The payload while the job is queued; [`State::claim`] takes it.
     kind: Option<JobKind>,
     status: JobStatus,
-    /// Shared with the request handed to the datapath (query jobs), so a
-    /// running job can be cancelled mid-scan.
-    cancel: CancelToken,
-    /// The tenant tag the job was submitted under, kept past the claim so
-    /// settling can account it.
+    /// The priority lane the job was admitted into.
+    lane: usize,
+    /// The tenant tag the job was submitted under.
     tenant: Option<String>,
+    /// A query's cancellation token, shared with the request it scans
+    /// with. Only a query reads its token while it runs.
+    cancel: Option<CancelToken>,
 }
 
+/// The scheduler's bookkeeping. Every job walks one lifecycle through three
+/// operations: [`State::admit`] puts it in a lane, [`State::claim`] takes
+/// it out as `Running`, and [`State::settle`] gives it its terminal status.
+/// They are the only places the queue and settle counters move, and they
+/// need no thread, so the lifecycle is tested on a bare `State`.
 #[derive(Default)]
 struct State {
-    /// One FIFO lane per priority class, holding job ids.
+    /// One FIFO lane per priority class, holding the queued jobs' ids.
     lanes: [VecDeque<JobId>; 3],
     jobs: HashMap<JobId, Job>,
     next_id: JobId,
-    queued: usize,
     closed: bool,
     stats: ServiceStats,
     /// Per-tenant counters for tagged jobs, keyed by tenant name.
@@ -349,9 +367,231 @@ struct State {
 }
 
 impl State {
-    fn tenant_mut(&mut self, tenant: &str) -> &mut TenantStats {
-        self.tenants.entry(tenant.to_string()).or_default()
+    /// Admits a job into its priority lane, or says why not: the only way a
+    /// job enters the service. A query gets a cancellation token shared
+    /// with the request it scans with; a token the caller attached is kept.
+    fn admit(
+        &mut self,
+        config: &ServiceConfig,
+        mut kind: JobKind,
+        priority: Priority,
+        tenant: Option<&str>,
+    ) -> Result<JobId, SubmitError> {
+        if self.closed {
+            return Err(SubmitError::Closed);
+        }
+        let queued = self.stats.queued as usize;
+        let own = tenant
+            .and_then(|t| self.tenants.get(t))
+            .map_or(0, |t| t.queued as usize);
+        // The per-tenant cap bounds how much of the shared queue one tenant
+        // can occupy: a saturating tenant exhausts its own allowance and is
+        // turned away while everyone else still gets admitted.
+        let rejection = match config.tenant_max_queued {
+            _ if queued >= config.max_queue => Some((true, queued, config.max_queue)),
+            Some(cap) if tenant.is_some() && own >= cap => Some((false, own, cap)),
+            _ => None,
+        };
+        if let Some((queue_full, queue_len, capacity)) = rejection {
+            self.stats.rejected += 1;
+            if let Some(tenant) = tenant {
+                self.tenants.entry(tenant.into()).or_default().rejected += 1;
+            }
+            return Err(SubmitError::Rejected {
+                queue_full,
+                queue_len,
+                capacity,
+            });
+        }
+        let cancel = match &mut kind {
+            JobKind::Query(request) => {
+                Some(request.cancel.get_or_insert_with(CancelToken::new).clone())
+            }
+            _ => None,
+        };
+        let id = self.next_id;
+        self.next_id += 1;
+        self.jobs.insert(
+            id,
+            Job {
+                kind: Some(kind),
+                status: JobStatus::Pending,
+                lane: priority.lane(),
+                tenant: tenant.map(str::to_string),
+                cancel,
+            },
+        );
+        self.lanes[priority.lane()].push_back(id);
+        self.stats.submitted += 1;
+        self.stats.queued += 1;
+        if let Some(tenant) = tenant {
+            let stats = self.tenants.entry(tenant.into()).or_default();
+            stats.submitted += 1;
+            stats.queued += 1;
+        }
+        Ok(id)
     }
+
+    /// Takes queued job `id` out of its lane as `Running` and hands back its
+    /// payload: the only `Pending` → `Running` transition, and the only
+    /// place the queue counters fall.
+    fn claim(&mut self, id: JobId) -> JobKind {
+        let job = self.jobs.get_mut(&id).expect("claimed job exists");
+        let kind = job.kind.take().expect("only a queued job is claimed");
+        job.status = JobStatus::Running;
+        let lane = &mut self.lanes[job.lane];
+        lane.remove(
+            lane.iter()
+                .position(|&queued| queued == id)
+                .expect("queued in its lane"),
+        );
+        self.stats.queued -= 1;
+        if let Some(tenant) = &job.tenant {
+            self.tenants
+                .get_mut(tenant)
+                .expect("admitted tenant")
+                .queued -= 1;
+        }
+        kind
+    }
+
+    /// Gives claimed job `id` its terminal status: the only place `Done`,
+    /// `Failed` or `Cancelled` is decided and the settle counters move.
+    /// `result` is `None` for a job cancelled while queued. A query whose
+    /// token tripped while it ran stopped at a page boundary: its partial
+    /// outcome is discarded and it settles `Cancelled`.
+    fn settle(&mut self, id: JobId, result: Option<Result<JobOutput, String>>) {
+        let job = self.jobs.get_mut(&id).expect("settled job exists");
+        assert!(
+            matches!(job.status, JobStatus::Running),
+            "job {id} settles once, after its claim"
+        );
+        let stopped = job.cancel.take().is_some_and(|token| token.is_cancelled());
+        job.status = match result {
+            Some(Ok(output)) if !stopped => JobStatus::Done(output),
+            Some(Err(reason)) => JobStatus::Failed(reason),
+            Some(Ok(_)) | None => JobStatus::Cancelled,
+        };
+        // An untagged job counts only service-wide.
+        let mut untagged = TenantStats::default();
+        let tenant = match &job.tenant {
+            Some(tenant) => self.tenants.get_mut(tenant).expect("admitted tenant"),
+            None => &mut untagged,
+        };
+        match &job.status {
+            JobStatus::Done(output) => {
+                self.stats.completed += 1;
+                tenant.completed += 1;
+                if let JobOutput::Query { outcome, .. } = output {
+                    tenant.pages_scanned += outcome.pages_scanned;
+                    tenant.lines_returned += outcome.lines.len() as u64;
+                }
+            }
+            JobStatus::Failed(_) => {
+                self.stats.failed += 1;
+                tenant.failed += 1;
+            }
+            _ => {
+                self.stats.cancelled += 1;
+                tenant.cancelled += 1;
+            }
+        }
+    }
+
+    /// Settles each job of a finished wave, and publishes the scheduler's
+    /// wave counters (`waves`, page reads, scrub and segment counts) beside
+    /// the lifecycle counters, which only this `State` moves.
+    fn settle_wave(&mut self, results: WaveResults, waves: &ServiceStats) {
+        let own = self.stats;
+        self.stats = ServiceStats {
+            submitted: own.submitted,
+            rejected: own.rejected,
+            completed: own.completed,
+            failed: own.failed,
+            cancelled: own.cancelled,
+            queued: own.queued,
+            ..*waves
+        };
+        for (id, result) in results {
+            self.settle(id, Some(result));
+        }
+    }
+
+    /// Cancels job `id`, as [`ServiceHandle::cancel`] documents.
+    fn cancel(&mut self, id: JobId) -> bool {
+        let Some(job) = self.jobs.get(&id) else {
+            return false;
+        };
+        match (&job.status, &job.cancel) {
+            (JobStatus::Pending, _) => {
+                self.claim(id);
+                self.settle(id, None);
+                true
+            }
+            (JobStatus::Running, Some(token)) => {
+                // Cooperative: the scan observes the token at its next page
+                // boundary, and settle reads it when the wave ends.
+                token.cancel();
+                true
+            }
+            _ => false,
+        }
+    }
+
+    /// Closes admission and fails every queued job with "service is shut
+    /// down". A wave already running settles as usual.
+    fn close(&mut self) {
+        self.closed = true;
+        let queued: Vec<JobId> = self.lanes.iter().flatten().copied().collect();
+        for id in queued {
+            self.claim(id);
+            self.settle(id, Some(Err(SubmitError::Closed.to_string())));
+        }
+    }
+}
+
+/// Claims the next wave in (priority, FIFO) order: the head of the
+/// highest non-empty lane decides. Queries accumulate up to `max_batch`
+/// across lanes (a half-filled wave never waits for stragglers —
+/// determinism requires batching only what is already admitted),
+/// interleaved fairly across tenants within each lane
+/// ([`claim_fair_queries`]). A barrier job (ingest, explain, scrub)
+/// ends a non-empty wave, so whatever was admitted after it observes
+/// its effects; at the front of an empty wave it runs alone. `None` when
+/// nothing is queued.
+fn claim_wave(state: &mut State, max_batch: usize) -> Option<Wave> {
+    let mut wave: Vec<(JobId, QueryRequest)> = Vec::new();
+    'lanes: for class in Priority::CLASSES {
+        let lane = class.lane();
+        while let Some(&id) = state.lanes[lane].front() {
+            if !matches!(state.jobs[&id].kind, Some(JobKind::Query(_))) {
+                if !wave.is_empty() {
+                    break 'lanes;
+                }
+                let tenant = state.jobs[&id].tenant.clone();
+                return Some(Wave::Alone(id, state.claim(id), tenant));
+            }
+            if wave.len() == max_batch {
+                break 'lanes;
+            }
+            for id in claim_fair_queries(state, lane, max_batch - wave.len()) {
+                let JobKind::Query(request) = state.claim(id) else {
+                    unreachable!("the fair claim only picks queries");
+                };
+                wave.push((id, *request));
+            }
+            // Loop: the lane front is now the barrier that ended the window
+            // (or leftover queries once the wave is full, caught above).
+        }
+    }
+    (!wave.is_empty()).then_some(Wave::Queries(wave))
+}
+
+/// Whether job `id` is still queued or running. Unlike [`settled`], it
+/// clones no output, so waiters can test it on every wakeup.
+fn in_flight(state: &State, id: JobId) -> bool {
+    let status = state.jobs.get(&id).map(|job| &job.status);
+    matches!(status, Some(JobStatus::Pending | JobStatus::Running))
 }
 
 /// The terminal result of job `id`, or `None` while it is still queued or
@@ -415,27 +655,12 @@ impl ServiceHandle {
     /// tenant's own allowance is exhausted.
     pub fn submit_tagged(
         &self,
-        mut request: QueryRequest,
+        request: QueryRequest,
         priority: Priority,
         tenant: Option<&str>,
     ) -> Result<JobId, SubmitError> {
-        if request.page_budget.is_none() {
-            request.page_budget = tenant
-                .and(self.shared.config.tenant_page_budget)
-                .or(self.shared.config.default_page_budget);
-        }
-        if request.deadline.is_none() {
-            request.deadline = self.shared.config.default_deadline;
-        }
-        // Every query job carries a cancellation token shared with the
-        // request the datapath scans with, so [`ServiceHandle::cancel`]
-        // reaches even a job already running in a wave. A token the caller
-        // attached is kept (and shared), not replaced.
-        let cancel = request.cancel.get_or_insert_with(CancelToken::new).clone();
-        self.admit(
-            JobKind::Query(Box::new(request), priority, tenant.map(str::to_string)),
-            cancel,
-        )
+        let request = self.with_defaults(request, tenant);
+        self.admit(JobKind::Query(Box::new(request)), priority, tenant)
     }
 
     /// Parses and submits a query.
@@ -475,19 +700,11 @@ impl ServiceHandle {
     /// Same admission conditions as [`ServiceHandle::submit`].
     pub fn submit_explain(
         &self,
-        mut request: QueryRequest,
+        request: QueryRequest,
         priority: Priority,
     ) -> Result<JobId, SubmitError> {
-        if request.page_budget.is_none() {
-            request.page_budget = self.shared.config.default_page_budget;
-        }
-        if request.deadline.is_none() {
-            request.deadline = self.shared.config.default_deadline;
-        }
-        self.admit(
-            JobKind::Explain(Box::new(request), priority),
-            CancelToken::new(),
-        )
+        let request = self.with_defaults(request, None);
+        self.admit(JobKind::Explain(Box::new(request)), priority, None)
     }
 
     /// Parses and submits a plan-only explain.
@@ -536,10 +753,7 @@ impl ServiceHandle {
     /// Same admission conditions as [`ServiceHandle::submit_tagged`].
     pub fn ingest_tagged(&self, text: Vec<u8>, tenant: Option<&str>) -> Result<JobId, SubmitError> {
         let prep = PreparedIngest::build(&self.shared.system, Cow::Owned(text));
-        self.admit(
-            JobKind::Ingest(Box::new(prep), tenant.map(str::to_string)),
-            CancelToken::new(),
-        )
+        self.admit(JobKind::Ingest(Box::new(prep)), Priority::Normal, tenant)
     }
 
     /// Submits a full-device scrub pass (admitted through the same bounded
@@ -552,68 +766,30 @@ impl ServiceHandle {
     ///
     /// Same admission conditions as [`ServiceHandle::submit`].
     pub fn submit_scrub(&self) -> Result<JobId, SubmitError> {
-        self.admit(JobKind::Scrub, CancelToken::new())
+        self.admit(JobKind::Scrub, Priority::Normal, None)
     }
 
-    fn admit(&self, kind: JobKind, cancel: CancelToken) -> Result<JobId, SubmitError> {
-        let tenant = match &kind {
-            JobKind::Query(_, _, tenant) | JobKind::Ingest(_, tenant) => tenant.clone(),
-            JobKind::Explain(..) | JobKind::Scrub => None,
-        };
+    /// Fills in the page budget (a tagged request's tenant budget first)
+    /// and the deadline a request does not carry itself.
+    fn with_defaults(&self, mut request: QueryRequest, tenant: Option<&str>) -> QueryRequest {
+        let config = &self.shared.config;
+        if request.page_budget.is_none() {
+            request.page_budget = tenant
+                .and(config.tenant_page_budget)
+                .or(config.default_page_budget);
+        }
+        request.deadline = request.deadline.or(config.default_deadline);
+        request
+    }
+
+    fn admit(
+        &self,
+        kind: JobKind,
+        priority: Priority,
+        tenant: Option<&str>,
+    ) -> Result<JobId, SubmitError> {
         let mut state = self.shared.state.lock().expect("service state poisoned");
-        if state.closed {
-            return Err(SubmitError::Closed);
-        }
-        if state.queued >= self.shared.config.max_queue {
-            state.stats.rejected += 1;
-            if let Some(tenant) = &tenant {
-                state.tenant_mut(tenant).rejected += 1;
-            }
-            return Err(SubmitError::Rejected {
-                queue_full: true,
-                queue_len: state.queued,
-                capacity: self.shared.config.max_queue,
-            });
-        }
-        // The per-tenant cap bounds how much of the shared queue one tenant
-        // can occupy: a saturating tenant exhausts its own allowance and is
-        // turned away while everyone else still gets admitted.
-        if let (Some(tenant), Some(cap)) = (&tenant, self.shared.config.tenant_max_queued) {
-            let queued = state.tenant_mut(tenant).queued as usize;
-            if queued >= cap {
-                state.stats.rejected += 1;
-                state.tenant_mut(tenant).rejected += 1;
-                return Err(SubmitError::Rejected {
-                    queue_full: false,
-                    queue_len: queued,
-                    capacity: cap,
-                });
-            }
-        }
-        let id = state.next_id;
-        state.next_id += 1;
-        let lane = match &kind {
-            JobKind::Query(_, priority, _) | JobKind::Explain(_, priority) => priority.lane(),
-            JobKind::Ingest(..) | JobKind::Scrub => Priority::Normal.lane(),
-        };
-        state.jobs.insert(
-            id,
-            Job {
-                kind: Some(kind),
-                status: JobStatus::Pending,
-                cancel,
-                tenant: tenant.clone(),
-            },
-        );
-        state.lanes[lane].push_back(id);
-        state.queued += 1;
-        state.stats.submitted += 1;
-        state.stats.queued = state.queued as u64;
-        if let Some(tenant) = &tenant {
-            let stats = state.tenant_mut(tenant);
-            stats.submitted += 1;
-            stats.queued += 1;
-        }
+        let id = state.admit(&self.shared.config, kind, priority, tenant)?;
         self.shared.changed.notify_all();
         Ok(id)
     }
@@ -632,20 +808,15 @@ impl ServiceHandle {
     /// The failure message for failed jobs, `"cancelled"` for cancelled
     /// jobs, `"unknown job"` for an id never issued.
     pub fn wait(&self, id: JobId) -> Result<JobOutput, String> {
-        let mut state = self.shared.state.lock().expect("service state poisoned");
-        loop {
-            match settled(&state, id) {
-                Some(Ok(out)) => return Ok(out),
-                Some(Err(WaitError::Failed(reason))) => return Err(reason),
-                Some(Err(WaitError::Cancelled)) => return Err("cancelled".into()),
-                Some(Err(other)) => return Err(other.to_string()),
-                None => {}
-            }
-            state = self
-                .shared
-                .changed
-                .wait(state)
-                .expect("service state poisoned");
+        let state = self.shared.state.lock().expect("service state poisoned");
+        let state = (self.shared.changed)
+            .wait_while(state, |state| in_flight(state, id))
+            .expect("service state poisoned");
+        match settled(&state, id).expect("waited until settled") {
+            Ok(out) => Ok(out),
+            Err(WaitError::Failed(reason)) => Err(reason),
+            Err(WaitError::Cancelled) => Err("cancelled".into()),
+            Err(other) => Err(other.to_string()),
         }
     }
 
@@ -659,65 +830,28 @@ impl ServiceHandle {
     /// `timeout`; otherwise the same terminal states as
     /// [`ServiceHandle::wait`], as typed [`WaitError`] variants.
     pub fn wait_timeout(&self, id: JobId, timeout: Duration) -> Result<JobOutput, WaitError> {
-        let deadline = Instant::now() + timeout;
-        let mut state = self.shared.state.lock().expect("service state poisoned");
-        loop {
-            // Checked once more after the deadline passes: the change may
-            // have landed exactly at it.
-            if let Some(result) = settled(&state, id) {
-                return result;
-            }
-            let Some(remaining) = deadline
-                .checked_duration_since(Instant::now())
-                .filter(|r| !r.is_zero())
-            else {
-                return Err(WaitError::TimedOut);
-            };
-            state = self
-                .shared
-                .changed
-                .wait_timeout(state, remaining)
-                .expect("service state poisoned")
-                .0;
-        }
+        let state = self.shared.state.lock().expect("service state poisoned");
+        let (state, _) = (self.shared.changed)
+            .wait_timeout_while(state, timeout, |state| in_flight(state, id))
+            .expect("service state poisoned");
+        // Checked once more after the timeout: the change may have landed
+        // exactly at it.
+        settled(&state, id).unwrap_or(Err(WaitError::TimedOut))
     }
 
-    /// Cancels a pending or running job. A queued job is removed
-    /// immediately; a running query's cancellation token is tripped, so its
-    /// scan stops within one page per worker — the pages it already scanned
-    /// are charged as usual, and the job settles as
-    /// [`JobStatus::Cancelled`] when its wave ends. Returns `true` when
-    /// cancellation took effect, `false` for a job that already settled (or
-    /// an unknown id).
+    /// Cancels a queued job or a running query. A queued job settles as
+    /// [`JobStatus::Cancelled`] immediately; a running query's cancellation
+    /// token is tripped, so its scan stops within one page per worker — the
+    /// pages it already scanned are charged as usual, and the job settles
+    /// as [`JobStatus::Cancelled`] when its wave ends. Returns `true` when
+    /// cancellation took effect; `false` for a running ingest, explain or
+    /// scrub (they run to completion), a job that already settled, or an
+    /// unknown id.
     pub fn cancel(&self, id: JobId) -> bool {
         let mut state = self.shared.state.lock().expect("service state poisoned");
-        let Some(job) = state.jobs.get_mut(&id) else {
-            return false;
-        };
-        match job.status {
-            JobStatus::Pending => {
-                job.status = JobStatus::Cancelled;
-                job.kind = None;
-                let tenant = job.tenant.clone();
-                state.queued -= 1;
-                state.stats.cancelled += 1;
-                state.stats.queued = state.queued as u64;
-                if let Some(tenant) = &tenant {
-                    let stats = state.tenant_mut(tenant);
-                    stats.cancelled += 1;
-                    stats.queued = stats.queued.saturating_sub(1);
-                }
-                self.shared.changed.notify_all();
-                true
-            }
-            JobStatus::Running => {
-                // Cooperative: the wave observes the token at the next page
-                // boundary; wave completion marks the job cancelled.
-                job.cancel.cancel();
-                true
-            }
-            _ => false,
-        }
+        let cancelled = state.cancel(id);
+        self.shared.changed.notify_all();
+        cancelled
     }
 
     /// A snapshot of the service counters.
@@ -797,13 +931,13 @@ impl Service {
     fn close_and_join(&mut self) {
         {
             let mut state = self.handle.shared.state.lock().expect("state poisoned");
-            state.closed = true;
+            state.close();
             self.handle.shared.changed.notify_all();
         }
         if let Some(thread) = self.scheduler.take() {
             // Wave panics are caught inside the loop, so the scheduler only
             // dies on a defect in the loop itself; shutdown still completes
-            // (pending jobs were already failed or will simply never run).
+            // (queued jobs were already failed by the close).
             let _ = thread.join();
         }
     }
@@ -815,475 +949,240 @@ impl Drop for Service {
     }
 }
 
-/// One unit of work claimed from the queues while holding the lock.
+/// One unit of work the scheduler runs: claimed from the lanes while
+/// holding the lock, or an online scrub slice when they are empty.
 enum Wave {
     /// A batch of queries scanned together.
     Queries(Vec<(JobId, QueryRequest)>),
-    /// Built frames to apply alone, with the tenant tag that routes them
-    /// to shards.
-    Ingest(JobId, Box<PreparedIngest<'static>>, Option<String>),
-    /// A plan-only explain; runs alone, so its (real, charged) index probe
-    /// lands between waves deterministically.
-    Explain(JobId, Box<QueryRequest>),
-    /// A client-requested full-device scrub pass; runs alone.
-    Scrub(JobId),
-    /// Nothing runnable; the caller should wait for a change.
-    Idle,
-    Shutdown,
+    /// A barrier job (ingest, explain or scrub), run alone between waves,
+    /// with the tenant tag that routes an ingest to shards.
+    Alone(JobId, JobKind, Option<String>),
+    /// One online scrub slice, run in an idle gap.
+    ScrubSlice,
 }
+
+impl Wave {
+    /// The jobs this wave settles, in claim order.
+    fn ids(&self) -> Vec<JobId> {
+        match self {
+            Wave::Queries(jobs) => jobs.iter().map(|(id, _)| *id).collect(),
+            Wave::Alone(id, ..) => vec![*id],
+            Wave::ScrubSlice => Vec::new(),
+        }
+    }
+}
+
+/// Each job's result from one wave, in claim order.
+type WaveResults = Vec<(JobId, Result<JobOutput, String>)>;
 
 /// Selects up to `budget` query jobs from the contiguous run of queries at
-/// the front of `lane`, round-robin over tenants: each sweep takes at most
-/// one job per tenant (untagged jobs pass through in submission order), so
-/// a tenant that filled the lane first cannot starve another tenant's
-/// already-admitted queries — they interleave into the same wave. With no
-/// tenant tags every sweep takes everything, which is exactly the old
-/// strict-FIFO claim. Selected ids are removed from the lane; the jobs
-/// left behind keep their relative order.
-fn claim_fair_queries(state: &mut State, lane: usize, budget: usize) -> Vec<JobId> {
-    let mut window: Vec<(JobId, Option<String>)> = Vec::new();
+/// the front of `lane`, round-robin over tenants: sweep `k` takes each
+/// tenant's `k`-th query (untagged queries all go in the first sweep), in
+/// submission order within a sweep, so a tenant that filled the lane first
+/// cannot starve another tenant's already-admitted queries — they
+/// interleave into the same wave. With no tenant tags this is exactly the
+/// strict-FIFO claim.
+fn claim_fair_queries(state: &State, lane: usize, budget: usize) -> Vec<JobId> {
+    let mut ahead: HashMap<&str, usize> = HashMap::new();
+    let mut window: Vec<(usize, JobId)> = Vec::new();
     for &id in &state.lanes[lane] {
-        match state.jobs.get(&id).and_then(|j| j.kind.as_ref()) {
-            // Cancelled in place: invisible here, dropped from the lane
-            // when it reaches the front.
-            None => continue,
-            Some(JobKind::Query(_, _, tenant)) => window.push((id, tenant.clone())),
+        let job = &state.jobs[&id];
+        match &job.kind {
+            Some(JobKind::Query(_)) => {
+                let sweep = job.tenant.as_deref().map_or(0, |tenant| {
+                    let count = ahead.entry(tenant).or_default();
+                    *count += 1;
+                    *count - 1
+                });
+                window.push((sweep, id));
+            }
             // The window ends at the first barrier job (ingest, explain,
             // scrub): whatever sits behind it must observe its effects.
-            Some(_) => break,
+            _ => break,
         }
     }
-    let mut chosen: Vec<JobId> = Vec::with_capacity(window.len().min(budget));
-    let mut taken = vec![false; window.len()];
-    while chosen.len() < budget {
-        let before = chosen.len();
-        let mut served: Vec<&str> = Vec::new();
-        for (slot, (id, tenant)) in window.iter().enumerate() {
-            if taken[slot] {
-                continue;
-            }
-            if let Some(tenant) = tenant.as_deref() {
-                if served.contains(&tenant) {
-                    continue;
-                }
-                served.push(tenant);
-            }
-            taken[slot] = true;
-            chosen.push(*id);
-            if chosen.len() == budget {
-                break;
-            }
-        }
-        if chosen.len() == before {
-            break;
-        }
-    }
-    for id in &chosen {
-        let pos = state.lanes[lane]
-            .iter()
-            .position(|queued| queued == id)
-            .expect("chosen id came from this lane");
-        state.lanes[lane].remove(pos);
-    }
-    chosen
+    // A stable sort keeps submission order within each sweep.
+    window.sort_by_key(|&(sweep, _)| sweep);
+    window.iter().take(budget).map(|&(_, id)| id).collect()
 }
 
-/// Claims the next wave in (priority, FIFO) order: the head of the highest
-/// non-empty lane decides. Queries accumulate up to `max_batch` across
-/// lanes (a half-filled wave never waits for stragglers — determinism
-/// requires batching only what is already admitted), interleaved fairly
-/// across tenants within each lane ([`claim_fair_queries`]). A barrier job
-/// (ingest, explain, scrub) ends a non-empty wave, so whatever was
-/// admitted after it observes its effects; at the front of an empty wave
-/// it runs alone.
-fn claim_wave(state: &mut State, max_batch: usize) -> Wave {
-    if state.closed {
-        return Wave::Shutdown;
-    }
-    let mut wave: Vec<(JobId, QueryRequest)> = Vec::new();
-    'lanes: for class in Priority::CLASSES {
-        let lane = class.lane();
-        loop {
-            // Cancelled jobs were emptied in place; drop them from the lane.
-            while let Some(&id) = state.lanes[lane].front() {
-                if state.jobs.get(&id).and_then(|j| j.kind.as_ref()).is_some() {
-                    break;
-                }
-                state.lanes[lane].pop_front();
-            }
-            let Some(&id) = state.lanes[lane].front() else {
-                break;
-            };
-            let kind = state
-                .jobs
-                .get(&id)
-                .and_then(|j| j.kind.as_ref())
-                .expect("front job is live");
-            match kind {
-                JobKind::Query(..) => {
-                    if wave.len() == max_batch {
-                        break 'lanes;
-                    }
-                    for id in claim_fair_queries(state, lane, max_batch - wave.len()) {
-                        let job = state.jobs.get_mut(&id).expect("claimed job exists");
-                        job.status = JobStatus::Running;
-                        let Some(JobKind::Query(request, _, tenant)) = job.kind.take() else {
-                            unreachable!("the fair claim only picks queries");
-                        };
-                        state.queued -= 1;
-                        if let Some(tenant) = &tenant {
-                            let stats = state.tenant_mut(tenant);
-                            stats.queued = stats.queued.saturating_sub(1);
-                        }
-                        wave.push((id, *request));
-                    }
-                    // Loop: the lane front is now the barrier that ended
-                    // the window (or leftover queries once the wave is
-                    // full, caught by the max_batch check above).
-                }
-                JobKind::Ingest(..) | JobKind::Explain(..) | JobKind::Scrub => {
-                    if !wave.is_empty() {
-                        break 'lanes;
-                    }
-                    state.lanes[lane].pop_front();
-                    let job = state.jobs.get_mut(&id).expect("claimed job exists");
-                    job.status = JobStatus::Running;
-                    let kind = job.kind.take().expect("front job is live");
-                    let tenant = job.tenant.clone();
-                    state.queued -= 1;
-                    state.stats.queued = state.queued as u64;
-                    if let Some(tenant) = &tenant {
-                        let stats = state.tenant_mut(tenant);
-                        stats.queued = stats.queued.saturating_sub(1);
-                    }
-                    return match kind {
-                        JobKind::Ingest(prep, tenant) => Wave::Ingest(id, prep, tenant),
-                        JobKind::Explain(request, _) => Wave::Explain(id, request),
-                        JobKind::Scrub => Wave::Scrub(id),
-                        JobKind::Query(..) => unreachable!("kind checked above"),
-                    };
-                }
-            }
-        }
-    }
-    if wave.is_empty() {
-        return Wave::Idle;
-    }
-    state.stats.queued = state.queued as u64;
-    Wave::Queries(wave)
-}
-
-/// What applying an ingest produced: the report, the number of segments
-/// it sealed, and the retention pass that followed it (if one is
-/// configured) — or the error / caught panic that stopped it.
-type IngestOutcome = Result<
-    Result<(IngestReport, u64, Option<RetentionReport>), ShardError>,
-    Box<dyn std::any::Any + Send>,
->;
-
-/// Applies built ingest frames under panic isolation, then the configured
-/// retention pass. Retention failure fails the job: the ingested data is
-/// durable, but the store could not honor its retention contract and the
-/// client must hear about it.
-fn run_ingest<S: PageStore>(
-    log: &mut ShardedLog<S>,
-    retain: Option<u64>,
-    tenant: Option<&str>,
-    prep: &PreparedIngest<'_>,
-) -> IngestOutcome {
-    catch_unwind(AssertUnwindSafe(|| {
-        let sealed_before = log.sealed_segment_count();
-        let report = log.apply_prepared(tenant, prep)?;
-        let sealed = log.sealed_segment_count() - sealed_before;
-        let retention = match retain {
-            Some(keep) => Some(log.apply_retention(keep)?),
-            None => None,
-        };
-        Ok((report, sealed, retention))
-    }))
-}
-
-/// Settles an ingest job from its outcome, folding segment counters into
-/// the stats and re-arming the online scrub pass when the device changed.
-fn settle_ingest(shared: &Shared, id: JobId, outcome: IngestOutcome, scrub_done: &mut bool) {
-    let mut state = shared.state.lock().expect("service state poisoned");
-    match outcome {
-        Ok(Ok((report, sealed, retention))) => {
-            let job = state.jobs.get_mut(&id).expect("running job exists");
-            job.status = JobStatus::Done(JobOutput::Ingest(report));
-            let tenant = job.tenant.clone();
-            state.stats.completed += 1;
-            if let Some(tenant) = &tenant {
-                state.tenant_mut(tenant).completed += 1;
-            }
-            state.stats.segments_sealed += sealed;
-            state.stats.ingests_overlapped += 1;
-            if let Some(retention) = retention {
-                state.stats.segments_dropped += retention.segments_dropped;
-            }
-            // New pages to verify (and rewritten pages left quarantine):
-            // re-arm the online scrub pass.
-            *scrub_done = false;
-        }
-        Ok(Err(e)) => {
-            fail_job(&mut state, id, e.to_string());
-            *scrub_done = false;
-        }
-        Err(payload) => {
-            state.stats.waves_poisoned += 1;
-            fail_job(&mut state, id, internal_error(&*payload));
-        }
-    }
-    shared.changed.notify_all();
-}
-
-/// Settles job `id` as failed with `reason`, dropping its payload. Every
-/// failure settles here, so the service's and the tenant's `failed`
-/// counters always move together.
-fn fail_job(state: &mut State, id: JobId, reason: String) {
-    let job = state.jobs.get_mut(&id).expect("failed job exists");
-    job.status = JobStatus::Failed(reason);
-    job.kind = None;
-    let tenant = job.tenant.clone();
-    state.stats.failed += 1;
-    if let Some(tenant) = &tenant {
-        state.tenant_mut(tenant).failed += 1;
-    }
-}
-
-/// Renders a caught panic payload as a job failure message.
-fn internal_error(payload: &(dyn std::any::Any + Send)) -> String {
-    let message = if let Some(s) = payload.downcast_ref::<&str>() {
-        s
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.as_str()
-    } else {
-        "panic of unknown type"
-    };
-    format!("internal error: {message}")
-}
-
-/// Publishes the log's current per-device rows for
-/// [`ServiceHandle::shard_stats`] and the `STATS` verb.
-fn publish_shard_rows<S: PageStore>(log: &ShardedLog<S>, shared: &Shared) {
-    let rows = log.shard_rows();
-    let mut state = shared.state.lock().expect("service state poisoned");
-    state.shard_rows = rows;
+/// The online scrub lane: the resume cursor within the current pass, and
+/// whether a pass over the whole device has completed since the last
+/// ingest. Scheduler-local — it never needs the service lock.
+#[derive(Default)]
+struct ScrubLane {
+    cursor: u64,
+    done: bool,
 }
 
 fn scheduler_loop<S: PageStore>(mut log: ShardedLog<S>, shared: &Shared) {
-    // Online scrub lane state: the resume cursor within the current pass,
-    // and whether a pass over the whole device has completed since the last
-    // ingest. Scheduler-local — it never needs the service lock.
-    let mut scrub_cursor: u64 = 0;
-    let mut scrub_done = false;
+    let config = &shared.config;
+    let mut scrub = ScrubLane::default();
+    // The counters only waves move; [`State::settle_wave`] publishes them.
+    let mut wave_stats = ServiceStats::default();
     loop {
-        let mut run_scrub_slice = false;
         let wave = {
             let mut state = shared.state.lock().expect("service state poisoned");
             loop {
-                match claim_wave(&mut state, shared.config.max_batch) {
-                    Wave::Idle => {
-                        // Idle time funds the online scrub: verify one
-                        // bounded slice, then come back for real work.
-                        // Foreground jobs always preempt the next slice.
-                        if shared.config.scrub_batch > 0 && !scrub_done {
-                            run_scrub_slice = true;
-                            break Wave::Idle;
-                        }
-                        state = shared.changed.wait(state).expect("service state poisoned");
-                    }
-                    other => break other,
+                // The close already failed every queued job.
+                if state.closed {
+                    return;
+                }
+                match claim_wave(&mut state, config.max_batch) {
+                    Some(wave) => break wave,
+                    // Idle time funds the online scrub: verify one bounded
+                    // slice, then come back for real work. Foreground jobs
+                    // always preempt the next slice.
+                    None if config.scrub_batch > 0 && !scrub.done => break Wave::ScrubSlice,
+                    None => state = shared.changed.wait(state).expect("service state poisoned"),
                 }
             }
         };
         // The lock is dropped while the wave executes: submissions, polls
-        // and cancellations of *queued* jobs proceed concurrently.
-        match wave {
-            Wave::Idle => {
-                debug_assert!(
-                    run_scrub_slice,
-                    "idle without scrub handled inside the lock"
-                );
-                let batch = shared.config.scrub_batch;
-                // The scrub lane is a fault domain of its own: a page whose
-                // read panics (firmware-bug drill) poisons only this slice.
-                // The pass is disarmed until the next ingest re-arms it, so
-                // the lane cannot hot-loop on the same poisonous page.
-                match catch_unwind(AssertUnwindSafe(|| log.scrub_slice(scrub_cursor, batch))) {
-                    Ok(slice) => {
-                        scrub_cursor = slice.next;
-                        scrub_done = slice.complete;
-                        let mut state = shared.state.lock().expect("service state poisoned");
-                        state.stats.scrub_slices += 1;
-                        state.stats.pages_scrubbed += slice.report.pages_checked;
-                        state.stats.pages_quarantined += slice.report.quarantined.len() as u64;
-                        state.stats.bitmaps_dropped += slice.report.bitmaps_dropped;
-                    }
-                    Err(_) => {
-                        scrub_done = true;
-                        let mut state = shared.state.lock().expect("service state poisoned");
-                        state.stats.waves_poisoned += 1;
-                    }
-                }
-            }
-            Wave::Shutdown => {
-                let mut state = shared.state.lock().expect("service state poisoned");
-                for lane in &mut state.lanes {
-                    lane.clear();
-                }
-                let orphaned: Vec<JobId> = state
-                    .jobs
-                    .iter()
-                    .filter(|(_, j)| matches!(j.status, JobStatus::Pending))
-                    .map(|(id, _)| *id)
-                    .collect();
-                for id in orphaned {
-                    fail_job(&mut state, id, SubmitError::Closed.to_string());
-                }
-                state.queued = 0;
-                state.stats.queued = 0;
-                for tenant in state.tenants.values_mut() {
-                    tenant.queued = 0;
-                }
-                shared.changed.notify_all();
-                return;
-            }
-            Wave::Ingest(id, prep, tenant) => {
-                // A panic while applying (a device fault drill, a defect
-                // in the datapath) fails only this job; the scheduler — and
-                // every other job — survives. The system state is sound
-                // after an unwind: scoped scan threads are joined before
-                // the panic propagates, the page cache recovers poisoned
-                // locks, and pages are append-only, so cached text of
-                // already-committed pages stays valid.
-                let outcome = run_ingest(
-                    &mut log,
-                    shared.config.retain_segments,
-                    tenant.as_deref(),
-                    &prep,
-                );
-                settle_ingest(shared, id, outcome, &mut scrub_done);
-                publish_shard_rows(&log, shared);
-            }
-            Wave::Explain(id, request) => {
+        // and cancellations proceed concurrently.
+        let ids = wave.ids();
+        // The scheduler's one panic boundary. A panic escaping the datapath
+        // (an injected firmware panic surfacing through a scan worker, a
+        // defect) fails only this wave's jobs; the scheduler keeps serving
+        // every other job. `AssertUnwindSafe` is sound: scoped scan threads
+        // are joined before the unwind crosses the system, the page cache
+        // recovers poisoned locks, and pages are append-only, so cached
+        // text of already-committed pages stays valid.
+        let results = catch_unwind(AssertUnwindSafe(|| {
+            execute(&mut log, wave, &mut scrub, &mut wave_stats, config)
+        }))
+        .unwrap_or_else(|payload| poisoned(ids, &*payload, &mut wave_stats));
+        let rows = log.shard_rows();
+        let mut state = shared.state.lock().expect("service state poisoned");
+        state.settle_wave(results, &wave_stats);
+        state.shard_rows = rows;
+        shared.changed.notify_all();
+    }
+}
+
+/// The results of a wave that panicked: each of its jobs fails with the
+/// panic message as an internal error, and the wave counts in
+/// `waves_poisoned`.
+fn poisoned(ids: Vec<JobId>, payload: &(dyn Any + Send), stats: &mut ServiceStats) -> WaveResults {
+    let message = (payload.downcast_ref::<&str>().copied())
+        .or_else(|| payload.downcast_ref::<String>().map(String::as_str))
+        .unwrap_or("panic of unknown type");
+    stats.waves_poisoned += 1;
+    fail_all(ids, &format!("internal error: {message}"))
+}
+
+/// Fails every job of a wave with the same reason.
+fn fail_all(ids: Vec<JobId>, reason: &str) -> WaveResults {
+    ids.into_iter().map(|id| (id, Err(reason.into()))).collect()
+}
+
+/// Runs one claimed wave against the log, adding what it did to the wave
+/// counters in `stats`.
+fn execute<S: PageStore>(
+    log: &mut ShardedLog<S>,
+    wave: Wave,
+    scrub: &mut ScrubLane,
+    stats: &mut ServiceStats,
+    config: &ServiceConfig,
+) -> WaveResults {
+    match wave {
+        Wave::Queries(jobs) => {
+            let (ids, requests): (Vec<JobId>, Vec<QueryRequest>) = jobs.into_iter().unzip();
+            let batch = match log.query_shared(&requests) {
+                Ok(batch) => batch,
+                // A non-survivable device error fails the whole wave — the
+                // same error a solo run would surface.
+                Err(e) => return fail_all(ids, &e.to_string()),
+            };
+            let shared = batch.shared;
+            stats.waves += 1;
+            stats.demanded_page_reads += shared.demanded_page_reads;
+            stats.unique_pages_read += shared.unique_pages_read;
+            stats.shared_reads_avoided += shared.shared_reads_avoided;
+            stats.cache_hits += shared.cache_hits;
+            stats.cache_bytes_saved += shared.cache_bytes_saved;
+            stats.pages_pruned_by_index += shared.pages_pruned_by_index;
+            stats.pages_pruned_by_bitmap += shared.pages_pruned_by_bitmap;
+            stats.pages_pruned_by_both += shared.pages_pruned_by_both;
+            stats.probe_node_visits_saved += shared.probe_node_visits_saved();
+            ids.into_iter()
+                .zip(batch.outcomes)
+                .zip(shared.attribution)
+                .map(|((id, outcome), attribution)| {
+                    let outcome = Box::new(outcome);
+                    (
+                        id,
+                        Ok(JobOutput::Query {
+                            outcome,
+                            attribution,
+                        }),
+                    )
+                })
+                .collect()
+        }
+        Wave::Alone(id, kind, tenant) => {
+            let result = match kind {
                 // Plan-only: the probe runs (and is charged) for real, the
-                // data-page scan never happens. Same panic isolation as any
-                // other lone job.
-                let result = catch_unwind(AssertUnwindSafe(|| log.explain(&request)));
-                let mut state = shared.state.lock().expect("service state poisoned");
-                match result {
-                    Ok(Ok(explain)) => {
-                        let job = state.jobs.get_mut(&id).expect("running job exists");
-                        job.status = JobStatus::Done(JobOutput::Explain(Box::new(explain)));
-                        state.stats.completed += 1;
-                    }
-                    Ok(Err(e)) => fail_job(&mut state, id, e.to_string()),
-                    Err(payload) => {
-                        state.stats.waves_poisoned += 1;
-                        fail_job(&mut state, id, internal_error(&*payload));
-                    }
-                }
-                shared.changed.notify_all();
-            }
-            Wave::Scrub(id) => {
-                let result = catch_unwind(AssertUnwindSafe(|| log.scrub()));
-                let mut state = shared.state.lock().expect("service state poisoned");
-                match result {
-                    Ok(report) => {
-                        state.stats.pages_scrubbed += report.pages_checked;
-                        state.stats.pages_quarantined += report.quarantined.len() as u64;
-                        state.stats.bitmaps_dropped += report.bitmaps_dropped;
-                        state.stats.completed += 1;
-                        let job = state.jobs.get_mut(&id).expect("running job exists");
-                        job.status = JobStatus::Done(JobOutput::Scrub(report));
-                        // A full pass covered everything the online lane
-                        // still owed.
-                        scrub_done = true;
-                        scrub_cursor = 0;
-                    }
-                    Err(payload) => {
-                        state.stats.waves_poisoned += 1;
-                        fail_job(&mut state, id, internal_error(&*payload));
-                    }
-                }
-                shared.changed.notify_all();
-            }
-            Wave::Queries(wave) => {
-                let requests: Vec<QueryRequest> = wave.iter().map(|(_, r)| r.clone()).collect();
-                // Panic isolation: a wave that panics (e.g. an injected
-                // firmware panic surfacing through a scan worker) fails
-                // only its own queries. AssertUnwindSafe is sound here —
-                // scoped worker threads are joined before the unwind
-                // crosses the system, and the page cache recovers poisoned
-                // locks — so the scheduler keeps serving every other job.
-                let result = catch_unwind(AssertUnwindSafe(|| log.query_shared(&requests)));
-                let mut state = shared.state.lock().expect("service state poisoned");
-                let failure = match result {
-                    Ok(Ok(batch)) => {
-                        state.stats.waves += 1;
-                        state.stats.demanded_page_reads += batch.shared.demanded_page_reads;
-                        state.stats.unique_pages_read += batch.shared.unique_pages_read;
-                        state.stats.shared_reads_avoided += batch.shared.shared_reads_avoided;
-                        state.stats.cache_hits += batch.shared.cache_hits;
-                        state.stats.cache_bytes_saved += batch.shared.cache_bytes_saved;
-                        state.stats.pages_pruned_by_index += batch.shared.pages_pruned_by_index;
-                        state.stats.pages_pruned_by_bitmap += batch.shared.pages_pruned_by_bitmap;
-                        state.stats.pages_pruned_by_both += batch.shared.pages_pruned_by_both;
-                        state.stats.probe_node_visits_saved +=
-                            batch.shared.probe_node_visits_saved();
-                        let SharedScanReport { attribution, .. } = batch.shared;
-                        for (((id, _), outcome), attribution) in
-                            wave.iter().zip(batch.outcomes).zip(attribution)
-                        {
-                            let job = state.jobs.get_mut(id).expect("running job exists");
-                            let tenant = job.tenant.clone();
-                            if job.cancel.is_cancelled() {
-                                // Cancelled mid-wave: the scan stopped at a
-                                // page boundary and the partial outcome is
-                                // discarded.
-                                job.status = JobStatus::Cancelled;
-                                state.stats.cancelled += 1;
-                                if let Some(tenant) = &tenant {
-                                    state.tenant_mut(tenant).cancelled += 1;
-                                }
-                            } else {
-                                let pages_scanned = outcome.pages_scanned;
-                                let lines_returned = outcome.lines.len() as u64;
-                                job.status = JobStatus::Done(JobOutput::Query {
-                                    outcome: Box::new(outcome),
-                                    attribution,
-                                });
-                                state.stats.completed += 1;
-                                if let Some(tenant) = &tenant {
-                                    let stats = state.tenant_mut(tenant);
-                                    stats.completed += 1;
-                                    stats.pages_scanned += pages_scanned;
-                                    stats.lines_returned += lines_returned;
-                                }
+                // data-page scan never happens.
+                JobKind::Explain(request) => log
+                    .explain(&request)
+                    .map(|plan| JobOutput::Explain(Box::new(plan))),
+                // The built frames, then the configured retention pass. A
+                // retention failure fails the job: the ingested data is
+                // durable, but the store could not honor its retention
+                // contract and the client must hear about it.
+                JobKind::Ingest(prep) => {
+                    let sealed_before = log.sealed_segment_count();
+                    let applied = log
+                        .apply_prepared(tenant.as_deref(), &prep)
+                        .and_then(|report| {
+                            let sealed = log.sealed_segment_count() - sealed_before;
+                            if let Some(keep) = config.retain_segments {
+                                stats.segments_dropped +=
+                                    log.apply_retention(keep)?.segments_dropped;
                             }
-                        }
-                        None
-                    }
-                    // A non-survivable device error fails the whole wave —
-                    // the same error a solo run would surface.
-                    Ok(Err(e)) => Some(e.to_string()),
-                    Err(payload) => {
-                        state.stats.waves_poisoned += 1;
-                        Some(internal_error(&*payload))
-                    }
-                };
-                if let Some(reason) = failure {
-                    for (id, _) in &wave {
-                        fail_job(&mut state, *id, reason.clone());
-                    }
+                            stats.segments_sealed += sealed;
+                            stats.ingests_overlapped += 1;
+                            Ok(JobOutput::Ingest(report))
+                        });
+                    // Applied or refused, the device may have changed (new
+                    // pages to verify, rewritten pages out of quarantine):
+                    // re-arm the online scrub.
+                    scrub.done = false;
+                    applied
                 }
-                shared.changed.notify_all();
-                drop(state);
-                publish_shard_rows(&log, shared);
-            }
+                JobKind::Scrub => {
+                    let report = log.scrub();
+                    count_scrub(stats, &report);
+                    // A full pass covered everything the online lane owed.
+                    scrub.cursor = 0;
+                    scrub.done = true;
+                    Ok(JobOutput::Scrub(report))
+                }
+                JobKind::Query(_) => unreachable!("queries run in shared waves"),
+            };
+            vec![(id, result.map_err(|e| e.to_string()))]
+        }
+        Wave::ScrubSlice => {
+            // Disarmed before it runs: a slice whose read panics (the
+            // firmware-bug drill) leaves the pass off until the next ingest
+            // re-arms it, so the lane cannot hot-loop on one bad page.
+            scrub.done = true;
+            let slice = log.scrub_slice(scrub.cursor, config.scrub_batch);
+            scrub.cursor = slice.next;
+            scrub.done = slice.complete;
+            stats.scrub_slices += 1;
+            count_scrub(stats, &slice.report);
+            Vec::new()
         }
     }
+}
+
+/// Counts the pages a scrub (a full pass or an online slice) verified.
+fn count_scrub(stats: &mut ServiceStats, report: &ScrubReport) {
+    stats.pages_scrubbed += report.pages_checked;
+    stats.pages_quarantined += report.quarantined.len() as u64;
+    stats.bitmaps_dropped += report.bitmaps_dropped;
 }
 
 #[cfg(test)]
@@ -1474,81 +1373,64 @@ RAS KERNEL INFO generating core.2275\n";
         service.shutdown();
     }
 
+    /// A job to admit: its payload and tenant tag. Every test job is
+    /// admitted at [`Priority::Normal`].
+    type Admission = (JobKind, Option<&'static str>);
+
     /// Builds a [`State`] with the given jobs already admitted, in order,
-    /// for driving [`claim_wave`] deterministically.
-    fn queued_state(kinds: Vec<JobKind>) -> State {
+    /// for driving [`State::claim_wave`] deterministically.
+    fn queued_state(jobs: Vec<Admission>) -> State {
         let mut state = State::default();
-        for kind in kinds {
-            let lane = match &kind {
-                JobKind::Query(_, priority, _) | JobKind::Explain(_, priority) => priority.lane(),
-                JobKind::Ingest(..) | JobKind::Scrub => Priority::Normal.lane(),
-            };
-            let tenant = match &kind {
-                JobKind::Query(_, _, tenant) | JobKind::Ingest(_, tenant) => tenant.clone(),
-                _ => None,
-            };
-            let id = state.next_id;
-            state.next_id += 1;
-            if let Some(tenant) = &tenant {
-                state.tenant_mut(tenant).queued += 1;
-            }
-            state.jobs.insert(
-                id,
-                Job {
-                    kind: Some(kind),
-                    status: JobStatus::Pending,
-                    cancel: CancelToken::new(),
-                    tenant,
-                },
-            );
-            state.lanes[lane].push_back(id);
-            state.queued += 1;
+        for (kind, tenant) in jobs {
+            state
+                .admit(&ServiceConfig::default(), kind, Priority::Normal, tenant)
+                .expect("the default config admits every test job");
         }
         state
     }
 
-    fn query_kind(q: &str) -> JobKind {
-        JobKind::Query(
-            Box::new(QueryRequest::parse(q).unwrap()),
-            Priority::Normal,
+    fn query_kind(q: &str) -> Admission {
+        (
+            JobKind::Query(Box::new(QueryRequest::parse(q).unwrap())),
             None,
         )
     }
 
-    fn tenant_query_kind(q: &str, tenant: &str) -> JobKind {
-        JobKind::Query(
-            Box::new(QueryRequest::parse(q).unwrap()),
-            Priority::Normal,
-            Some(tenant.to_string()),
+    fn tenant_query_kind(q: &str, tenant: &'static str) -> Admission {
+        (
+            JobKind::Query(Box::new(QueryRequest::parse(q).unwrap())),
+            Some(tenant),
         )
     }
 
     /// A job that runs alone: `"ingest"`, `"explain"` or `"scrub"`.
-    fn barrier_kind(name: &str) -> JobKind {
+    fn barrier_kind(name: &str) -> Admission {
         match name {
             "ingest" => {
                 let prep =
                     PreparedIngest::build(&SystemConfig::for_tests(), Cow::Borrowed(b"line\n"));
-                JobKind::Ingest(Box::new(prep), Some("acme".to_string()))
+                (JobKind::Ingest(Box::new(prep)), Some("acme"))
             }
-            "explain" => JobKind::Explain(
-                Box::new(QueryRequest::parse("FATAL").unwrap()),
-                Priority::Normal,
+            "explain" => (
+                JobKind::Explain(Box::new(QueryRequest::parse("FATAL").unwrap())),
+                None,
             ),
-            _ => JobKind::Scrub,
+            _ => (JobKind::Scrub, None),
         }
     }
 
     /// What a claim took: the wave's kind and the job ids in it.
-    fn claimed(wave: Wave) -> (&'static str, Vec<JobId>) {
-        match wave {
-            Wave::Queries(wave) => ("queries", wave.iter().map(|(id, _)| *id).collect()),
-            Wave::Ingest(id, ..) => ("ingest", vec![id]),
-            Wave::Explain(id, _) => ("explain", vec![id]),
-            Wave::Scrub(id) => ("scrub", vec![id]),
-            Wave::Idle => ("idle", Vec::new()),
-            Wave::Shutdown => ("shutdown", Vec::new()),
-        }
+    fn claimed(wave: Option<Wave>) -> (&'static str, Vec<JobId>) {
+        let name = match &wave {
+            None => "idle",
+            Some(Wave::Queries(_)) => "queries",
+            Some(Wave::Alone(_, JobKind::Ingest(_), _)) => "ingest",
+            Some(Wave::Alone(_, JobKind::Explain(_), _)) => "explain",
+            Some(Wave::Alone(_, JobKind::Scrub, _)) => "scrub",
+            Some(Wave::Alone(_, JobKind::Query(_), _)) => "lone query",
+            Some(Wave::ScrubSlice) => "scrub slice",
+        };
+        (name, wave.map_or_else(Vec::new, |wave| wave.ids()))
     }
 
     #[test]
@@ -1575,7 +1457,7 @@ RAS KERNEL INFO generating core.2275\n";
             assert_eq!(claimed(claim_wave(&mut behind, 16)), (name, vec![2]));
             assert_eq!(claimed(claim_wave(&mut behind, 16)), ("queries", vec![3]));
             assert_eq!(claimed(claim_wave(&mut behind, 16)), ("idle", vec![]));
-            assert_eq!(behind.queued, 0);
+            assert_eq!(behind.stats.queued, 0);
             assert!(behind.tenants.values().all(|t| t.queued == 0), "{name}");
         }
     }
@@ -1597,7 +1479,7 @@ RAS KERNEL INFO generating core.2275\n";
         );
         // The rest of tenant A drains in FIFO order afterwards.
         assert_eq!(claimed(claim_wave(&mut state, 16)), ("queries", vec![1, 2]));
-        assert_eq!(state.queued, 0);
+        assert_eq!(state.stats.queued, 0);
     }
 
     #[test]
@@ -1776,6 +1658,188 @@ RAS KERNEL INFO generating core.2275\n";
         );
         assert!(stats.segments_dropped < stats.segments_sealed);
         service.shutdown();
+    }
+
+    #[test]
+    fn cancelling_a_running_barrier_job_is_too_late() {
+        // Only a query reads a cancellation token while it runs. A claimed
+        // ingest, explain or scrub runs to completion, so cancelling it
+        // must say so instead of reporting a cancel that never happens.
+        for name in ["ingest", "explain", "scrub"] {
+            let mut state = queued_state(vec![barrier_kind(name)]);
+            let (kind, ids) = claimed(claim_wave(&mut state, 16));
+            assert_eq!((kind, &ids), (name, &vec![0]));
+            assert!(!state.cancel(0), "a running {name} cannot be cancelled");
+            let output = JobOutput::Scrub(ScrubReport::default());
+            state.settle_wave(vec![(0, Ok(output))], &ServiceStats::default());
+            assert!(
+                matches!(state.jobs[&0].status, JobStatus::Done(_)),
+                "{name}"
+            );
+            assert_eq!((state.stats.completed, state.stats.cancelled), (1, 0));
+        }
+    }
+
+    /// A job's terminal status as a comparable tag, or `None` while it is
+    /// queued or running.
+    fn terminal(status: &JobStatus) -> Option<String> {
+        match status {
+            JobStatus::Pending | JobStatus::Running => None,
+            JobStatus::Done(_) => Some("done".into()),
+            JobStatus::Failed(reason) => Some(format!("failed: {reason}")),
+            JobStatus::Cancelled => Some("cancelled".into()),
+        }
+    }
+
+    /// The lifecycle invariants, checked after every step: the queue
+    /// counters match the lanes, every admitted job is accounted exactly
+    /// once, and a settled job never changes again.
+    fn check_lifecycle(state: &State, settled: &mut HashMap<JobId, String>) {
+        let queued: Vec<JobId> = state.lanes.iter().flatten().copied().collect();
+        let pending = |job: &Job| matches!(job.status, JobStatus::Pending);
+        let running = |job: &Job| matches!(job.status, JobStatus::Running);
+        assert!(queued.iter().all(|id| pending(&state.jobs[id])));
+        assert_eq!(
+            state.jobs.values().filter(|j| pending(j)).count(),
+            queued.len()
+        );
+        let stats = state.stats;
+        assert_eq!(stats.queued, queued.len() as u64);
+        let untagged = queued
+            .iter()
+            .filter(|id| state.jobs[*id].tenant.is_none())
+            .count() as u64;
+        let tagged: u64 = state.tenants.values().map(|t| t.queued).sum();
+        assert_eq!(stats.queued, tagged + untagged);
+        let in_flight = state.jobs.values().filter(|j| running(j)).count() as u64;
+        assert_eq!(
+            stats.submitted,
+            stats.completed + stats.failed + stats.cancelled + stats.queued + in_flight,
+            "{stats:?}"
+        );
+        for (name, tenant) in &state.tenants {
+            let in_flight = (state.jobs.values())
+                .filter(|j| running(j) && j.tenant.as_deref() == Some(name.as_str()))
+                .count() as u64;
+            let settled = tenant.completed + tenant.failed + tenant.cancelled;
+            assert_eq!(
+                tenant.submitted,
+                settled + tenant.queued + in_flight,
+                "{name}"
+            );
+        }
+        for (id, job) in &state.jobs {
+            match (settled.get(id), terminal(&job.status)) {
+                (Some(was), now) => assert_eq!(Some(was), now.as_ref(), "job {id} left its end"),
+                (None, Some(now)) => {
+                    settled.insert(*id, now);
+                }
+                (None, None) => {}
+            }
+        }
+    }
+
+    #[test]
+    fn lifecycle_counters_hold_under_random_steps() {
+        // Seeded random walks over the whole lifecycle, no threads: admit
+        // (4 kinds × 3 priorities × untagged or 3 tenants, small enough
+        // bounds that both rejections happen), cancel (queued, running,
+        // settled and unknown ids), claim, settle (ok, error or panic) and
+        // close, with every invariant checked after every step.
+        let config = ServiceConfig {
+            max_queue: 6,
+            tenant_max_queued: Some(2),
+            ..ServiceConfig::default()
+        };
+        let tenants = [None, Some("a"), Some("b"), Some("c")];
+        let request = QueryRequest::parse("FATAL").unwrap();
+        let system = SystemConfig::for_tests();
+        let mut rng = proptest::prelude::TestRng::from_name("lifecycle");
+        let mut steps = 0;
+        let mut seen = [0u64; 6];
+        while steps < 10_000 {
+            let mut state = State::default();
+            let mut wave_stats = ServiceStats::default();
+            let mut running: Vec<JobId> = Vec::new();
+            let mut settled: HashMap<JobId, String> = HashMap::new();
+            for _ in 0..rng.in_range(&(1..300)) {
+                steps += 1;
+                match rng.below(100) {
+                    0..=44 => {
+                        let kind = match rng.below(4) {
+                            0 => JobKind::Query(Box::new(request.clone())),
+                            1 => JobKind::Explain(Box::new(request.clone())),
+                            2 => JobKind::Ingest(Box::new(PreparedIngest::build(
+                                &system,
+                                Cow::Borrowed(b"line\n"),
+                            ))),
+                            _ => JobKind::Scrub,
+                        };
+                        let priority = Priority::CLASSES[rng.below(3)];
+                        let closed = state.closed;
+                        match state.admit(&config, kind, priority, tenants[rng.below(4)]) {
+                            Ok(_) => assert!(!closed),
+                            Err(SubmitError::Closed) => assert!(closed),
+                            Err(SubmitError::Rejected { queue_full, .. }) => {
+                                seen[usize::from(queue_full)] += 1;
+                            }
+                            Err(other) => panic!("unexpected admission error: {other}"),
+                        }
+                    }
+                    45..=64 => {
+                        let id = rng.below(state.next_id as usize + 2) as JobId;
+                        let before = state
+                            .jobs
+                            .get(&id)
+                            .map(|j| (j.status.clone(), j.cancel.is_some()));
+                        let took = state.cancel(id);
+                        let after = state.jobs.get(&id).map(|j| j.status.clone());
+                        match before {
+                            Some((JobStatus::Pending, _)) => {
+                                seen[2] += 1;
+                                assert!(took && matches!(after, Some(JobStatus::Cancelled)));
+                            }
+                            Some((JobStatus::Running, query)) => {
+                                seen[3] += 1;
+                                assert_eq!(took, query, "only a running query can be cancelled");
+                                assert!(matches!(after, Some(JobStatus::Running)));
+                            }
+                            _ => assert!(!took, "a settled or unknown job cannot be cancelled"),
+                        }
+                    }
+                    65..=79 if running.is_empty() => {
+                        if let Some(wave) = claim_wave(&mut state, rng.in_range(&(1..4))) {
+                            running = wave.ids();
+                            assert!(!running.is_empty());
+                        }
+                    }
+                    65..=97 if !running.is_empty() => {
+                        let ids = std::mem::take(&mut running);
+                        let results = match rng.below(3) {
+                            0 => ids
+                                .into_iter()
+                                .map(|id| (id, Ok(JobOutput::Ingest(IngestReport::default()))))
+                                .collect(),
+                            1 => fail_all(ids, "device error"),
+                            _ => {
+                                seen[4] += 1;
+                                poisoned(ids, &"injected panic", &mut wave_stats)
+                            }
+                        };
+                        state.settle_wave(results, &wave_stats);
+                    }
+                    98 | 99 => {
+                        seen[5] += 1;
+                        state.close();
+                    }
+                    _ => {}
+                }
+                check_lifecycle(&state, &mut settled);
+            }
+            assert_eq!(state.stats.waves_poisoned, wave_stats.waves_poisoned);
+        }
+        // Every branch the walk is meant to cover was taken.
+        assert!(seen.iter().all(|&n| n > 0), "{seen:?}");
     }
 
     #[test]

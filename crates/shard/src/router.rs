@@ -253,18 +253,19 @@ impl RoutingManifest {
     }
 
     /// Trims the manifest to its longest prefix consistent with the given
-    /// per-shard recovered frame counts: trailing run entries referencing
-    /// frames a shard's recovery discarded (a crash mid cross-shard ingest)
-    /// are dropped, newest first. Returns the number of frames trimmed.
+    /// per-shard committed frame counts (every frame a shard's recovery
+    /// kept or retention dropped): trailing run entries referencing frames
+    /// a shard's recovery discarded (a crash mid cross-shard ingest) are
+    /// dropped, newest first. Returns the number of frames trimmed.
     ///
-    /// After trimming, `frames_on(s) <= recovered[s]` for every shard; a
+    /// After trimming, `frames_on(s) <= committed[s]` for every shard; a
     /// shard left holding *more* committed frames than the manifest
     /// references is the caller's divergence check, not handled here.
-    pub fn trim_to(&mut self, recovered: &[u64]) -> u64 {
-        let mut excess: Vec<u64> = (0..recovered.len() as u32)
+    pub fn trim_to(&mut self, committed: &[u64]) -> u64 {
+        let mut excess: Vec<u64> = (0..committed.len() as u32)
             .map(|s| {
                 self.frames_on(s as usize)
-                    .saturating_sub(recovered[s as usize])
+                    .saturating_sub(committed[s as usize])
             })
             .collect();
         let mut trimmed = 0u64;

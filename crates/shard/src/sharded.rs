@@ -224,10 +224,12 @@ impl ShardedLog<MemStore> {
 }
 
 /// Adopts one device as a one-shard topology (epoch `{1, LineHash, 0}`)
-/// whose manifest places every surviving data page on shard 0, so global
-/// frame ordinal `k` is the device's `k`-th data page. Queries answer as
-/// the bare device does, except that `line_pages` and
-/// `degraded.skipped_pages` name pages by frame ordinal.
+/// whose manifest places every data page the device ever committed on
+/// shard 0, retention-dropped ones included, so global frame ordinal `k`
+/// is the device's `k`-th committed data page and a reopen after the
+/// adoption finds the frames it expects. Queries answer as the bare device
+/// does, except that `line_pages` and `degraded.skipped_pages` name pages
+/// by frame ordinal.
 impl<S: PageStore> From<MithriLog<S>> for ShardedLog<S> {
     fn from(log: MithriLog<S>) -> Self {
         let mut manifest = RoutingManifest::new(RoutingEpoch {
@@ -235,7 +237,7 @@ impl<S: PageStore> From<MithriLog<S>> for ShardedLog<S> {
             mode: RouteMode::LineHash,
             salt: 0,
         });
-        for _ in log.data_pages() {
+        for _ in 0..log.data_page_count() + log.data_pages_dropped() {
             manifest.record(0);
         }
         ShardedLog {
@@ -287,13 +289,16 @@ impl<S: PageStore> ShardedLog<S> {
     /// Reopens a topology: recovers each shard from its store, decodes the
     /// persisted routing manifest, trims it to the consistent prefix the
     /// shards actually recovered, and cross-checks that no shard holds
-    /// frames the manifest never placed.
+    /// frames the manifest never placed. A shard's frames are every data
+    /// page it ever committed: the live ones plus the pages of segments
+    /// retention dropped, which the manifest still places (see
+    /// `ordinal_maps`), so retention is never mistaken for loss.
     ///
     /// # Errors
     ///
     /// [`ShardError::Manifest`] for an unreadable manifest,
     /// [`ShardError::Config`] for a store-count/epoch mismatch,
-    /// [`ShardError::Diverged`] when a shard recovered more frames than the
+    /// [`ShardError::Diverged`] when a shard committed more frames than the
     /// manifest references, and [`ShardError::Shard`] for member recovery
     /// failures.
     pub fn open_stores(
@@ -317,15 +322,18 @@ impl<S: PageStore> ShardedLog<S> {
             shards.push(shard);
             reports.push(report);
         }
-        let recovered: Vec<u64> = shards.iter().map(|s| s.data_pages().len() as u64).collect();
-        let frames_trimmed = manifest.trim_to(&recovered);
-        for (i, &rec) in recovered.iter().enumerate() {
+        let committed: Vec<u64> = shards
+            .iter()
+            .map(|s| s.data_page_count() + s.data_pages_dropped())
+            .collect();
+        let frames_trimmed = manifest.trim_to(&committed);
+        for (i, &recovered) in committed.iter().enumerate() {
             let referenced = manifest.frames_on(i);
-            if rec > referenced {
+            if recovered > referenced {
                 return Err(ShardError::Diverged {
                     shard: i,
                     referenced,
-                    recovered: rec,
+                    recovered,
                 });
             }
         }
@@ -1077,6 +1085,57 @@ RAS KERNEL INFO generating core.2275\n";
         let after = reopened.query_str("FATAL").unwrap();
         assert_eq!(before.lines, after.lines);
         assert_eq!(before.line_pages, after.line_pages);
+    }
+
+    /// Reopens `s` from copies of its stores and checks that the reopen
+    /// trims nothing and answers "FATAL" with the same lines and ordinals.
+    fn assert_reopens_unchanged(s: &mut ShardedLog<MemStore>, config: SystemConfig) {
+        let before = s.query_str("FATAL").unwrap();
+        let stores: Vec<MemStore> = (0..s.shard_count())
+            .map(|i| s.shard(i).device().store().clone())
+            .collect();
+        let (mut reopened, recovery) =
+            ShardedLog::open_stores(stores, config, &s.manifest_bytes()).unwrap();
+        assert_eq!(recovery.frames_trimmed, 0);
+        let after = reopened.query_str("FATAL").unwrap();
+        assert_eq!(before.lines, after.lines);
+        assert_eq!(before.line_pages, after.line_pages);
+    }
+
+    #[test]
+    fn reopen_after_retention_keeps_placement() {
+        // Retention drops each shard's oldest frames. Reopening must read
+        // that as history the manifest placed, not as frames a crash lost.
+        let config = SystemConfig {
+            segment_pages: 2,
+            ..SystemConfig::for_tests()
+        };
+        let mut s = ShardedLog::new(
+            config.clone(),
+            ShardOptions {
+                shards: 2,
+                mode: RouteMode::LineHash,
+                salt: 0x5eed,
+            },
+        );
+        s.ingest(&corpus()).unwrap();
+        s.ingest(&corpus()).unwrap();
+        assert!(s.apply_retention(2).unwrap().pages_dropped > 0);
+        assert_reopens_unchanged(&mut s, config);
+    }
+
+    #[test]
+    fn an_adopted_device_reopens_after_its_own_retention() {
+        // Retention before the adoption dropped frames the adopted manifest
+        // must still place, or the reopen reads them as divergence.
+        let config = SystemConfig {
+            segment_pages: 2,
+            ..SystemConfig::for_tests()
+        };
+        let mut solo = MithriLog::new(config.clone());
+        solo.ingest(&corpus()).unwrap();
+        assert!(solo.apply_retention(1).unwrap().pages_dropped > 0);
+        assert_reopens_unchanged(&mut ShardedLog::from(solo), config);
     }
 
     #[test]

@@ -48,8 +48,9 @@ cargo test --test parallel_determinism -q two_thread_scan_matches_sequential_ref
 echo "==> page-cache determinism (cached vs uncached byte-identity under faults)"
 cargo test --test scan_cache -q
 
-echo "==> service concurrency (byte-identity under faults, admission, page sharing)"
+echo "==> service concurrency (byte-identity under faults, admission, page sharing; job lifecycle counters under seeded random steps)"
 cargo test --test service_concurrency -q
+cargo test -p mithrilog-service --lib -q lifecycle_counters_hold_under_random_steps
 
 echo "==> mithrilog serve smoke (loopback line protocol: submit, poll, shutdown)"
 mkdir -p target/ci
@@ -74,8 +75,9 @@ echo "$RESPONSE" | grep -q '^submitted=' || { echo "serve smoke: bad STATS respo
 wait "$SERVE_PID" || { echo "serve smoke: server exited nonzero"; exit 1; }
 trap - EXIT
 
-echo "==> service fault domains (cancellation, deadlines, panic isolation, quarantine)"
+echo "==> service fault domains (cancellation, deadlines, panic isolation, quarantine; a running ingest, explain or scrub is not cancellable)"
 cargo test --test service_faults -q
+cargo test -p mithrilog-service --lib -q cancelling_a_running_barrier_job_is_too_late
 
 echo "==> chaos soak (bounded smoke: submit/cancel/ingest storm under each fault mode)"
 cargo test --test chaos_soak -q
@@ -86,10 +88,12 @@ cargo test --test segment_store -q
 echo "==> negation bitmaps (pruning byte-identity under faults, sidecar corruption, property)"
 cargo test --test negation_bitmaps -q
 
-echo "==> shard determinism (N-shard results byte-identical to 1-shard under every fault mode; parallel apply == serial walk; lowest failing shard names the ingest error)"
+echo "==> shard determinism (N-shard results byte-identical to 1-shard under every fault mode; parallel apply == serial walk; lowest failing shard names the ingest error; reopen after retention keeps placement)"
 cargo test --test shard_determinism -q
 cargo test -p mithrilog-shard --lib -q parallel_apply_leaves_every_shard_as_a_serial_walk_does
 cargo test -p mithrilog-shard --lib -q the_lowest_failing_shard_names_the_ingest_error
+cargo test -p mithrilog-shard --lib -q reopen_after_retention_keeps_placement
+cargo test -p mithrilog-shard --lib -q an_adopted_device_reopens_after_its_own_retention
 
 echo "==> repro --check (every paper table, figure and model row against crates/bench/expected)"
 cargo run --release -p mithrilog-bench --quiet --bin repro -- --check
