@@ -6,10 +6,19 @@
 //! keyed by `(generation, page)` and bounded by a byte budget
 //! ([`crate::SystemConfig::page_cache_bytes`]).
 //!
-//! **Invalidation.** The owning system bumps its generation on every ingest
-//! and every recovery-on-mount, so an entry cached before either event can
-//! never serve afterwards — lookups with the new generation simply miss,
-//! and the stale entries age out of the LRU under the byte budget.
+//! **Invalidation.** Every segment owns a cache generation. Pages are
+//! append-only, so an ingest adds pages under the open segment's generation
+//! and invalidates nothing. Only recovery-on-mount and mutable device
+//! access retire generations; a lookup under a retired generation can never
+//! hit. Entries die with their pages: retention [`PageCache::remove`]s the
+//! dropped pages and mutable device access [`PageCache::clear`]s the cache.
+//!
+//! **Scan resistance.** A wave whose planned pages hold more text than the
+//! cache would, under LRU, evict every page before its next use. Such a
+//! wave caches its misses with [`PageCache::fill`], which takes free room
+//! only and never evicts, so repeated scans larger than the cache keep a
+//! stable share of their pages decoded and leave what smaller waves cached
+//! in place. Every other wave inserts with [`PageCache::insert`] (LRU).
 //!
 //! **Accounting.** A hit is a physical saving, exactly like a shared read:
 //! the consumer's as-if-solo ledger is charged the full page read it would
@@ -70,6 +79,21 @@ impl Shard {
         }
     }
 
+    fn push(&mut self, key: (u64, u64), text: Arc<Vec<u8>>, raw_len: u64) {
+        let tick = self.next_tick;
+        self.next_tick += 1;
+        self.bytes += text.len() as u64;
+        self.map.insert(
+            key,
+            Entry {
+                text,
+                raw_len,
+                tick,
+            },
+        );
+        self.order.insert(tick, key);
+    }
+
     fn remove(&mut self, key: (u64, u64)) {
         if let Some(entry) = self.map.remove(&key) {
             self.order.remove(&entry.tick);
@@ -94,6 +118,8 @@ impl Shard {
 #[derive(Debug)]
 pub struct PageCache {
     shards: Vec<Mutex<Shard>>,
+    /// The whole byte budget, as configured.
+    capacity: u64,
     /// Byte budget per shard (total capacity divided evenly).
     shard_budget: u64,
 }
@@ -104,8 +130,14 @@ impl PageCache {
     pub fn new(capacity_bytes: u64) -> Self {
         PageCache {
             shards: (0..SHARDS).map(|_| Mutex::new(Shard::default())).collect(),
+            capacity: capacity_bytes,
             shard_budget: capacity_bytes / SHARDS,
         }
+    }
+
+    /// The byte budget the cache was built with.
+    pub fn capacity(&self) -> u64 {
+        self.capacity
     }
 
     fn shard(&self, page: u64) -> MutexGuard<'_, Shard> {
@@ -136,19 +168,43 @@ impl PageCache {
         let key = (generation, page);
         let mut shard = self.shard(page);
         shard.remove(key);
-        let tick = shard.next_tick;
-        shard.next_tick += 1;
-        shard.bytes += cost;
-        shard.map.insert(
-            key,
-            Entry {
-                text,
-                raw_len,
-                tick,
-            },
-        );
-        shard.order.insert(tick, key);
+        shard.push(key, text, raw_len);
         shard.evict_to(self.shard_budget);
+    }
+
+    /// The scan-resistant insert: caches a copy of `text` for
+    /// `(generation, page)` only if it fits in its shard's free room, and
+    /// never evicts. The room check and the insert happen under one lock,
+    /// and nothing is copied when the page does not fit. Returns whether
+    /// the page is cached afterwards.
+    pub fn fill(&self, generation: u64, page: u64, text: &[u8], raw_len: u64) -> bool {
+        let key = (generation, page);
+        let mut shard = self.shard(page);
+        if shard.map.contains_key(&key) {
+            return true;
+        }
+        if shard.bytes + text.len() as u64 > self.shard_budget {
+            return false;
+        }
+        shard.push(key, Arc::new(text.to_vec()), raw_len);
+        true
+    }
+
+    /// Drops the entry for `(generation, page)`, if any.
+    pub fn remove(&self, generation: u64, page: u64) {
+        self.shard(page).remove((generation, page));
+    }
+
+    /// Drops every entry.
+    pub fn clear(&self) {
+        for shard in &self.shards {
+            let mut shard = shard
+                .lock()
+                .unwrap_or_else(std::sync::PoisonError::into_inner);
+            shard.map.clear();
+            shard.order.clear();
+            shard.bytes = 0;
+        }
     }
 
     /// Decompressed bytes currently held.
@@ -254,6 +310,42 @@ mod tests {
         cache.insert(1, 0, arc(&[0u8; 150]), 4096);
         assert_eq!(cache.bytes(), 150);
         assert_eq!(cache.entries(), 1);
+    }
+
+    #[test]
+    fn fill_takes_free_room_and_never_evicts() {
+        let cache = PageCache::new(4096); // 512/shard; 0, 8, 16 share shard 0
+        assert!(cache.fill(1, 0, &[b'a'; 300], 4096));
+        assert!(!cache.fill(1, 8, &[b'b'; 300], 4096), "no room: declined");
+        assert!(cache.get(1, 0).is_some(), "the resident page stays");
+        assert!(cache.get(1, 8).is_none());
+        assert!(cache.fill(1, 16, &[b'c'; 200], 4096), "what fits is taken");
+        assert_eq!((cache.entries(), cache.bytes()), (2, 500));
+        assert!(!cache.fill(1, 24, &[b'd'; 13], 4096), "one byte over");
+        assert!(cache.fill(1, 0, &[b'z'; 300], 4096), "already cached");
+        assert_eq!(&cache.get(1, 0).unwrap().text[..], &[b'a'; 300][..]);
+        assert_eq!((cache.entries(), cache.bytes()), (2, 500));
+        // An LRU insert still evicts what the fill left.
+        cache.insert(1, 8, arc(&[b'b'; 300]), 4096);
+        assert!(cache.get(1, 8).is_some());
+        assert!(cache.bytes() <= 512);
+    }
+
+    #[test]
+    fn remove_and_clear_release_their_bytes() {
+        let cache = PageCache::new(1 << 20);
+        cache.insert(1, 0, arc(&[0u8; 100]), 4096);
+        cache.insert(1, 1, arc(&[0u8; 200]), 4096);
+        cache.insert(2, 1, arc(&[0u8; 50]), 4096);
+        cache.remove(1, 1);
+        cache.remove(3, 1); // absent: nothing happens
+        assert_eq!((cache.entries(), cache.bytes()), (2, 150));
+        assert!(cache.get(2, 1).is_some());
+        cache.clear();
+        assert_eq!((cache.entries(), cache.bytes()), (0, 0));
+        assert!(cache.get(1, 0).is_none());
+        cache.insert(1, 0, arc(&[0u8; 100]), 4096);
+        assert_eq!(cache.bytes(), 100, "a cleared cache fills again");
     }
 
     #[test]

@@ -107,22 +107,44 @@ impl GenMap<'_> {
     }
 }
 
-/// The page cache view a scan runs against: the cache plus the generation
-/// map resolving each page's cache key. `None` means caching is disabled.
-pub(crate) type CacheView<'c> = Option<(&'c PageCache, GenMap<'c>)>;
-
-/// Consults the cache for `page` under its current generation, if any.
-fn cache_lookup(cache: CacheView<'_>, page: u64) -> Option<crate::cache::CachedPage> {
-    let (cache, gens) = cache?;
-    cache.get(gens.of(page)?, page)
+/// The page cache view a scan runs against; `None` in its place means
+/// caching is disabled.
+#[derive(Clone, Copy)]
+pub(crate) struct CacheView<'c> {
+    pub cache: &'c PageCache,
+    /// Resolves each page's cache key.
+    pub gens: GenMap<'c>,
+    /// The store's average decoded bytes per live data page: a wave whose
+    /// union holds more than the cache's capacity of them floods it.
+    pub page_bytes: u64,
 }
 
-/// Stores one decompressed page under its current generation, if any.
-fn cache_store(cache: CacheView<'_>, page: u64, text: &[u8], raw_len: u64) {
-    if let Some((cache, gens)) = cache {
-        if let Some(generation) = gens.of(page) {
-            cache.insert(generation, page, Arc::new(text.to_vec()), raw_len);
+impl CacheView<'_> {
+    /// Whether a wave over `union_pages` distinct pages holds more decoded
+    /// text than the cache. Such a wave would, under LRU, evict every page
+    /// before its next use, so it only fills free room.
+    fn floods(&self, union_pages: usize) -> bool {
+        union_pages as u64 * self.page_bytes > self.cache.capacity()
+    }
+
+    /// Consults the cache for `page` under its current generation, if any.
+    fn get(&self, page: u64) -> Option<crate::cache::CachedPage> {
+        self.cache.get(self.gens.of(page)?, page)
+    }
+
+    /// Stores one decompressed page under its current generation, if any:
+    /// an LRU insert, or a fill of free room when the wave is `flooding`.
+    /// Returns whether a flooding wave declined the page.
+    fn store(&self, flooding: bool, page: u64, text: &[u8], raw_len: u64) -> bool {
+        let Some(generation) = self.gens.of(page) else {
+            return false;
+        };
+        if flooding {
+            return !self.cache.fill(generation, page, text, raw_len);
         }
+        self.cache
+            .insert(generation, page, Arc::new(text.to_vec()), raw_len);
+        false
     }
 }
 
@@ -232,6 +254,9 @@ pub(crate) struct FanoutResult {
     /// the cache-hit counters. Fold into the device with
     /// [`SimSsd::merge_ledger`].
     pub device_ledger: CostLedger,
+    /// Union pages a flooding wave read, decoded and did not cache (see
+    /// [`CacheView`]); 0 for every other wave.
+    pub cache_declined: u64,
     /// First non-survivable storage error, by union position, so it does
     /// not depend on worker interleaving. The ledger above still accounts
     /// every read issued before workers stopped.
@@ -345,6 +370,8 @@ struct WorkerOut {
     lines: Vec<String>,
     /// Physical charges: the reader's ledger plus the cache-hit counters.
     physical: CostLedger,
+    /// Decoded pages the flooding wave's cache fill declined.
+    declined: u64,
     error: Option<(usize, StorageError)>,
 }
 
@@ -364,7 +391,9 @@ impl WorkerOut {
 /// worker reuses across its slots, plus its output buffers.
 struct Worker<'a, 'q, S> {
     queries: &'a [FanQuery<'q>],
-    cache: CacheView<'a>,
+    cache: Option<CacheView<'a>>,
+    /// Whether this wave floods the cache ([`CacheView::floods`]).
+    flooding: bool,
     reader: SsdReader<'a, S>,
     codec: Lzah,
     lzah: LzahScratch,
@@ -381,12 +410,14 @@ impl<'a, 'q, S: PageStore> Worker<'a, 'q, S> {
         ssd: &'a SimSsd<S>,
         lzah: LzahConfig,
         queries: &'a [FanQuery<'q>],
-        cache: CacheView<'a>,
+        cache: Option<CacheView<'a>>,
+        flooding: bool,
         slots: usize,
     ) -> Self {
         Worker {
             queries,
             cache,
+            flooding,
             reader: ssd.reader(),
             codec: Lzah::new(lzah),
             lzah: LzahScratch::new(),
@@ -404,6 +435,7 @@ impl<'a, 'q, S: PageStore> Worker<'a, 'q, S> {
                 fans: Vec::with_capacity(slots),
                 lines: Vec::new(),
                 physical: CostLedger::default(),
+                declined: 0,
                 error: None,
             },
         }
@@ -418,6 +450,7 @@ impl<'a, 'q, S: PageStore> Worker<'a, 'q, S> {
         let Worker {
             queries,
             cache,
+            flooding,
             reader,
             codec,
             lzah,
@@ -442,7 +475,7 @@ impl<'a, 'q, S: PageStore> Worker<'a, 'q, S> {
             out.skip(done, live);
             return Ok(());
         }
-        let cached = cache_lookup(*cache, page.0);
+        let cached = cache.and_then(|c| c.get(page.0));
         let text: &[u8] = if let Some(hit) = &cached {
             out.physical.cache_hits += 1;
             out.physical.cache_bytes_saved += hit.raw_len;
@@ -457,10 +490,12 @@ impl<'a, 'q, S: PageStore> Worker<'a, 'q, S> {
                 // Corruption the checksum missed (or pages written before
                 // the sidecar existed) still gets caught by the decoder's
                 // consistency checks; one bad page is not worth the wave.
-                Ok(raw) => codec
-                    .decompress_into(&raw, lzah)
-                    .ok()
-                    .inspect(|text| cache_store(*cache, page.0, text, raw.len() as u64)),
+                Ok(raw) => codec.decompress_into(&raw, lzah).ok().inspect(|text| {
+                    if let Some(c) = cache {
+                        out.declined +=
+                            u64::from(c.store(*flooding, page.0, text, raw.len() as u64));
+                    }
+                }),
                 Err(e) if page_is_skippable(&e) => None,
                 Err(e) => return Err(e),
             };
@@ -500,6 +535,11 @@ impl<'a, 'q, S: PageStore> Worker<'a, 'q, S> {
 /// matchers). Union slots are striped across `threads` workers;
 /// `threads == 1` runs the identical per-slot code inline.
 ///
+/// **Caching:** hits are taken whatever the wave's size. Misses are
+/// inserted LRU, unless the union holds more text than the cache
+/// ([`CacheView`]): then they only fill free room, so the wave cannot flush
+/// what it and earlier waves cached. The decision is made once per wave.
+///
 /// **Determinism:** each query's output is byte-identical to scanning its
 /// plan alone, for any `threads >= 1` — see the module docs. A cancelled
 /// query stops within one union slot per worker and is charged only for
@@ -511,13 +551,15 @@ pub(crate) fn scan_wave<'q, S: PageStore>(
     lzah: LzahConfig,
     queries: &[FanQuery<'q>],
     threads: usize,
-    cache: CacheView<'_>,
+    cache: Option<CacheView<'_>>,
 ) -> FanoutResult {
     let union = Union::of(queries);
     let union_len = union.pages.len();
     let workers = threads.max(1).min(union_len.max(1));
+    let flooding = cache.is_some_and(|c| c.floods(union_len));
     let run = |w: usize| {
-        let mut worker = Worker::new(ssd, lzah, queries, cache, union_len.div_ceil(workers));
+        let slots = union_len.div_ceil(workers);
+        let mut worker = Worker::new(ssd, lzah, queries, cache, flooding, slots);
         for slot in (w..union_len).step_by(workers) {
             if let Err(e) = worker.scan_slot(union.pages[slot], union.members(slot)) {
                 worker.out.error = Some((slot, e));
@@ -545,9 +587,11 @@ pub(crate) fn scan_wave<'q, S: PageStore>(
         .filter_map(|out| out.error.take())
         .min_by_key(|(slot, _)| *slot);
     let mut device_ledger = CostLedger::default();
+    let mut cache_declined = 0;
     let mut streams = Vec::with_capacity(workers);
     for out in outs {
         device_ledger.merge(&out.physical);
+        cache_declined += out.declined;
         streams.push((
             out.slots.into_iter(),
             out.fans.into_iter(),
@@ -604,6 +648,7 @@ pub(crate) fn scan_wave<'q, S: PageStore>(
         queries: scans,
         union_pages: union_len as u64,
         device_ledger,
+        cache_declined,
         error: error.map(|(_, e)| e),
     }
 }
@@ -723,12 +768,21 @@ mod tests {
         }
     }
 
+    /// A view that keys every page by one generation and never floods.
+    fn uniform(cache: &PageCache, generation: u64) -> Option<CacheView<'_>> {
+        Some(CacheView {
+            cache,
+            gens: GenMap::Uniform(generation),
+            page_bytes: 0,
+        })
+    }
+
     /// A wave of one: the query's scan plus the device-bound ledger.
     fn solo(
         ssd: &SimSsd<MemStore>,
         query: FanQuery<'_>,
         threads: usize,
-        cache: CacheView<'_>,
+        cache: Option<CacheView<'_>>,
     ) -> (FanoutQueryScan, CostLedger) {
         let mut fan = scan_wave(ssd, LzahConfig::default(), &[query], threads, cache);
         assert!(fan.error.is_none());
@@ -865,7 +919,7 @@ mod tests {
         let (cold, _) = solo(&ssd, hardware(&pipeline, &pages), 3, None);
 
         let cache = PageCache::new(1 << 20);
-        let view: CacheView<'_> = Some((&cache, GenMap::Uniform(7)));
+        let view = uniform(&cache, 7);
         let (warm_up, physical) = solo(&ssd, hardware(&pipeline, &pages), 3, view);
         assert_eq!(warm_up.lines, cold.lines);
         assert_eq!(warm_up.ledger, cold.ledger, "cold cache: identical run");
@@ -884,7 +938,7 @@ mod tests {
         assert_eq!(physical.demanded_reads(), cold.ledger.pages_read);
 
         // A different generation never sees the cached text.
-        let stale: CacheView<'_> = Some((&cache, GenMap::Uniform(8)));
+        let stale = uniform(&cache, 8);
         let (_, fresh) = solo(&ssd, hardware(&pipeline, &pages), 3, stale);
         assert_eq!(fresh.cache_hits, 0);
         assert_eq!(fresh.pages_read, cold.ledger.pages_read);
@@ -902,7 +956,7 @@ mod tests {
         let cold = scan_wave(&ssd, lzah, &queries, 3, None);
 
         let cache = PageCache::new(1 << 20);
-        let view: CacheView<'_> = Some((&cache, GenMap::Uniform(1)));
+        let view = uniform(&cache, 1);
         let warm_up = scan_wave(&ssd, lzah, &queries, 3, view);
         let warm = scan_wave(&ssd, lzah, &queries, 3, view);
         for run in [&warm_up, &warm] {
@@ -918,6 +972,70 @@ mod tests {
         assert_eq!(warm.device_ledger.shared_reads, 4);
         assert_eq!(warm.device_ledger.demanded_reads(), 14);
         assert_eq!(cold.device_ledger.demanded_reads(), 14);
+    }
+
+    #[test]
+    fn a_flooding_wave_fills_free_room_and_never_evicts() {
+        let (ssd, pages) = numbered_pages(24, |i| format!("alpha event {i}\nbeta event {i}\n"));
+        let query = mithrilog_query::parse("alpha").unwrap();
+        let pipeline = FilterPipeline::compile(&query).unwrap();
+        let (cold, _) = solo(&ssd, hardware(&pipeline, &pages), 3, None);
+        let text_bytes = cold.bytes_filtered / pages.len() as u64;
+
+        // Room for about one page per cache shard: 24 pages flood it.
+        let cache = PageCache::new(8 * (text_bytes + text_bytes / 2));
+        let view = Some(CacheView {
+            cache: &cache,
+            gens: GenMap::Uniform(1),
+            page_bytes: text_bytes,
+        });
+        // A page the wave does not plan, cached before it, outlives it.
+        let resident = pages[0];
+        let rest = &pages[1..];
+        solo(&ssd, hardware(&pipeline, &[resident]), 1, view);
+        assert_eq!(cache.entries(), 1);
+        for threads in [1, 3] {
+            let entries = cache.entries() as u64;
+            let fan = scan_wave(
+                &ssd,
+                LzahConfig::default(),
+                &[hardware(&pipeline, rest)],
+                threads,
+                view,
+            );
+            assert!(fan.error.is_none());
+            assert_eq!(fan.queries[0].lines, cold.lines[1..]);
+            let hits = fan.device_ledger.cache_hits;
+            assert_eq!(
+                fan.device_ledger.pages_read + hits,
+                rest.len() as u64,
+                "{threads} threads"
+            );
+            // Every miss was either cached in free room or declined.
+            let filled = cache.entries() as u64 - entries;
+            assert_eq!(fan.cache_declined + filled, fan.device_ledger.pages_read);
+            assert!(fan.cache_declined > 0, "the wave is bigger than the cache");
+            assert!(cache.bytes() <= cache.capacity());
+            assert!(cache.get(1, resident.0).is_some(), "{threads} threads");
+        }
+        // The repeat found what the first flood cached.
+        let again = scan_wave(
+            &ssd,
+            LzahConfig::default(),
+            &[hardware(&pipeline, rest)],
+            1,
+            view,
+        );
+        assert_eq!(again.device_ledger.cache_hits, cache.entries() as u64 - 1);
+        // A wave that fits the cache inserts LRU and declines nothing.
+        let fits = scan_wave(
+            &ssd,
+            LzahConfig::default(),
+            &[hardware(&pipeline, &pages[..4])],
+            1,
+            view,
+        );
+        assert_eq!(fits.cache_declined, 0);
     }
 
     #[test]
@@ -948,7 +1066,7 @@ mod tests {
 
         // Warm the cache with every page, then quarantine one of them.
         let cache = PageCache::new(1 << 20);
-        let view: CacheView<'_> = Some((&cache, GenMap::Uniform(1)));
+        let view = uniform(&cache, 1);
         solo(&ssd, hardware(&pipeline, &pages), 1, view);
         let victim = pages[1];
         ssd.quarantine_page(victim.0);

@@ -420,6 +420,10 @@ pub struct SharedScanReport {
     pub cache_hits: u64,
     /// Raw page bytes those cache hits kept off the device.
     pub cache_bytes_saved: u64,
+    /// Union pages a flooding wave read and did not cache: a wave whose
+    /// planned pages hold more text than the cache only fills its free
+    /// room, so a scan larger than the cache cannot flush it.
+    pub cache_declined: u64,
     /// Live pages removed from plans by the index probe alone, summed over
     /// the batch (see [`ScanAttribution::pruned_by_index`]).
     pub pages_pruned_by_index: u64,
@@ -448,6 +452,7 @@ impl SharedScanReport {
             shared_reads_avoided,
             cache_hits,
             cache_bytes_saved,
+            cache_declined,
             pages_pruned_by_index,
             pages_pruned_by_bitmap,
             pages_pruned_by_both,
@@ -460,6 +465,7 @@ impl SharedScanReport {
         self.shared_reads_avoided += shared_reads_avoided;
         self.cache_hits += cache_hits;
         self.cache_bytes_saved += cache_bytes_saved;
+        self.cache_declined += cache_declined;
         self.pages_pruned_by_index += pages_pruned_by_index;
         self.pages_pruned_by_bitmap += pages_pruned_by_bitmap;
         self.pages_pruned_by_both += pages_pruned_by_both;
@@ -486,7 +492,8 @@ impl std::fmt::Display for SharedScanReport {
         write!(
             f,
             "{} queries demanded {} page reads, served by {} unique reads \
-             ({} duplicates avoided, {} cache hits); planner pruned \
+             ({} duplicates avoided, {} cache hits, {} left uncached by a \
+             flooding wave); planner pruned \
              {} pages by index, {} by bitmap, {} by both; batched probe \
              saved {} index node visits",
             self.attribution.len(),
@@ -494,6 +501,7 @@ impl std::fmt::Display for SharedScanReport {
             self.unique_pages_read,
             self.shared_reads_avoided,
             self.cache_hits,
+            self.cache_declined,
             self.pages_pruned_by_index,
             self.pages_pruned_by_bitmap,
             self.pages_pruned_by_both,
@@ -739,6 +747,7 @@ mod tests {
             shared_reads_avoided: 3,
             cache_hits: 2,
             cache_bytes_saved: 8192,
+            cache_declined: 4,
             pages_pruned_by_index: 10,
             pages_pruned_by_bitmap: 12,
             pages_pruned_by_both: 14,
@@ -751,6 +760,7 @@ mod tests {
         assert_eq!(sum, one, "merging into an empty report copies it");
         sum.merge(&one);
         assert_eq!(sum.demanded_page_reads, 16);
+        assert_eq!(sum.cache_declined, 8);
         assert_eq!(sum.probe_node_visits_saved(), 6);
         assert_eq!(sum.attribution.len(), 2);
         assert_eq!(sum.attribution[1].pruned_by_both, 14);

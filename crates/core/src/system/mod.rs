@@ -235,8 +235,12 @@ impl<S: PageStore> MithriLog<S> {
 
     /// Retires every segment's cache generation (sealed and open): each
     /// gets a fresh, never-used generation and the page map is rebuilt, so
-    /// nothing cached before this call can be observed again.
+    /// nothing cached before this call can be observed again. Every entry
+    /// the cache held is now dead, so the cache is cleared.
     fn invalidate_cache_generations(&mut self) {
+        if let Some(cache) = &self.page_cache {
+            cache.clear();
+        }
         for seg in &mut self.segments {
             seg.generation = self.next_generation;
             self.next_generation += 1;

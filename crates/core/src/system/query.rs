@@ -97,13 +97,16 @@ impl QueryRequest {
 }
 
 impl<S: PageStore> MithriLog<S> {
-    /// The cache view scans run against: the cache (when configured) plus
-    /// the per-page generation map, so each page is keyed by its owning
-    /// segment's generation.
-    fn cache_view(&self) -> CacheView<'_> {
-        self.page_cache
-            .as_ref()
-            .map(|c| (c, GenMap::PerPage(&self.page_gens)))
+    /// The cache view scans run against: the cache (when configured), the
+    /// per-page generation map, so each page is keyed by its owning
+    /// segment's generation, and the store's average decoded bytes per live
+    /// data page, which sizes a wave against the cache.
+    fn cache_view(&self) -> Option<CacheView<'_>> {
+        self.page_cache.as_ref().map(|cache| CacheView {
+            cache,
+            gens: GenMap::PerPage(&self.page_gens),
+            page_bytes: self.total_raw_bytes / (self.data_pages.len() as u64).max(1),
+        })
     }
 
     /// The modeled accelerator throughput for the ingested corpus
@@ -268,6 +271,7 @@ impl<S: PageStore> MithriLog<S> {
             shared_reads_avoided: fan.device_ledger.shared_reads,
             cache_hits: fan.device_ledger.cache_hits,
             cache_bytes_saved: fan.device_ledger.cache_bytes_saved,
+            cache_declined: fan.cache_declined,
             probe_node_visits_demanded: wave.probe_report.node_visits_demanded,
             probe_node_visits_physical: wave.probe_report.node_visits_physical,
             attribution: Vec::with_capacity(requests.len()),
@@ -511,6 +515,23 @@ mod tests {
         let as_if_solo: u64 = batch.outcomes.iter().map(|o| o.ledger.pages_read).sum();
         assert_eq!(device.demanded_reads(), as_if_solo);
         assert_eq!(batch.shared.shared_reads_avoided, pages - 1);
+    }
+
+    #[test]
+    fn mutable_device_access_empties_the_cache() {
+        let mut s = system_with(&LOG.repeat(300));
+        s.query_str("NOT zz-absent-zz").unwrap();
+        let cache = s.page_cache.as_ref().unwrap();
+        assert_eq!(cache.entries() as u64, s.data_page_count());
+        assert!(cache.bytes() > 0);
+        // Every generation the cache held is retired: nothing stays.
+        s.device_mut();
+        let cache = s.page_cache.as_ref().unwrap();
+        assert_eq!((cache.entries(), cache.bytes()), (0, 0));
+        // The next scan fills it again under the new generations.
+        s.query_str("NOT zz-absent-zz").unwrap();
+        let cache = s.page_cache.as_ref().unwrap();
+        assert_eq!(cache.entries() as u64, s.data_page_count());
     }
 
     #[test]

@@ -122,11 +122,12 @@ impl<S: PageStore> MithriLog<S> {
     /// intact. The open segment is never droppable.
     ///
     /// Dropped pages leave the live-page map immediately: plans stop
-    /// including them and their cache entries are unreachable. The
-    /// inverted index keeps its (now stale) postings until the next
-    /// rebuild — plan-time filtering makes that a pure size overhead,
-    /// never a correctness issue. Like any log-structured store, the
-    /// physical pages are not reclaimed by the simulated device.
+    /// including them, and their cache entries are removed, so dead text
+    /// never holds the cache's budget. The inverted index keeps its (now
+    /// stale) postings until the next rebuild — plan-time filtering makes
+    /// that a pure size overhead, never a correctness issue. Like any
+    /// log-structured store, the physical pages are not reclaimed by the
+    /// simulated device.
     ///
     /// # Errors
     ///
@@ -156,6 +157,9 @@ impl<S: PageStore> MithriLog<S> {
             for p in &seg.pages {
                 self.page_gens.remove(&p.0);
                 dropped_pages.insert(p.0);
+                if let Some(cache) = &self.page_cache {
+                    cache.remove(seg.generation, p.0);
+                }
             }
             self.pending.drops.push(seg.id);
             self.bitmap_refs.remove(&seg.id);
@@ -225,6 +229,43 @@ mod tests {
         assert_eq!(again.segments_dropped, 0);
         assert_eq!(again.segments_retained, keep);
         assert_eq!(s.superblock.sequence, sequence, "no-op passes don't commit");
+    }
+
+    #[test]
+    fn retention_removes_the_dropped_pages_cache_entries() {
+        let mut s = MithriLog::new(segmented_config(2));
+        let era1: String = (0..3000)
+            .map(|i| format!("old-era event number {i}\n"))
+            .collect();
+        s.ingest(era1.as_bytes()).unwrap();
+        seal_era_boundary(&mut s, "old-era filler line\n");
+        let old_pages = s.data_page_count();
+        let era2: String = (0..3000)
+            .map(|i| format!("new-era event number {i}\n"))
+            .collect();
+        s.ingest(era2.as_bytes()).unwrap();
+
+        // A full scan caches every live page (the default cache holds them).
+        let everything = s.query_str("NOT zz-absent-zz").unwrap();
+        let cache = s.page_cache.as_ref().unwrap();
+        assert_eq!(cache.entries() as u64, s.data_page_count());
+        let cached_bytes = cache.bytes();
+        assert_eq!(cached_bytes, everything.bytes_filtered);
+
+        let keep = s.sealed_segment_count() - old_pages / 2;
+        let report = s.apply_retention(keep).unwrap();
+        assert_eq!(report.pages_dropped, old_pages);
+        let cache = s.page_cache.as_ref().unwrap();
+        assert_eq!(cache.entries() as u64, s.data_page_count());
+        assert_eq!(
+            cache.bytes(),
+            cached_bytes - report.raw_bytes_dropped,
+            "a dropped page's text leaves the cache with it"
+        );
+        // What is left still serves: a repeat scan reads no page.
+        let before = *s.device().ledger();
+        s.query_str("NOT zz-absent-zz").unwrap();
+        assert_eq!(s.device().ledger().since(&before).pages_read, 0);
     }
 
     #[test]

@@ -367,7 +367,7 @@ pub fn render_stats(
     let mut body = format!(
         "OK stats\nsubmitted={}\nrejected={}\ncompleted={}\nfailed={}\ncancelled={}\n\
          queued={}\nwaves={}\ndemanded_page_reads={}\nunique_pages_read={}\n\
-         shared_reads_avoided={}\ncache_hits={}\ncache_bytes_saved={}\n\
+         shared_reads_avoided={}\ncache_hits={}\ncache_bytes_saved={}\ncache_declined={}\n\
          pages_pruned_by_index={}\npages_pruned_by_bitmap={}\npages_pruned_by_both={}\n\
          probe_node_visits_saved={}\nbitmaps_dropped={}\n\
          waves_poisoned={}\nscrub_slices={}\npages_scrubbed={}\npages_quarantined={}\n\
@@ -384,6 +384,7 @@ pub fn render_stats(
         stats.shared_reads_avoided,
         stats.cache_hits,
         stats.cache_bytes_saved,
+        stats.cache_declined,
         stats.pages_pruned_by_index,
         stats.pages_pruned_by_bitmap,
         stats.pages_pruned_by_both,
@@ -592,6 +593,7 @@ mod tests {
         }];
         let stats = render_stats(&ServiceStats::default(), &tenants, &rows);
         for key in [
+            "cache_declined=",
             "waves_poisoned=",
             "scrub_slices=",
             "pages_scrubbed=",

@@ -262,6 +262,9 @@ pub struct ServiceStats {
     pub cache_hits: u64,
     /// Raw page bytes those cache hits kept off the device.
     pub cache_bytes_saved: u64,
+    /// Union pages flooding waves read and did not cache (see
+    /// [`mithrilog::SharedScanReport::cache_declined`]).
+    pub cache_declined: u64,
     /// Waves that panicked mid-execution. The panic is contained to the
     /// wave: its jobs fail with an internal error and the scheduler keeps
     /// serving every other job.
@@ -1101,6 +1104,7 @@ fn execute<S: PageStore>(
             stats.shared_reads_avoided += shared.shared_reads_avoided;
             stats.cache_hits += shared.cache_hits;
             stats.cache_bytes_saved += shared.cache_bytes_saved;
+            stats.cache_declined += shared.cache_declined;
             stats.pages_pruned_by_index += shared.pages_pruned_by_index;
             stats.pages_pruned_by_bitmap += shared.pages_pruned_by_bitmap;
             stats.pages_pruned_by_both += shared.pages_pruned_by_both;

@@ -45,8 +45,9 @@ cargo run --release -p mithrilog-cli --quiet -- recover --self-check --points 12
 echo "==> parallel determinism (2-thread scan vs sequential reference, faults injected)"
 cargo test --test parallel_determinism -q two_thread_scan_matches_sequential_reference
 
-echo "==> page-cache determinism (cached vs uncached byte-identity under faults)"
+echo "==> page-cache determinism and scan resistance (cached vs uncached byte-identity under faults; a wave bigger than the cache fills free room and never evicts)"
 cargo test --test scan_cache -q
+cargo test -p mithrilog --lib -q cache::
 
 echo "==> service concurrency (byte-identity under faults, admission, page sharing; job lifecycle counters under seeded random steps)"
 cargo test --test service_concurrency -q

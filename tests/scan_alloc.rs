@@ -9,7 +9,9 @@
 //! buffer per page, so this bound fails loudly on any regression that
 //! reintroduces per-page allocation. The same bound holds for a wave: the
 //! solo query *is* a wave of one, and a four-request wave builds its page
-//! union and fans every page out without allocating per page either. The
+//! union and fans every page out without allocating per page either, and
+//! so does a repeated full scan through a full cache smaller than the
+//! store, which takes its hits and declines its misses uncopied. The
 //! LZAH decode kernel on its own, with a reused scratch, allocates nothing
 //! per frame. On the write side, the page packer allocates about once per
 //! frame, never per line, and the one token walk per page that
@@ -108,6 +110,34 @@ fn steady_state_scan_allocates_o1_per_query_not_per_page() {
         "a steady-state no-match scan of {pages} pages allocated {delta} \
          times — the page loop must not allocate per page"
     );
+    let uncached = delta;
+
+    // A cache a quarter of the store's size: every full scan floods it, so
+    // once the first scan has filled its free room, a scan takes its hits
+    // and declines its misses without copying a page. It allocates what
+    // the cache-off scan does plus O(1) per query; an LRU insert would
+    // copy every miss.
+    let mut cached = MithriLog::new(SystemConfig {
+        page_cache_bytes: system.raw_bytes() / 4,
+        ..config.clone()
+    });
+    cached.ingest(ds.text()).unwrap();
+    for _ in 0..2 {
+        cached.query_str(query).unwrap();
+    }
+    let ledger = *cached.device().ledger();
+    let before = allocations();
+    let outcome = cached.query_str(query).unwrap();
+    let delta = allocations() - before;
+    let hits = cached.device().ledger().since(&ledger).cache_hits;
+    assert_eq!(outcome.pages_scanned, pages);
+    assert!(
+        delta <= uncached + 16,
+        "a repeated full scan of {pages} pages through a full cache \
+         allocated {delta} times; the same scan with no cache allocates \
+         {uncached}"
+    );
+    assert!(hits > 0 && hits < pages, "{hits} of {pages} pages hit");
 
     // A wave of four full scans shares every page: building the union,
     // tracking who is interested in which page and collecting per-slot

@@ -7,6 +7,12 @@
 //! sequence on a cached and an uncached system built from the same seeded
 //! fault plan and compare everything except wall-clock time.
 //!
+//! Scans larger than the cache are the scan-resistance case: such a wave
+//! only fills the cache's free room and never evicts, so repeated full
+//! scans keep hitting what the first one cached, and a flood leaves what a
+//! selective query cached in place — with outcomes still byte-identical to
+//! an uncached replica.
+//!
 //! The staleness test proves the per-segment generation keys: ingest is
 //! append-only, so the cache stays warm across it and the new line is
 //! still observed; mutable device access (a corruption drill) retires
@@ -211,4 +217,91 @@ fn mutable_device_access_retires_every_cached_generation() {
         "a post-drill scan must not consume pre-drill cache entries"
     );
     assert!(!refetched.lines.is_empty());
+}
+
+#[test]
+fn scans_larger_than_the_cache_keep_what_they_cached() {
+    let p = data_page_ids();
+    // The store holds more than four times the cache's budget, so every
+    // full scan is a flooding wave.
+    let raw = faulted_system(FaultPlan::seeded(0), 0).raw_bytes();
+    let cache_bytes = raw / 5;
+    type PlanFactory = Box<dyn Fn() -> FaultPlan>;
+    let plans: Vec<(&str, PlanFactory)> = vec![
+        ("clean", Box::new(|| FaultPlan::seeded(17))),
+        (
+            "bit-rot",
+            Box::new({
+                let p1 = p[1];
+                move || FaultPlan::seeded(17).with_scheduled(p1, FaultKind::BitRot { bit: 5 })
+            }),
+        ),
+        (
+            "transient-read",
+            Box::new({
+                let p3 = p[3];
+                move || {
+                    FaultPlan::seeded(17)
+                        .with_scheduled(p3, FaultKind::TransientRead { failures: 2 })
+                }
+            }),
+        ),
+    ];
+    let full_scan = "NOT zz-absent-token-zz";
+    for (mode, plan) in &plans {
+        let mut cached = faulted_system(plan(), cache_bytes);
+        let mut uncached = faulted_system(plan(), 0);
+        for round in 0..3 {
+            let before = *cached.device().ledger();
+            let a = cached.query_str(full_scan).unwrap();
+            let b = uncached.query_str(full_scan).unwrap();
+            assert_eq!(
+                observed(&a),
+                observed(&b),
+                "{mode}: full scan {round} must not depend on the cache"
+            );
+            assert!(a.bytes_filtered > 4 * cache_bytes, "{mode}: a flood");
+            let hits = cached.device().ledger().since(&before).cache_hits;
+            if *mode == "clean" && round > 0 {
+                assert!(hits > 0, "clean full scan {round} must hit the cache");
+            }
+        }
+        let ledger = cached.device().ledger();
+        assert_eq!(
+            ledger.pages_read + ledger.cache_hits + ledger.shared_reads,
+            uncached.device().ledger().demanded_reads(),
+            "{mode}: demand must reconcile across cache on/off"
+        );
+    }
+
+    // A selective query's pages, cached before a flood, outlive it.
+    let mut system = faulted_system(FaultPlan::seeded(17), cache_bytes);
+    let selective = "1117838570";
+    let hits_of = |system: &mut MithriLog<_>| {
+        let before = *system.device().ledger();
+        let o = system.query_str(selective).unwrap();
+        (
+            o.pages_scanned,
+            system.device().ledger().since(&before).cache_hits,
+        )
+    };
+    let (pages, cold) = hits_of(&mut system);
+    assert_eq!(cold, 0);
+    assert!(
+        pages > 0 && pages < p.len() as u64 / 10,
+        "selective ({pages})"
+    );
+    assert_eq!(
+        hits_of(&mut system),
+        (pages, pages),
+        "warm before the flood"
+    );
+    for _ in 0..2 {
+        system.query_str(full_scan).unwrap();
+    }
+    assert_eq!(
+        hits_of(&mut system),
+        (pages, pages),
+        "a flood must not evict what a selective query cached"
+    );
 }
