@@ -3,15 +3,14 @@
 //! The service re-plans overlapping full scans on every scheduler wave;
 //! without a cache each wave re-reads and re-decompresses the same pages.
 //! [`PageCache`] keeps recently decompressed page text in host memory,
-//! keyed by `(generation, page)` and bounded by a byte budget
+//! keyed by page id and bounded by a byte budget
 //! ([`crate::SystemConfig::page_cache_bytes`]).
 //!
-//! **Invalidation.** Every segment owns a cache generation. Pages are
-//! append-only, so an ingest adds pages under the open segment's generation
-//! and invalidates nothing. Only recovery-on-mount and mutable device
-//! access retire generations; a lookup under a retired generation can never
-//! hit. Entries die with their pages: retention [`PageCache::remove`]s the
-//! dropped pages and mutable device access [`PageCache::clear`]s the cache.
+//! **Invalidation.** Data pages are append-only: once written, a page's
+//! text never changes, so an ingest adds pages and invalidates nothing.
+//! Entries leave only where their pages die or may change: retention
+//! [`PageCache::remove`]s the dropped pages, mutable device access
+//! [`PageCache::clear`]s the cache, and a mount starts with an empty one.
 //!
 //! **Scan resistance.** A wave whose planned pages hold more text than the
 //! cache would, under LRU, evict every page before its next use. Such a
@@ -60,16 +59,16 @@ struct Entry {
 
 #[derive(Debug, Default)]
 struct Shard {
-    map: HashMap<(u64, u64), Entry>,
-    /// LRU order: tick → key. Ticks are shard-local and strictly
+    map: HashMap<u64, Entry>,
+    /// LRU order: tick → page. Ticks are shard-local and strictly
     /// increasing, so the first entry is always the least recently used.
-    order: BTreeMap<u64, (u64, u64)>,
+    order: BTreeMap<u64, u64>,
     bytes: u64,
     next_tick: u64,
 }
 
 impl Shard {
-    fn touch(&mut self, key: (u64, u64)) {
+    fn touch(&mut self, key: u64) {
         let tick = self.next_tick;
         self.next_tick += 1;
         if let Some(entry) = self.map.get_mut(&key) {
@@ -79,7 +78,7 @@ impl Shard {
         }
     }
 
-    fn push(&mut self, key: (u64, u64), text: Arc<Vec<u8>>, raw_len: u64) {
+    fn push(&mut self, key: u64, text: Arc<Vec<u8>>, raw_len: u64) {
         let tick = self.next_tick;
         self.next_tick += 1;
         self.bytes += text.len() as u64;
@@ -94,7 +93,7 @@ impl Shard {
         self.order.insert(tick, key);
     }
 
-    fn remove(&mut self, key: (u64, u64)) {
+    fn remove(&mut self, key: u64) {
         if let Some(entry) = self.map.remove(&key) {
             self.order.remove(&entry.tick);
             self.bytes -= entry.text.len() as u64;
@@ -146,53 +145,50 @@ impl PageCache {
             .unwrap_or_else(std::sync::PoisonError::into_inner)
     }
 
-    /// Looks up `(generation, page)`, refreshing its LRU position on a hit.
-    pub fn get(&self, generation: u64, page: u64) -> Option<CachedPage> {
-        let key = (generation, page);
+    /// Looks up `page`, refreshing its LRU position on a hit.
+    pub fn get(&self, page: u64) -> Option<CachedPage> {
         let mut shard = self.shard(page);
-        shard.touch(key);
-        shard.map.get(&key).map(|entry| CachedPage {
+        shard.touch(page);
+        shard.map.get(&page).map(|entry| CachedPage {
             text: Arc::clone(&entry.text),
             raw_len: entry.raw_len,
         })
     }
 
-    /// Caches decompressed `text` for `(generation, page)`, where `raw_len`
-    /// is the stored page length a read charged. Entries larger than a
-    /// shard's byte budget are not cached.
-    pub fn insert(&self, generation: u64, page: u64, text: Arc<Vec<u8>>, raw_len: u64) {
+    /// Caches decompressed `text` for `page`, where `raw_len` is the stored
+    /// page length a read charged. Entries larger than a shard's byte
+    /// budget are not cached.
+    pub fn insert(&self, page: u64, text: Arc<Vec<u8>>, raw_len: u64) {
         let cost = text.len() as u64;
         if cost > self.shard_budget {
             return;
         }
-        let key = (generation, page);
         let mut shard = self.shard(page);
-        shard.remove(key);
-        shard.push(key, text, raw_len);
+        shard.remove(page);
+        shard.push(page, text, raw_len);
         shard.evict_to(self.shard_budget);
     }
 
-    /// The scan-resistant insert: caches a copy of `text` for
-    /// `(generation, page)` only if it fits in its shard's free room, and
-    /// never evicts. The room check and the insert happen under one lock,
-    /// and nothing is copied when the page does not fit. Returns whether
-    /// the page is cached afterwards.
-    pub fn fill(&self, generation: u64, page: u64, text: &[u8], raw_len: u64) -> bool {
-        let key = (generation, page);
+    /// The scan-resistant insert: caches a copy of `text` for `page` only
+    /// if it fits in its shard's free room, and never evicts. The room
+    /// check and the insert happen under one lock, and nothing is copied
+    /// when the page does not fit. Returns whether the page is cached
+    /// afterwards.
+    pub fn fill(&self, page: u64, text: &[u8], raw_len: u64) -> bool {
         let mut shard = self.shard(page);
-        if shard.map.contains_key(&key) {
+        if shard.map.contains_key(&page) {
             return true;
         }
         if shard.bytes + text.len() as u64 > self.shard_budget {
             return false;
         }
-        shard.push(key, Arc::new(text.to_vec()), raw_len);
+        shard.push(page, Arc::new(text.to_vec()), raw_len);
         true
     }
 
-    /// Drops the entry for `(generation, page)`, if any.
-    pub fn remove(&self, generation: u64, page: u64) {
-        self.shard(page).remove((generation, page));
+    /// Drops the entry for `page`, if any.
+    pub fn remove(&self, page: u64) {
+        self.shard(page).remove(page);
     }
 
     /// Drops every entry.
@@ -244,53 +240,43 @@ mod tests {
     #[test]
     fn get_returns_what_insert_stored() {
         let cache = PageCache::new(1 << 20);
-        cache.insert(1, 7, arc(b"hello page"), 4096);
-        let hit = cache.get(1, 7).expect("hit");
+        cache.insert(7, arc(b"hello page"), 4096);
+        let hit = cache.get(7).expect("hit");
         assert_eq!(&hit.text[..], b"hello page");
         assert_eq!(hit.raw_len, 4096);
-        assert!(cache.get(1, 8).is_none());
-    }
-
-    #[test]
-    fn generation_partitions_the_key_space() {
-        let cache = PageCache::new(1 << 20);
-        cache.insert(1, 7, arc(b"old text"), 4096);
-        assert!(cache.get(2, 7).is_none(), "new generation must miss");
-        cache.insert(2, 7, arc(b"new text"), 4096);
-        assert_eq!(&cache.get(2, 7).unwrap().text[..], b"new text");
-        assert_eq!(&cache.get(1, 7).unwrap().text[..], b"old text");
+        assert!(cache.get(8).is_none());
     }
 
     #[test]
     fn byte_budget_evicts_least_recently_used_per_shard() {
         // Shard budget = 4096/8 = 512 bytes; pages 0, 8, 16 share shard 0.
         let cache = PageCache::new(4096);
-        cache.insert(1, 0, arc(&[b'a'; 300]), 4096);
-        cache.insert(1, 8, arc(&[b'b'; 300]), 4096);
-        assert!(cache.get(1, 0).is_none(), "page 0 was LRU and evicted");
-        assert!(cache.get(1, 8).is_some());
+        cache.insert(0, arc(&[b'a'; 300]), 4096);
+        cache.insert(8, arc(&[b'b'; 300]), 4096);
+        assert!(cache.get(0).is_none(), "page 0 was LRU and evicted");
+        assert!(cache.get(8).is_some());
         // A hit refreshes recency: 8 survives the next insert, not 16.
-        cache.insert(1, 16, arc(&[b'c'; 300]), 4096);
-        assert!(cache.get(1, 8).is_none() || cache.get(1, 16).is_some());
+        cache.insert(16, arc(&[b'c'; 300]), 4096);
+        assert!(cache.get(8).is_none() || cache.get(16).is_some());
         assert!(cache.bytes() <= 512);
     }
 
     #[test]
     fn hit_refreshes_lru_position() {
         let cache = PageCache::new(4096); // 512/shard
-        cache.insert(1, 0, arc(&[b'a'; 200]), 4096);
-        cache.insert(1, 8, arc(&[b'b'; 200]), 4096);
-        cache.get(1, 0); // 0 is now most recent
-        cache.insert(1, 16, arc(&[b'c'; 200]), 4096);
-        assert!(cache.get(1, 0).is_some(), "hit page must survive eviction");
-        assert!(cache.get(1, 8).is_none(), "LRU page must be evicted");
+        cache.insert(0, arc(&[b'a'; 200]), 4096);
+        cache.insert(8, arc(&[b'b'; 200]), 4096);
+        cache.get(0); // 0 is now most recent
+        cache.insert(16, arc(&[b'c'; 200]), 4096);
+        assert!(cache.get(0).is_some(), "hit page must survive eviction");
+        assert!(cache.get(8).is_none(), "LRU page must be evicted");
     }
 
     #[test]
     fn zero_capacity_stores_nothing() {
         let cache = PageCache::new(0);
-        cache.insert(1, 0, arc(b"text"), 4096);
-        assert!(cache.get(1, 0).is_none());
+        cache.insert(0, arc(b"text"), 4096);
+        assert!(cache.get(0).is_none());
         assert_eq!(cache.entries(), 0);
         assert_eq!(cache.bytes(), 0);
     }
@@ -298,16 +284,16 @@ mod tests {
     #[test]
     fn oversized_entries_are_not_cached() {
         let cache = PageCache::new(4096); // 512/shard
-        cache.insert(1, 0, arc(&[0u8; 1024]), 4096);
-        assert!(cache.get(1, 0).is_none());
+        cache.insert(0, arc(&[0u8; 1024]), 4096);
+        assert!(cache.get(0).is_none());
         assert_eq!(cache.bytes(), 0);
     }
 
     #[test]
     fn reinsert_replaces_without_double_counting() {
         let cache = PageCache::new(1 << 20);
-        cache.insert(1, 0, arc(&[0u8; 100]), 4096);
-        cache.insert(1, 0, arc(&[0u8; 150]), 4096);
+        cache.insert(0, arc(&[0u8; 100]), 4096);
+        cache.insert(0, arc(&[0u8; 150]), 4096);
         assert_eq!(cache.bytes(), 150);
         assert_eq!(cache.entries(), 1);
     }
@@ -315,36 +301,36 @@ mod tests {
     #[test]
     fn fill_takes_free_room_and_never_evicts() {
         let cache = PageCache::new(4096); // 512/shard; 0, 8, 16 share shard 0
-        assert!(cache.fill(1, 0, &[b'a'; 300], 4096));
-        assert!(!cache.fill(1, 8, &[b'b'; 300], 4096), "no room: declined");
-        assert!(cache.get(1, 0).is_some(), "the resident page stays");
-        assert!(cache.get(1, 8).is_none());
-        assert!(cache.fill(1, 16, &[b'c'; 200], 4096), "what fits is taken");
+        assert!(cache.fill(0, &[b'a'; 300], 4096));
+        assert!(!cache.fill(8, &[b'b'; 300], 4096), "no room: declined");
+        assert!(cache.get(0).is_some(), "the resident page stays");
+        assert!(cache.get(8).is_none());
+        assert!(cache.fill(16, &[b'c'; 200], 4096), "what fits is taken");
         assert_eq!((cache.entries(), cache.bytes()), (2, 500));
-        assert!(!cache.fill(1, 24, &[b'd'; 13], 4096), "one byte over");
-        assert!(cache.fill(1, 0, &[b'z'; 300], 4096), "already cached");
-        assert_eq!(&cache.get(1, 0).unwrap().text[..], &[b'a'; 300][..]);
+        assert!(!cache.fill(24, &[b'd'; 13], 4096), "one byte over");
+        assert!(cache.fill(0, &[b'z'; 300], 4096), "already cached");
+        assert_eq!(&cache.get(0).unwrap().text[..], &[b'a'; 300][..]);
         assert_eq!((cache.entries(), cache.bytes()), (2, 500));
         // An LRU insert still evicts what the fill left.
-        cache.insert(1, 8, arc(&[b'b'; 300]), 4096);
-        assert!(cache.get(1, 8).is_some());
+        cache.insert(8, arc(&[b'b'; 300]), 4096);
+        assert!(cache.get(8).is_some());
         assert!(cache.bytes() <= 512);
     }
 
     #[test]
     fn remove_and_clear_release_their_bytes() {
         let cache = PageCache::new(1 << 20);
-        cache.insert(1, 0, arc(&[0u8; 100]), 4096);
-        cache.insert(1, 1, arc(&[0u8; 200]), 4096);
-        cache.insert(2, 1, arc(&[0u8; 50]), 4096);
-        cache.remove(1, 1);
-        cache.remove(3, 1); // absent: nothing happens
+        cache.insert(0, arc(&[0u8; 100]), 4096);
+        cache.insert(1, arc(&[0u8; 200]), 4096);
+        cache.insert(2, arc(&[0u8; 50]), 4096);
+        cache.remove(1);
+        cache.remove(3); // absent: nothing happens
         assert_eq!((cache.entries(), cache.bytes()), (2, 150));
-        assert!(cache.get(2, 1).is_some());
+        assert!(cache.get(2).is_some());
         cache.clear();
         assert_eq!((cache.entries(), cache.bytes()), (0, 0));
-        assert!(cache.get(1, 0).is_none());
-        cache.insert(1, 0, arc(&[0u8; 100]), 4096);
+        assert!(cache.get(0).is_none());
+        cache.insert(0, arc(&[0u8; 100]), 4096);
         assert_eq!(cache.bytes(), 100, "a cleared cache fills again");
     }
 

@@ -39,7 +39,6 @@
 //! with k matches allocates exactly the k output `String`s.
 
 use std::borrow::Cow;
-use std::collections::HashMap;
 use std::ops::Range;
 use std::sync::Arc;
 use std::thread;
@@ -78,42 +77,11 @@ pub(crate) enum Engine<'q> {
     Software(&'q Query),
 }
 
-/// How pages map to cache generations for one scan.
-///
-/// The segmented store gives every segment (sealed or open) its own
-/// generation, so invalidation is per-segment: retention drops or
-/// corruption drills retire only the affected segment's cache entries
-/// while the rest of the store stays warm. A scan carries either a single
-/// uniform generation (tests, simple stores) or a borrowed per-page map
-/// (the system's live `page → generation` view).
-#[derive(Clone, Copy, Debug)]
-pub(crate) enum GenMap<'c> {
-    /// Every page shares one generation. Production scans always carry the
-    /// per-page map; the uniform form keeps the scan kernel testable
-    /// without a system.
-    #[cfg(test)]
-    Uniform(u64),
-    /// Per-page generations; pages absent from the map bypass the cache.
-    PerPage(&'c HashMap<u64, u64>),
-}
-
-impl GenMap<'_> {
-    fn of(&self, page: u64) -> Option<u64> {
-        match self {
-            #[cfg(test)]
-            GenMap::Uniform(g) => Some(*g),
-            GenMap::PerPage(m) => m.get(&page).copied(),
-        }
-    }
-}
-
 /// The page cache view a scan runs against; `None` in its place means
 /// caching is disabled.
 #[derive(Clone, Copy)]
 pub(crate) struct CacheView<'c> {
     pub cache: &'c PageCache,
-    /// Resolves each page's cache key.
-    pub gens: GenMap<'c>,
     /// The store's average decoded bytes per live data page: a wave whose
     /// union holds more than the cache's capacity of them floods it.
     pub page_bytes: u64,
@@ -127,23 +95,14 @@ impl CacheView<'_> {
         union_pages as u64 * self.page_bytes > self.cache.capacity()
     }
 
-    /// Consults the cache for `page` under its current generation, if any.
-    fn get(&self, page: u64) -> Option<crate::cache::CachedPage> {
-        self.cache.get(self.gens.of(page)?, page)
-    }
-
-    /// Stores one decompressed page under its current generation, if any:
-    /// an LRU insert, or a fill of free room when the wave is `flooding`.
-    /// Returns whether a flooding wave declined the page.
+    /// Stores one decompressed page: an LRU insert, or a fill of free room
+    /// when the wave is `flooding`. Returns whether a flooding wave
+    /// declined the page.
     fn store(&self, flooding: bool, page: u64, text: &[u8], raw_len: u64) -> bool {
-        let Some(generation) = self.gens.of(page) else {
-            return false;
-        };
         if flooding {
-            return !self.cache.fill(generation, page, text, raw_len);
+            return !self.cache.fill(page, text, raw_len);
         }
-        self.cache
-            .insert(generation, page, Arc::new(text.to_vec()), raw_len);
+        self.cache.insert(page, Arc::new(text.to_vec()), raw_len);
         false
     }
 }
@@ -444,7 +403,7 @@ impl<'a, 'q, S: PageStore> Worker<'a, 'q, S> {
     /// One worker step: (cache lookup →) read → decompress → filter one
     /// union page for its live members. Pure in the page id given the
     /// device contents — the cache serves only text a fresh read of the
-    /// same generation would produce — so neither striping nor the
+    /// same page would produce — so neither striping nor the
     /// company a query keeps can change its results.
     fn scan_slot(&mut self, page: PageId, members: &[usize]) -> Result<(), StorageError> {
         let Worker {
@@ -475,7 +434,7 @@ impl<'a, 'q, S: PageStore> Worker<'a, 'q, S> {
             out.skip(done, live);
             return Ok(());
         }
-        let cached = cache.and_then(|c| c.get(page.0));
+        let cached = cache.and_then(|c| c.cache.get(page.0));
         let text: &[u8] = if let Some(hit) = &cached {
             out.physical.cache_hits += 1;
             out.physical.cache_bytes_saved += hit.raw_len;
@@ -768,11 +727,10 @@ mod tests {
         }
     }
 
-    /// A view that keys every page by one generation and never floods.
-    fn uniform(cache: &PageCache, generation: u64) -> Option<CacheView<'_>> {
+    /// A view that never floods: every miss is an LRU insert.
+    fn lru_view(cache: &PageCache) -> Option<CacheView<'_>> {
         Some(CacheView {
             cache,
-            gens: GenMap::Uniform(generation),
             page_bytes: 0,
         })
     }
@@ -919,7 +877,7 @@ mod tests {
         let (cold, _) = solo(&ssd, hardware(&pipeline, &pages), 3, None);
 
         let cache = PageCache::new(1 << 20);
-        let view = uniform(&cache, 7);
+        let view = lru_view(&cache);
         let (warm_up, physical) = solo(&ssd, hardware(&pipeline, &pages), 3, view);
         assert_eq!(warm_up.lines, cold.lines);
         assert_eq!(warm_up.ledger, cold.ledger, "cold cache: identical run");
@@ -936,12 +894,6 @@ mod tests {
         assert_eq!(physical.cache_hits, pages.len() as u64);
         assert_eq!(physical.cache_bytes_saved, cold.ledger.bytes_read);
         assert_eq!(physical.demanded_reads(), cold.ledger.pages_read);
-
-        // A different generation never sees the cached text.
-        let stale = uniform(&cache, 8);
-        let (_, fresh) = solo(&ssd, hardware(&pipeline, &pages), 3, stale);
-        assert_eq!(fresh.cache_hits, 0);
-        assert_eq!(fresh.pages_read, cold.ledger.pages_read);
     }
 
     #[test]
@@ -956,7 +908,7 @@ mod tests {
         let cold = scan_wave(&ssd, lzah, &queries, 3, None);
 
         let cache = PageCache::new(1 << 20);
-        let view = uniform(&cache, 1);
+        let view = lru_view(&cache);
         let warm_up = scan_wave(&ssd, lzah, &queries, 3, view);
         let warm = scan_wave(&ssd, lzah, &queries, 3, view);
         for run in [&warm_up, &warm] {
@@ -986,7 +938,6 @@ mod tests {
         let cache = PageCache::new(8 * (text_bytes + text_bytes / 2));
         let view = Some(CacheView {
             cache: &cache,
-            gens: GenMap::Uniform(1),
             page_bytes: text_bytes,
         });
         // A page the wave does not plan, cached before it, outlives it.
@@ -1016,7 +967,7 @@ mod tests {
             assert_eq!(fan.cache_declined + filled, fan.device_ledger.pages_read);
             assert!(fan.cache_declined > 0, "the wave is bigger than the cache");
             assert!(cache.bytes() <= cache.capacity());
-            assert!(cache.get(1, resident.0).is_some(), "{threads} threads");
+            assert!(cache.get(resident.0).is_some(), "{threads} threads");
         }
         // The repeat found what the first flood cached.
         let again = scan_wave(
@@ -1066,7 +1017,7 @@ mod tests {
 
         // Warm the cache with every page, then quarantine one of them.
         let cache = PageCache::new(1 << 20);
-        let view = uniform(&cache, 1);
+        let view = lru_view(&cache);
         solo(&ssd, hardware(&pipeline, &pages), 1, view);
         let victim = pages[1];
         ssd.quarantine_page(victim.0);

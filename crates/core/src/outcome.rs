@@ -562,7 +562,7 @@ pub struct PlanExplain {
     /// scan of the live pages.
     pub index_fallback: bool,
     /// Live data pages in the scan universe (all sealed segments plus the
-    /// open segment, retired generations excluded).
+    /// open segment; retention-dropped pages excluded).
     pub live_pages: u64,
     /// Pages the plan will scan after index and bitmap pruning and the
     /// time-window clip (before any budget/deadline clip).

@@ -190,7 +190,6 @@ impl<S: PageStore> MithriLog<S> {
             let page = self.ssd.append(frame.data())?;
             self.data_pages.push(page);
             self.pending.data_pages.push(page.0);
-            self.page_gens.insert(page.0, self.open.generation);
             self.open.pages.push(page);
             self.open.page_marks.extend(facts.marks.clone());
             self.fold_page(page, &prep.text[raw_range.clone()], facts)?;
@@ -239,17 +238,15 @@ impl<S: PageStore> MithriLog<S> {
     }
 
     /// Seals the whole open segment: the run of open pages becomes an
-    /// immutable [`Segment`] with a CRC summary over its per-page CRC32s,
-    /// keeping its cache generation (sealing changes nothing about the
-    /// pages, so cached text stays live), and a [`SealRecord`] is queued
-    /// for the next commit. A fresh open segment takes over with a new
-    /// generation.
+    /// immutable [`Segment`] with a CRC summary over its per-page CRC32s
+    /// (sealing changes nothing about the pages, so cached text stays
+    /// live), and a [`SealRecord`] is queued for the next commit. A fresh
+    /// open segment takes over.
     fn seal_open(&mut self) {
         let pages = std::mem::take(&mut self.open.pages);
         let crc = self.segment_crc(&pages);
         let id = self.next_segment_id;
         self.next_segment_id += 1;
-        let generation = self.open.generation;
         let marks = std::mem::take(&mut self.open.page_marks);
         // Freeze the pruning bitmaps only when every page carries marks —
         // a partially-marked run (bitmaps enabled mid-life) stays
@@ -263,11 +260,9 @@ impl<S: PageStore> MithriLog<S> {
             lines: std::mem::take(&mut self.open.lines),
             raw_bytes: std::mem::take(&mut self.open.raw_bytes),
             compressed_bytes: std::mem::take(&mut self.open.compressed_bytes),
-            generation,
             bitmaps,
         };
-        self.open = OpenSegment::new(self.next_generation);
-        self.next_generation += 1;
+        self.open = OpenSegment::new();
         self.pending.seals.push(SealRecord {
             // The sealing commit's sequence is not known yet; commit()
             // stamps it when the record is journaled.

@@ -7,7 +7,7 @@
 //! * `query` — shared scans and outcome assembly;
 //! * `scrub` — integrity scans, sidecar checks and retention.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 
 use mithrilog_index::InvertedIndex;
 use mithrilog_storage::{
@@ -46,8 +46,10 @@ pub struct MithriLog<S = MemStore> {
     ssd: SimSsd<S>,
     index: InvertedIndex,
     tokenizer: Tokenizer,
-    /// Data pages in ingest order (index/leaf pages interleave on the same
-    /// device but are tracked by the index itself).
+    /// Live data pages in ingest order, so ascending by id: the sealed
+    /// segments' pages, oldest first, then the open segment's (index/leaf
+    /// pages interleave on the same device but are tracked by the index
+    /// itself). Plans filter stale index postings against it.
     data_pages: Vec<PageId>,
     /// Data pages retention has dropped since the store was formatted:
     /// with `data_pages`, every data page this device ever committed.
@@ -67,9 +69,10 @@ pub struct MithriLog<S = MemStore> {
     /// superblock flip lands.
     pending: PendingCommit,
     /// Cross-wave cache of decompressed data pages (`None` when
-    /// `page_cache_bytes` is 0). Entries are keyed per page by the owning
-    /// segment's generation (see `page_gens`), so invalidation is
-    /// per-segment instead of store-wide.
+    /// `page_cache_bytes` is 0), keyed by page id. Pages are append-only, so
+    /// an entry goes stale only when its page dies or may change:
+    /// retention removes the dropped pages' entries and
+    /// [`MithriLog::device_mut`] clears the cache.
     page_cache: Option<PageCache>,
     /// Sealed, immutable segments, oldest first (ids ascend in seal order).
     segments: Vec<Segment>,
@@ -78,14 +81,6 @@ pub struct MithriLog<S = MemStore> {
     /// Next segment id to allocate; ids are monotonic and never reused,
     /// even after a retention drop.
     next_segment_id: u64,
-    /// Next cache generation to allocate. Generations are unique across
-    /// segments and across invalidation events, so a retired generation can
-    /// never be observed again.
-    next_generation: u64,
-    /// Live page → cache generation of its owning segment. Doubles as the
-    /// set of live data pages: retention removes dropped pages, so stale
-    /// index postings to dropped pages are filtered at plan time.
-    page_gens: HashMap<u64, u64>,
     /// Durable locations of segment bitmap sidecars, keyed by segment id.
     /// Persisted in the checkpoint; a segment with in-memory bitmaps but
     /// no ref gets its sidecar appended at the next commit.
@@ -104,8 +99,7 @@ struct BitmapRef {
 }
 
 /// One sealed segment: an immutable run of data pages with its own CRC
-/// summary, totals, and cache generation — the store's fault and retention
-/// domain.
+/// summary and totals — the store's fault and retention domain.
 #[derive(Debug)]
 struct Segment {
     id: u64,
@@ -115,7 +109,6 @@ struct Segment {
     lines: u64,
     raw_bytes: u64,
     compressed_bytes: u64,
-    generation: u64,
     /// The pruning bitmaps frozen at seal time (`None` when bitmaps are
     /// disabled or the persisted sidecar failed validation — the planner
     /// then treats every page of the segment as alive).
@@ -141,7 +134,6 @@ struct OpenSegment {
     lines: u64,
     raw_bytes: u64,
     compressed_bytes: u64,
-    generation: u64,
     /// Per-page pruning marks, parallel to `pages` (empty when bitmaps are
     /// disabled). Frozen into [`SegmentBitmaps`] at seal time; the open
     /// segment itself is never pruned.
@@ -149,13 +141,12 @@ struct OpenSegment {
 }
 
 impl OpenSegment {
-    fn new(generation: u64) -> Self {
+    fn new() -> Self {
         OpenSegment {
             pages: Vec::new(),
             lines: 0,
             raw_bytes: 0,
             compressed_bytes: 0,
-            generation,
             page_marks: Vec::new(),
         }
     }
@@ -225,37 +216,14 @@ impl<S: PageStore> MithriLog<S> {
     /// system's back (via `device_mut().store_mut()`) is detected by the
     /// page checksums: affected pages are skipped by queries and reported in
     /// [`QueryOutcome::degraded`] — exactly what a corruption drill should
-    /// observe. Handing out mutable access also retires every segment's
-    /// page-cache generation, so a drill's overwrites can never be masked
-    /// by cached pre-corruption text.
+    /// observe. Handing out mutable access also clears the page cache, so
+    /// a drill's overwrites can never be masked by cached pre-corruption
+    /// text.
     pub fn device_mut(&mut self) -> &mut SimSsd<S> {
-        self.invalidate_cache_generations();
-        &mut self.ssd
-    }
-
-    /// Retires every segment's cache generation (sealed and open): each
-    /// gets a fresh, never-used generation and the page map is rebuilt, so
-    /// nothing cached before this call can be observed again. Every entry
-    /// the cache held is now dead, so the cache is cleared.
-    fn invalidate_cache_generations(&mut self) {
         if let Some(cache) = &self.page_cache {
             cache.clear();
         }
-        for seg in &mut self.segments {
-            seg.generation = self.next_generation;
-            self.next_generation += 1;
-        }
-        self.open.generation = self.next_generation;
-        self.next_generation += 1;
-        self.page_gens.clear();
-        for seg in &self.segments {
-            for p in &seg.pages {
-                self.page_gens.insert(p.0, seg.generation);
-            }
-        }
-        for p in &self.open.pages {
-            self.page_gens.insert(p.0, self.open.generation);
-        }
+        &mut self.ssd
     }
 
     /// Summaries of the sealed segments, oldest first.

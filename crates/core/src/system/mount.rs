@@ -183,9 +183,7 @@ impl<S: PageStore> MithriLog<S> {
         system.data_pages_dropped = dropped_pages.len() as u64;
         system.logical_clock = system.total_lines;
 
-        // Active sealed segments, oldest first; each gets a fresh cache
-        // generation. Recovery counts as an invalidation event: every
-        // generation is past anything cached before.
+        // Active sealed segments, oldest first.
         let mut sealed_pages: HashSet<u64> = HashSet::new();
         let mut sealed_totals = [0u64; 3];
         for (id, seal) in &seals {
@@ -193,12 +191,7 @@ impl<S: PageStore> MithriLog<S> {
             if drops.contains(id) {
                 continue;
             }
-            let generation = system.next_generation;
-            system.next_generation += 1;
-            for p in &seal.pages {
-                system.page_gens.insert(*p, generation);
-                sealed_pages.insert(*p);
-            }
+            sealed_pages.extend(seal.pages.iter().copied());
             sealed_totals[0] += seal.raw_bytes;
             sealed_totals[1] += seal.lines;
             sealed_totals[2] += seal.compressed_bytes;
@@ -209,7 +202,6 @@ impl<S: PageStore> MithriLog<S> {
                 lines: seal.lines,
                 raw_bytes: seal.raw_bytes,
                 compressed_bytes: seal.compressed_bytes,
-                generation,
                 bitmaps: None,
             });
         }
@@ -222,17 +214,11 @@ impl<S: PageStore> MithriLog<S> {
             .filter(|p| !sealed_pages.contains(&p.0))
             .copied()
             .collect();
-        let open_generation = system.next_generation;
-        system.next_generation += 1;
-        for p in &open_pages {
-            system.page_gens.insert(p.0, open_generation);
-        }
         system.open = OpenSegment {
             pages: open_pages,
             raw_bytes: system.total_raw_bytes - sealed_totals[0],
             lines: system.total_lines - sealed_totals[1],
             compressed_bytes: system.total_compressed_bytes - sealed_totals[2],
-            generation: open_generation,
             page_marks: Vec::new(),
         };
 
@@ -313,10 +299,8 @@ impl<S: PageStore> MithriLog<S> {
             page_cache: (config.page_cache_bytes > 0)
                 .then(|| PageCache::new(config.page_cache_bytes)),
             segments: Vec::new(),
-            open: OpenSegment::new(0),
+            open: OpenSegment::new(),
             next_segment_id: 0,
-            next_generation: 1,
-            page_gens: HashMap::new(),
             bitmap_refs: BTreeMap::new(),
             config,
         }

@@ -139,8 +139,9 @@ impl<S: PageStore> MithriLog<S> {
             };
             if used_index {
                 // The index may still hold postings to retention-dropped
-                // pages; plans only ever scan live pages.
-                pages.retain(|p| self.page_gens.contains_key(&p.0));
+                // pages; plans only ever scan live pages. `data_pages`
+                // ascends, so membership is a binary search.
+                pages.retain(|p| self.data_pages.binary_search(p).is_ok());
             }
             // Classify every live page against the index plan and the
             // segment bitmaps; the sealed + open segments partition the

@@ -7,7 +7,7 @@ use mithrilog_storage::{Link, PageStore};
 
 use super::MithriLog;
 use crate::error::MithriLogError;
-use crate::exec::{self, CacheView, Engine, GenMap};
+use crate::exec::{self, CacheView, Engine};
 use crate::outcome::{
     DegradedRead, QueryOutcome, ScanAttribution, SharedBatchOutcome, SharedScanReport,
 };
@@ -97,14 +97,12 @@ impl QueryRequest {
 }
 
 impl<S: PageStore> MithriLog<S> {
-    /// The cache view scans run against: the cache (when configured), the
-    /// per-page generation map, so each page is keyed by its owning
-    /// segment's generation, and the store's average decoded bytes per live
-    /// data page, which sizes a wave against the cache.
+    /// The cache view scans run against: the cache (when configured) and
+    /// the store's average decoded bytes per live data page, which sizes a
+    /// wave against the cache.
     fn cache_view(&self) -> Option<CacheView<'_>> {
         self.page_cache.as_ref().map(|cache| CacheView {
             cache,
-            gens: GenMap::PerPage(&self.page_gens),
             page_bytes: self.total_raw_bytes / (self.data_pages.len() as u64).max(1),
         })
     }
@@ -524,11 +522,11 @@ mod tests {
         let cache = s.page_cache.as_ref().unwrap();
         assert_eq!(cache.entries() as u64, s.data_page_count());
         assert!(cache.bytes() > 0);
-        // Every generation the cache held is retired: nothing stays.
+        // The device may have changed under every entry: nothing stays.
         s.device_mut();
         let cache = s.page_cache.as_ref().unwrap();
         assert_eq!((cache.entries(), cache.bytes()), (0, 0));
-        // The next scan fills it again under the new generations.
+        // The next scan fills it again.
         s.query_str("NOT zz-absent-zz").unwrap();
         let cache = s.page_cache.as_ref().unwrap();
         assert_eq!(cache.entries() as u64, s.data_page_count());

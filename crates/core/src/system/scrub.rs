@@ -2,7 +2,7 @@ use std::collections::HashSet;
 
 use mithrilog_storage::{crc32, read_blob, PageId, PageStore};
 
-use super::{crc_summary, MithriLog, Segment};
+use super::{crc_summary, MithriLog};
 use crate::bitmaps::SegmentBitmaps;
 use crate::error::MithriLogError;
 #[cfg(doc)]
@@ -121,13 +121,13 @@ impl<S: PageStore> MithriLog<S> {
     /// resurrects, and a crash before the flip leaves every segment
     /// intact. The open segment is never droppable.
     ///
-    /// Dropped pages leave the live-page map immediately: plans stop
-    /// including them, and their cache entries are removed, so dead text
-    /// never holds the cache's budget. The inverted index keeps its (now
-    /// stale) postings until the next rebuild — plan-time filtering makes
-    /// that a pure size overhead, never a correctness issue. Like any
-    /// log-structured store, the physical pages are not reclaimed by the
-    /// simulated device.
+    /// Dropped pages leave `data_pages` immediately: plans stop including
+    /// them, and their cache entries are removed, so dead text never holds
+    /// the cache's budget and a cached page is never stale. The inverted
+    /// index keeps its (now stale) postings until the next rebuild —
+    /// plan-time filtering makes that a pure size overhead, never a
+    /// correctness issue. Like any log-structured store, the physical pages
+    /// are not reclaimed by the simulated device.
     ///
     /// # Errors
     ///
@@ -143,9 +143,13 @@ impl<S: PageStore> MithriLog<S> {
             return Ok(report);
         }
         let drop_count = self.segments.len() - keep;
-        let dropped: Vec<Segment> = self.segments.drain(..drop_count).collect();
-        let mut dropped_pages: HashSet<u64> = HashSet::new();
-        for seg in &dropped {
+        // The dropped segments are the oldest, so their pages are exactly
+        // the first live data pages.
+        let dropped_pages: usize = self.segments[..drop_count]
+            .iter()
+            .map(|seg| seg.pages.len())
+            .sum();
+        for seg in self.segments.drain(..drop_count) {
             report.segments_dropped += 1;
             report.pages_dropped += seg.pages.len() as u64;
             self.data_pages_dropped += seg.pages.len() as u64;
@@ -154,17 +158,14 @@ impl<S: PageStore> MithriLog<S> {
             self.total_lines -= seg.lines;
             self.total_raw_bytes -= seg.raw_bytes;
             self.total_compressed_bytes -= seg.compressed_bytes;
-            for p in &seg.pages {
-                self.page_gens.remove(&p.0);
-                dropped_pages.insert(p.0);
-                if let Some(cache) = &self.page_cache {
-                    cache.remove(seg.generation, p.0);
-                }
-            }
             self.pending.drops.push(seg.id);
             self.bitmap_refs.remove(&seg.id);
         }
-        self.data_pages.retain(|p| !dropped_pages.contains(&p.0));
+        for p in self.data_pages.drain(..dropped_pages) {
+            if let Some(cache) = &self.page_cache {
+                cache.remove(p.0);
+            }
+        }
         report.segments_retained = self.segments.len() as u64;
         self.commit()?;
         Ok(report)
@@ -176,6 +177,7 @@ mod tests {
     use super::*;
     use crate::config::SystemConfig;
     use crate::system::tests::segmented_config;
+    use crate::system::QueryRequest;
 
     /// Ingests one-page fillers until the open segment seals, so the next
     /// era starts on a segment boundary. Bounded: each filler appends one
@@ -184,6 +186,56 @@ mod tests {
         while s.open_segment_pages() != 0 {
             s.ingest(filler.as_bytes()).unwrap();
         }
+    }
+
+    /// The invariant plans and retention rest on: `data_pages` strictly
+    /// ascends and is the sealed segments' pages, oldest first, followed
+    /// by the open segment's.
+    fn assert_live_pages_are_segments_in_order(s: &MithriLog) {
+        let by_segment: Vec<PageId> = s
+            .segments
+            .iter()
+            .flat_map(|seg| &seg.pages)
+            .chain(&s.open.pages)
+            .copied()
+            .collect();
+        assert_eq!(s.data_pages, by_segment);
+        assert!(s.data_pages.windows(2).all(|w| w[0] < w[1]));
+    }
+
+    #[test]
+    fn live_pages_ascend_as_segments_through_retention_and_remount() {
+        // A default-size index, so a rare token plans from the index (the
+        // tiny test index saturates on thousands of distinct tokens).
+        let config = SystemConfig {
+            segment_pages: 2,
+            ..SystemConfig::default()
+        };
+        let mut s = MithriLog::new(config.clone());
+        let log: String = std::iter::once("the oldest needle\n".to_string())
+            .chain((0..3000).map(|i| format!("event number {i} on node {}\n", i % 17)))
+            .collect();
+        s.ingest(log.as_bytes()).unwrap();
+        s.ingest(b"a short tail for the open segment\n").unwrap();
+        assert!(s.sealed_segment_count() >= 3);
+        assert!(s.open_segment_pages() > 0);
+        assert_live_pages_are_segments_in_order(&s);
+        let needle = QueryRequest::parse("needle").unwrap();
+        assert_eq!(s.query_str("needle").unwrap().match_count(), 1);
+
+        let report = s.apply_retention(1).unwrap();
+        assert!(report.pages_dropped > 0);
+        assert_eq!(s.sealed_segment_count(), 1);
+        assert_live_pages_are_segments_in_order(&s);
+        // The index still posts the needle's dropped page; no plan takes it.
+        let plan = s.explain(&needle).unwrap();
+        assert!(plan.used_index);
+        assert_eq!(plan.planned_pages, 0);
+
+        let store = s.device().store().clone();
+        let (mounted, _) = MithriLog::open_store(store, config).unwrap();
+        assert_live_pages_are_segments_in_order(&mounted);
+        assert_eq!(mounted.data_pages, s.data_pages);
     }
 
     #[test]

@@ -19,7 +19,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use crate::protocol::{self, Request};
-use crate::service::{ServiceHandle, WaitError};
+use crate::service::{JobStatus, ServiceHandle, WaitError};
 
 /// How long a connection thread waits for the next request line before
 /// dropping the connection. Generous — clients are interactive — but finite,
@@ -129,17 +129,21 @@ fn handle_connection(stream: TcpStream, handle: &ServiceHandle, stopping: &Atomi
                 )),
             },
             Ok(Request::Poll(id)) => protocol::render_status(handle.poll(id).as_ref()),
-            Ok(Request::Wait(id)) => {
-                // Block until the job settles (bounded so a wedged job cannot
-                // pin this thread forever), then render whatever state it
-                // settled into (or `unknown job` for an id never issued).
-                match handle.wait_timeout(id, WAIT_TIMEOUT) {
-                    Err(WaitError::TimedOut) => {
-                        protocol::render_error("wait timed out; job still queued or running")
-                    }
-                    _ => protocol::render_status(handle.poll(id).as_ref()),
+            // Block until the job settles (bounded so a wedged job cannot
+            // pin this thread forever), then render the state it settled
+            // into from what the wait handed over (or `unknown job` for an
+            // id never issued), without a second copy of the output.
+            Ok(Request::Wait(id)) => match handle.wait_timeout(id, WAIT_TIMEOUT) {
+                Ok(output) => protocol::render_status(Some(&JobStatus::Done(output))),
+                Err(WaitError::Failed(reason)) => {
+                    protocol::render_status(Some(&JobStatus::Failed(reason)))
                 }
-            }
+                Err(WaitError::Cancelled) => protocol::render_status(Some(&JobStatus::Cancelled)),
+                Err(WaitError::Unknown) => protocol::render_status(None),
+                Err(WaitError::TimedOut) => {
+                    protocol::render_error("wait timed out; job still queued or running")
+                }
+            },
             Ok(Request::Cancel(id)) => protocol::render_cancel(handle.cancel(id)),
             Ok(Request::Scrub) => protocol::render_submit(&handle.submit_scrub()),
             Ok(Request::Stats) => protocol::render_stats(
@@ -238,6 +242,50 @@ mod tests {
         let h = service_handle_closed.handle();
         service_handle_closed.shutdown();
         assert!(h.submit_str("x", Priority::Normal).is_err());
+    }
+
+    #[test]
+    fn wait_replies_are_byte_identical_to_rendering_a_poll() {
+        let mut system = MithriLog::new(SystemConfig::for_tests());
+        system
+            .ingest(b"RAS KERNEL FATAL data storage interrupt\nRAS KERNEL INFO ok\n")
+            .unwrap();
+        let service = Service::spawn(system, ServiceConfig::default());
+        let handle = service.handle();
+        let done = handle.submit_str("FATAL", Priority::High).unwrap();
+        handle.wait(done).unwrap();
+        // A query that already finished cannot be cancelled: submit until a
+        // cancel lands while one is still queued or running.
+        let doomed = (0..32)
+            .map(|_| handle.submit_str("FATAL", Priority::Low).unwrap())
+            .find(|&id| handle.cancel(id))
+            .expect("a submission is cancelled before it finishes");
+        let unknown = 9999;
+
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let server_handle = handle.clone();
+        let server = std::thread::spawn(move || serve(listener, &server_handle).unwrap());
+        let stream = TcpStream::connect(addr).unwrap();
+        let mut writer = stream.try_clone().unwrap();
+        let mut reader = BufReader::new(stream);
+        for (id, first) in [
+            (done, "OK done kind=query lines=1 "),
+            (doomed, "OK cancelled\n"),
+            (unknown, "ERR unknown job\n"),
+        ] {
+            writer.write_all(format!("WAIT {id}\n").as_bytes()).unwrap();
+            let mut reply = String::new();
+            while !reply.ends_with(&format!("\n{}\n", protocol::TERMINATOR)) {
+                reader.read_line(&mut reply).unwrap();
+            }
+            assert!(reply.starts_with(first), "{reply:?}");
+            assert_eq!(reply, protocol::render_status(handle.poll(id).as_ref()));
+        }
+        writer.write_all(b"SHUTDOWN\n").unwrap();
+        assert_eq!(read_response(&mut reader), vec!["OK bye"]);
+        server.join().unwrap();
+        service.shutdown();
     }
 
     #[test]

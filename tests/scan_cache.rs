@@ -13,10 +13,10 @@
 //! selective query cached in place — with outcomes still byte-identical to
 //! an uncached replica.
 //!
-//! The staleness test proves the per-segment generation keys: ingest is
-//! append-only, so the cache stays warm across it and the new line is
-//! still observed; mutable device access (a corruption drill) retires
-//! every segment's generation, so nothing cached before it survives.
+//! The staleness tests prove the explicit invalidation of the page-id
+//! key: ingest is append-only, so the cache stays warm across it and the
+//! new line is still observed; mutable device access (a corruption drill)
+//! clears the cache, so nothing cached before it survives.
 
 use mithrilog::{MithriLog, QueryOutcome, SystemConfig};
 use mithrilog_loggen::{generate, Dataset, DatasetProfile, DatasetSpec};
@@ -204,8 +204,8 @@ fn mutable_device_access_retires_every_cached_generation() {
     let _ = system.query_str("NOT zz-absent-token-zz").unwrap();
     assert!(system.device().ledger().cache_hits > 0);
 
-    // A corruption drill takes mutable device access: every segment's
-    // generation is retired, so no pre-drill text can mask the overwrite.
+    // A corruption drill takes mutable device access: the cache is
+    // cleared, so no pre-drill text can mask the overwrite.
     let hits_before = {
         let ssd = system.device_mut();
         ssd.ledger().cache_hits
