@@ -86,6 +86,12 @@ pub struct RecoveryReport {
     pub segments_dropped: u64,
     /// How the in-memory index was obtained.
     pub index: IndexRecovery,
+    /// Checkpoint deltas applied on top of the full checkpoint (0 when the
+    /// index was rebuilt). Commits write a full checkpoint at least every
+    /// [`SystemConfig::segment_pages`] commits, which bounds this count.
+    ///
+    /// [`SystemConfig::segment_pages`]: crate::SystemConfig::segment_pages
+    pub checkpoint_deltas_applied: u64,
     /// Segment bitmap sidecars that failed their CRC or decode at mount
     /// and were dropped: those segments plan conservatively (full page
     /// set) until their bitmaps are rebuilt — degraded, never lying.
@@ -114,6 +120,9 @@ impl std::fmt::Display for RecoveryReport {
                 IndexRecovery::Rebuilt => "rebuilt from data pages",
             }
         )?;
+        if self.index == IndexRecovery::Checkpoint {
+            write!(f, " + {} deltas", self.checkpoint_deltas_applied)?;
+        }
         if self.segment_bitmaps_dropped > 0 {
             write!(
                 f,
@@ -704,9 +713,11 @@ mod tests {
             segments_dropped: 1,
             segment_bitmaps_dropped: 0,
             index: IndexRecovery::Checkpoint,
+            checkpoint_deltas_applied: 4,
         };
         let s = r.to_string();
         assert!(s.contains("commit 3"), "{s}");
+        assert!(s.contains("loaded from checkpoint + 4 deltas"), "{s}");
         assert!(s.contains("2 sealed segments, 1 dropped"), "{s}");
         assert!(s.contains("checkpoint"), "{s}");
         assert!(!s.contains("bitmap sidecar"), "{s}");

@@ -8,10 +8,7 @@ use mithrilog_storage::{
 };
 use mithrilog_tokenizer::Tokenizer;
 
-use super::{
-    crc_summary, BitmapRef, MithriLog, OpenSegment, PendingCommit, Segment, CHECKPOINT_MAGIC,
-    CHECKPOINT_VERSION,
-};
+use super::{crc_summary, BitmapRef, MithriLog, OpenSegment, PendingCommit, Segment};
 use crate::bitmaps::{PageFacts, SegmentBitmaps};
 use crate::config::SystemConfig;
 use crate::error::MithriLogError;
@@ -297,18 +294,40 @@ impl<S: PageStore> MithriLog<S> {
     ///
     /// 1. seal the index pools (no later allocation may rewrite a page at
     ///    or below the new committed frontier);
-    /// 2. append the index checkpoint pages;
+    /// 2. append the checkpoint blob: a **full** checkpoint when this commit
+    ///    seals a segment, the store has no checkpoint to chain onto (a
+    ///    fresh store, or the index was rebuilt from pages),
+    ///    [`SystemConfig::segment_pages`] deltas already follow the last
+    ///    full one, or a delta would list half the live index entries or
+    ///    more; otherwise a **delta** holding the index entries changed
+    ///    since the previous blob, the small sections in full, and that
+    ///    blob's ref;
     /// 3. append the journal manifest record for this commit;
     /// 4. **sync barrier 1** — payload durable before the superblock moves;
-    /// 5. write the superblock into the inactive slot and **sync barrier
-    ///    2** — the atomic flip that acknowledges the commit.
+    /// 5. write the superblock, pointing at the new blob, into the inactive
+    ///    slot and **sync barrier 2** — the atomic flip that acknowledges
+    ///    the commit.
     ///
     /// A crash anywhere before barrier 2 completes leaves the previous
-    /// superblock active and the whole commit in the discardable tail.
+    /// superblock active and the whole commit, its blob included, in the
+    /// discardable tail.
     pub(super) fn commit(&mut self) -> Result<(), MithriLogError> {
         self.index.seal_storage();
         self.persist_segment_bitmaps()?;
-        let blob = self.checkpoint_blob();
+        // Taking the blob clears the index's dirty set, so a commit that
+        // fails from here on leaves the next one to write a full checkpoint.
+        let chain = self.deltas_since_full.take();
+        let onto = match (chain, self.superblock.checkpoint) {
+            (Some(deltas), Some(prev))
+                if deltas < self.config.segment_pages
+                    && self.pending.seals.is_empty()
+                    && self.index.delta_is_small() =>
+            {
+                Some((deltas, prev))
+            }
+            _ => None,
+        };
+        let blob = self.checkpoint_blob(onto.map(|(_, prev)| prev));
         let ckpt = append_blob(&mut self.ssd, &blob)?;
         let sequence = self.superblock.sequence + 1;
         let record = CommitRecord {
@@ -345,6 +364,7 @@ impl<S: PageStore> MithriLog<S> {
         write_superblock_commit(&mut self.ssd, &sb)?; // barrier 2
         self.superblock = sb;
         self.pending = PendingCommit::default();
+        self.deltas_since_full = Some(onto.map_or(0, |(deltas, _)| deltas + 1));
         Ok(())
     }
 
@@ -369,44 +389,6 @@ impl<S: PageStore> MithriLog<S> {
         Ok(())
     }
 
-    /// Serializes the host-side state a mount cannot reconstruct from the
-    /// journal alone: the index, the datapath statistics, the scatter
-    /// schedule, the segment bitmap sidecar directory, and the running
-    /// totals for cross-checking.
-    fn checkpoint_blob(&self) -> Vec<u8> {
-        let mut blob = Vec::new();
-        blob.extend_from_slice(CHECKPOINT_MAGIC);
-        blob.extend_from_slice(&CHECKPOINT_VERSION.to_le_bytes());
-        blob.extend_from_slice(&self.total_raw_bytes.to_le_bytes());
-        blob.extend_from_slice(&self.total_lines.to_le_bytes());
-        blob.extend_from_slice(&self.total_compressed_bytes.to_le_bytes());
-        for section in [
-            self.index.checkpoint_bytes(),
-            self.stats.to_bytes(),
-            self.scatter.to_bytes(),
-            self.bitmap_refs_bytes(),
-        ] {
-            blob.extend_from_slice(&(section.len() as u64).to_le_bytes());
-            blob.extend_from_slice(&section);
-        }
-        blob
-    }
-
-    /// Serializes the sidecar directory: one fixed-width entry per durable
-    /// segment bitmap blob, ascending by segment id.
-    fn bitmap_refs_bytes(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(8 + self.bitmap_refs.len() * 36);
-        out.extend_from_slice(&(self.bitmap_refs.len() as u64).to_le_bytes());
-        for bref in self.bitmap_refs.values() {
-            out.extend_from_slice(&bref.segment_id.to_le_bytes());
-            out.extend_from_slice(&bref.blob.first_page.to_le_bytes());
-            out.extend_from_slice(&bref.blob.page_count.to_le_bytes());
-            out.extend_from_slice(&bref.blob.byte_len.to_le_bytes());
-            out.extend_from_slice(&bref.blob.crc.to_le_bytes());
-        }
-        out
-    }
-
     /// Takes an explicit index snapshot with a caller-supplied timestamp.
     ///
     /// # Errors
@@ -422,6 +404,7 @@ impl<S: PageStore> MithriLog<S> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::system::checkpoint::{CHECKPOINT_MAGIC, DELTA_MAGIC};
     use crate::system::tests::{segmented_config, LOG};
 
     #[test]
@@ -511,6 +494,49 @@ mod tests {
             let b = direct.query_str(q).unwrap();
             assert_eq!(a.lines, b.lines, "query {q:?}");
             assert_eq!(a.ledger, b.ledger, "query {q:?}");
+        }
+    }
+
+    /// The blob the superblock points at: its magic and page count.
+    fn newest_blob(s: &mut MithriLog) -> ([u8; 4], u64) {
+        let at = s.superblock.checkpoint.expect("a committed checkpoint");
+        let blob = mithrilog_storage::read_blob(&mut s.ssd, &at).expect("readable blob");
+        (blob[..4].try_into().expect("magic"), at.page_count)
+    }
+
+    #[test]
+    fn a_one_line_commit_writes_a_delta_a_tenth_the_size_of_the_full_checkpoint() {
+        // Segments larger than the text, so no commit here seals.
+        let mut s = MithriLog::new(SystemConfig {
+            segment_pages: 1024,
+            ..SystemConfig::default()
+        });
+        let text: String = (0..20_000u64)
+            .map(|i| {
+                format!(
+                    "RAS KERNEL INFO node-{} rack-{} job {} user{} task {i}\n",
+                    i % 9_973,
+                    i % 311,
+                    i * 7,
+                    i % 577
+                )
+            })
+            .collect();
+        assert!(text.len() >= 1 << 20);
+        s.ingest(text.as_bytes()).unwrap();
+        let (magic, full_pages) = newest_blob(&mut s);
+        assert_eq!(&magic, CHECKPOINT_MAGIC, "a store's first commit is full");
+        for i in 0..3 {
+            let full = s.superblock.checkpoint;
+            s.ingest(format!("RAS KERNEL FATAL one more line {i}\n").as_bytes())
+                .unwrap();
+            let (magic, delta_pages) = newest_blob(&mut s);
+            assert_eq!(&magic, DELTA_MAGIC, "commit {i} sealed nothing");
+            assert!(
+                delta_pages * 10 < full_pages,
+                "delta of {delta_pages} pages against a {full_pages}-page full checkpoint"
+            );
+            assert_ne!(s.superblock.checkpoint, full);
         }
     }
 

@@ -1,8 +1,10 @@
 //! The host side of one device: [`MithriLog`] and its state, split by seam.
 //!
-//! * `mount` — formatting, mounting with crash recovery, checkpoint loads
-//!   and index rebuilds;
+//! * `mount` — formatting, mounting with crash recovery and index
+//!   rebuilds;
 //! * `ingest` — page frames, sealing and the journaled commit;
+//! * `checkpoint` — the checkpoint chain's blob format: full checkpoints,
+//!   deltas, and restoring a chain at mount;
 //! * `plan` — the wave planner (index probe, bitmap pruning, clips);
 //! * `query` — shared scans and outcome assembly;
 //! * `scrub` — integrity scans, sidecar checks and retention.
@@ -22,6 +24,7 @@ use crate::config::SystemConfig;
 use crate::outcome::QueryOutcome;
 use crate::outcome::SegmentSummary;
 
+mod checkpoint;
 mod ingest;
 mod mount;
 mod plan;
@@ -30,9 +33,6 @@ mod scrub;
 
 pub use ingest::PreparedIngest;
 pub use query::QueryRequest;
-
-const CHECKPOINT_MAGIC: &[u8; 4] = b"MLCK";
-const CHECKPOINT_VERSION: u32 = 2;
 
 /// A complete MithriLog system: simulated accelerated SSD + index + host
 /// software (paper Figure 2).
@@ -85,6 +85,11 @@ pub struct MithriLog<S = MemStore> {
     /// Persisted in the checkpoint; a segment with in-memory bitmaps but
     /// no ref gets its sidecar appended at the next commit.
     bitmap_refs: BTreeMap<u64, BitmapRef>,
+    /// Checkpoint deltas chained behind the newest full checkpoint, which
+    /// the superblock's checkpoint reaches through predecessor refs; `None`
+    /// when the next commit must write a full one (no checkpoint yet, the
+    /// index was rebuilt from pages, or a commit failed part-way).
+    deltas_since_full: Option<u64>,
 }
 
 /// Durable location of one segment's bitmap sidecar blob: a checksummed

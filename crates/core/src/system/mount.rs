@@ -3,21 +3,18 @@ use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 use mithrilog_compress::{Codec, Lzah};
 use mithrilog_index::InvertedIndex;
 use mithrilog_storage::{
-    format_device, read_active_superblock, read_blob, replay_journal, CheckpointRef, FileStore,
-    JournalRecord, MemStore, PageId, PageStore, SealRecord, SimSsd, Superblock,
+    format_device, read_active_superblock, replay_journal, FileStore, JournalRecord, MemStore,
+    PageId, PageStore, SealRecord, SimSsd, Superblock,
 };
 use mithrilog_tokenizer::{DatapathStats, ScatterGather, Tokenizer};
 
 #[cfg(doc)]
 use super::PreparedIngest;
-use super::{
-    BitmapRef, MithriLog, OpenSegment, PendingCommit, Segment, CHECKPOINT_MAGIC, CHECKPOINT_VERSION,
-};
+use super::{MithriLog, OpenSegment, PendingCommit, Segment};
 use crate::bitmaps::{PageFacts, PageMarks, SegmentBitmaps};
 use crate::cache::PageCache;
 use crate::config::SystemConfig;
 use crate::error::MithriLogError;
-use crate::le::{take_section, take_u32, take_u64};
 use crate::outcome::{IndexRecovery, RecoveryReport};
 
 impl MithriLog<MemStore> {
@@ -222,9 +219,9 @@ impl<S: PageStore> MithriLog<S> {
             page_marks: Vec::new(),
         };
 
-        let index_recovery = match system.restore_checkpoint() {
-            Some(()) => IndexRecovery::Checkpoint,
-            None => IndexRecovery::Rebuilt,
+        let (index_recovery, checkpoint_deltas_applied) = match system.restore_checkpoint() {
+            Some(deltas) => (IndexRecovery::Checkpoint, deltas),
+            None => (IndexRecovery::Rebuilt, 0),
         };
 
         // Attach persisted segment bitmaps, validating each sidecar blob:
@@ -247,6 +244,7 @@ impl<S: PageStore> MithriLog<S> {
             segments_recovered: system.segments.len() as u64,
             segments_dropped: drops.len() as u64,
             index: index_recovery,
+            checkpoint_deltas_applied,
             segment_bitmaps_dropped,
         };
         if report.index == IndexRecovery::Rebuilt {
@@ -302,49 +300,9 @@ impl<S: PageStore> MithriLog<S> {
             open: OpenSegment::new(),
             next_segment_id: 0,
             bitmap_refs: BTreeMap::new(),
+            deltas_since_full: None,
             config,
         }
-    }
-
-    /// Restores the index, the datapath statistics, the scatter schedule
-    /// and the sidecar directory from the committed checkpoint. Any
-    /// failure — no checkpoint, unreadable pages, CRC mismatch, malformed
-    /// sections, parameter drift, totals that disagree with the journal —
-    /// returns `None` with nothing restored, and recovery falls back to a
-    /// full reindex; the checkpoint is an optimization, never a
-    /// correctness dependency.
-    fn restore_checkpoint(&mut self) -> Option<()> {
-        let blob = read_blob(&mut self.ssd, &self.superblock.checkpoint?)?;
-        let mut rest = blob.strip_prefix(CHECKPOINT_MAGIC)?;
-        if take_u32(&mut rest)? != CHECKPOINT_VERSION {
-            return None;
-        }
-        for total in [
-            self.total_raw_bytes,
-            self.total_lines,
-            self.total_compressed_bytes,
-        ] {
-            if take_u64(&mut rest)? != total {
-                return None;
-            }
-        }
-        let index_bytes = take_section(&mut rest)?;
-        let stats_bytes = take_section(&mut rest)?;
-        let scatter_bytes = take_section(&mut rest)?;
-        let refs_bytes = take_section(&mut rest)?;
-        if !rest.is_empty() {
-            return None;
-        }
-        let page_bytes = self.config.device.page_bytes;
-        let index = InvertedIndex::restore_checkpoint(self.config.index, page_bytes, index_bytes)?;
-        let stats = DatapathStats::from_bytes(stats_bytes)?;
-        let scatter = ScatterGather::from_bytes(scatter_bytes)?;
-        if scatter.lanes() != self.config.tokenizer.lanes {
-            return None;
-        }
-        let refs = parse_bitmap_refs(refs_bytes)?;
-        (self.index, self.stats, self.scatter, self.bitmap_refs) = (index, stats, scatter, refs);
-        Some(())
     }
 
     /// Rebuilds the in-memory index (and the rest of the host-side state)
@@ -373,9 +331,14 @@ impl<S: PageStore> MithriLog<S> {
     /// the journal) already hold them, and page text cannot reproduce the
     /// ingest-time line count, which counts blank lines and a line longer
     /// than a page once.
+    ///
+    /// The rebuilt index keeps the snapshot list (its watermarks are
+    /// data-page ids, which a rescan does not change), and the next commit
+    /// writes a full checkpoint: the rebuilt index shares no entries with
+    /// the durable chain.
     fn reindex_from_pages(&mut self) -> Result<(), MithriLogError> {
-        self.index =
-            InvertedIndex::with_page_bytes(self.config.index, self.config.device.page_bytes);
+        self.index = self.index.emptied_keeping_snapshots();
+        self.deltas_since_full = None;
         self.stats = DatapathStats::new();
         self.scatter = ScatterGather::new(self.config.tokenizer.lanes);
         let mut marks_by_page: HashMap<u64, PageMarks> = HashMap::new();
@@ -427,30 +390,6 @@ impl<S: PageStore> MithriLog<S> {
         let facts = PageFacts::of(&self.tokenizer, self.config.bitmap_buckets, &text);
         Ok((text, facts))
     }
-}
-
-/// Parses the sidecar directory section of a checkpoint. Entries must
-/// ascend strictly by segment id and consume the section exactly.
-fn parse_bitmap_refs(mut bytes: &[u8]) -> Option<BTreeMap<u64, BitmapRef>> {
-    let count = take_u64(&mut bytes)?;
-    let mut refs = BTreeMap::new();
-    for _ in 0..count {
-        let segment_id = take_u64(&mut bytes)?;
-        let blob = CheckpointRef {
-            first_page: take_u64(&mut bytes)?,
-            page_count: take_u64(&mut bytes)?,
-            byte_len: take_u64(&mut bytes)?,
-            crc: take_u32(&mut bytes)?,
-        };
-        if refs
-            .last_key_value()
-            .is_some_and(|(&last, _)| last >= segment_id)
-        {
-            return None;
-        }
-        refs.insert(segment_id, BitmapRef { segment_id, blob });
-    }
-    bytes.is_empty().then_some(refs)
 }
 
 #[cfg(test)]

@@ -41,6 +41,10 @@ pub struct InvertedIndex {
     snapshots: Vec<Snapshot>,
     leaf_pages_at_last_snapshot: u64,
     tokens_indexed: u64,
+    /// Parallel to `entries`: written since the last checkpoint or delta
+    /// was taken ([`InvertedIndex::take_checkpoint`],
+    /// [`InvertedIndex::take_delta`]).
+    dirty: Vec<bool>,
 }
 
 const PAGE_BYTES_DEFAULT: usize = 4096;
@@ -82,7 +86,19 @@ impl InvertedIndex {
             snapshots: Vec::new(),
             leaf_pages_at_last_snapshot: 0,
             tokens_indexed: 0,
+            dirty: vec![false; params.entries()],
             params,
+        }
+    }
+
+    /// An empty index with the same parameters and page size that keeps
+    /// this index's snapshot list: what a rescan of the data pages starts
+    /// from. Snapshot watermarks are data-page ids, which a rescan does
+    /// not change, so time-range queries keep their windows.
+    pub fn emptied_keeping_snapshots(&self) -> Self {
+        InvertedIndex {
+            snapshots: self.snapshots.clone(),
+            ..Self::with_page_bytes(self.params, self.leaf_pool.page_bytes())
         }
     }
 
@@ -164,6 +180,7 @@ impl InvertedIndex {
         entry.buffer.push(page);
         entry.last_page = Some(page);
         entry.total_pages += 1;
+        self.dirty[idx] = true;
         if entry.buffer.len() >= self.params.buffer_entries {
             self.flush_buffer(ssd, idx)?;
         }
@@ -189,6 +206,7 @@ impl InvertedIndex {
         }
         let leaf = self.leaf_pool.alloc(ssd, &node)?;
         self.entries[idx].pending_leaves.push(leaf);
+        self.dirty[idx] = true;
         if self.entries[idx].pending_leaves.len() >= n {
             self.gather_root(ssd, idx)?;
         }
@@ -215,6 +233,7 @@ impl InvertedIndex {
         }
         let root = self.root_pool.alloc(ssd, &node)?;
         self.entries[idx].head = Some(root);
+        self.dirty[idx] = true;
         Ok(())
     }
 
@@ -378,6 +397,45 @@ impl InvertedIndex {
     /// cursors, and a restored unsealed pool would rewrite committed pages
     /// in place. Restore with [`InvertedIndex::restore_checkpoint`].
     pub fn checkpoint_bytes(&self) -> Vec<u8> {
+        // Only non-default entries are stored; at realistic scales the vast
+        // majority of the hash table is untouched.
+        self.encode(|idx| !entry_is_empty(&self.entries[idx]))
+    }
+
+    /// [`InvertedIndex::checkpoint_bytes`], clearing the dirty set: the
+    /// base a chain of [`InvertedIndex::take_delta`] blobs builds on.
+    pub fn take_checkpoint(&mut self) -> Vec<u8> {
+        let blob = self.checkpoint_bytes();
+        self.dirty.fill(false);
+        blob
+    }
+
+    /// Serializes the header (parameters, counters, snapshots, node pools)
+    /// and only the entries written since the last checkpoint or delta was
+    /// taken, in the checkpoint's per-entry encoding, and clears the dirty
+    /// set. [`InvertedIndex::apply_delta`] replays it onto the index the
+    /// previous blob restores. Call [`InvertedIndex::seal_storage`] first.
+    pub fn take_delta(&mut self) -> Vec<u8> {
+        let blob = self.encode(|idx| self.dirty[idx]);
+        self.dirty.fill(false);
+        blob
+    }
+
+    /// Whether a delta taken now would list fewer than half the entries a
+    /// full checkpoint lists. A larger delta saves little over the full
+    /// checkpoint yet still adds a link to the chain a mount reads.
+    pub fn delta_is_small(&self) -> bool {
+        let (mut live, mut dirty) = (0usize, 0usize);
+        for (e, &written) in self.entries.iter().zip(&self.dirty) {
+            live += usize::from(!entry_is_empty(e));
+            dirty += usize::from(written);
+        }
+        dirty * 2 < live
+    }
+
+    /// The one blob layout checkpoints and deltas share: the header, then
+    /// every entry `listed` selects, ascending by index.
+    fn encode(&self, listed: impl Fn(usize) -> bool) -> Vec<u8> {
         let mut buf = Vec::new();
         put_u64(&mut buf, u64::from(self.params.hash_bits));
         put_u64(&mut buf, self.params.buffer_entries as u64);
@@ -393,16 +451,10 @@ impl InvertedIndex {
         }
         self.leaf_pool.encode_into(&mut buf);
         self.root_pool.encode_into(&mut buf);
-        // Only non-default entries are stored; at realistic scales the vast
-        // majority of the hash table is untouched.
-        let live: Vec<(usize, &MemEntry)> = self
-            .entries
-            .iter()
-            .enumerate()
-            .filter(|(_, e)| !entry_is_empty(e))
-            .collect();
-        put_u64(&mut buf, live.len() as u64);
-        for (idx, e) in live {
+        let listed: Vec<usize> = (0..self.entries.len()).filter(|&idx| listed(idx)).collect();
+        put_u64(&mut buf, listed.len() as u64);
+        for idx in listed {
+            let e = &self.entries[idx];
             put_u64(&mut buf, idx as u64);
             put_u64(&mut buf, NodeAddr::raw_or_none(e.head));
             put_u64(&mut buf, e.total_pages);
@@ -430,6 +482,17 @@ impl InvertedIndex {
         page_bytes: usize,
         bytes: &[u8],
     ) -> Option<Self> {
+        Self::with_page_bytes(params, page_bytes).apply_delta(bytes)
+    }
+
+    /// Applies a blob written by [`InvertedIndex::take_delta`] (or a whole
+    /// checkpoint): the header replaces this index's counters, snapshots
+    /// and node pools, and each listed entry is overwritten; every other
+    /// entry is left as it is. Leaves the dirty set alone.
+    ///
+    /// Returns `None` when the blob is malformed or was written under
+    /// different parameters or page size.
+    pub fn apply_delta(mut self, bytes: &[u8]) -> Option<Self> {
         let cur = &mut &bytes[..];
         let echo = [
             get_u64(cur)?,
@@ -438,6 +501,7 @@ impl InvertedIndex {
             get_u64(cur)?,
             get_u64(cur)?,
         ];
+        let params = self.params;
         let want = [
             u64::from(params.hash_bits),
             params.buffer_entries as u64,
@@ -460,6 +524,7 @@ impl InvertedIndex {
         }
         let leaf_pool = NodePool::decode_from(cur)?;
         let root_pool = NodePool::decode_from(cur)?;
+        let page_bytes = self.leaf_pool.page_bytes();
         if leaf_pool.node_bytes() != params.node_entries * 8
             || root_pool.node_bytes() != 16 + params.node_entries * 8
             || leaf_pool.page_bytes() != page_bytes
@@ -467,21 +532,22 @@ impl InvertedIndex {
         {
             return None;
         }
-        let mut entries = vec![MemEntry::default(); params.entries()];
-        let live = get_usize(cur)?;
+        let listed = get_usize(cur)?;
         let mut prev_idx = None;
-        for _ in 0..live {
+        for _ in 0..listed {
             let idx = get_usize(cur)?;
-            if idx >= entries.len() || prev_idx.is_some_and(|p| idx <= p) {
+            if idx >= self.entries.len() || prev_idx.is_some_and(|p| idx <= p) {
                 return None;
             }
             prev_idx = Some(idx);
-            let entry = &mut entries[idx];
-            entry.head = NodeAddr::from_raw(get_u64(cur)?);
-            entry.total_pages = get_u64(cur)?;
-            entry.last_page = match get_u64(cur)? {
-                u64::MAX => None,
-                p => Some(p),
+            let mut entry = MemEntry {
+                head: NodeAddr::from_raw(get_u64(cur)?),
+                total_pages: get_u64(cur)?,
+                last_page: match get_u64(cur)? {
+                    u64::MAX => None,
+                    p => Some(p),
+                },
+                ..MemEntry::default()
             };
             let buffer_len = get_usize(cur)?;
             if buffer_len > params.buffer_entries {
@@ -499,19 +565,17 @@ impl InvertedIndex {
                     .pending_leaves
                     .push(NodeAddr::from_raw(get_u64(cur)?)?);
             }
+            self.entries[idx] = entry;
         }
         if !cur.is_empty() {
             return None;
         }
-        Some(InvertedIndex {
-            params,
-            entries,
-            leaf_pool,
-            root_pool,
-            snapshots,
-            leaf_pages_at_last_snapshot,
-            tokens_indexed,
-        })
+        self.tokens_indexed = tokens_indexed;
+        self.leaf_pages_at_last_snapshot = leaf_pages_at_last_snapshot;
+        self.snapshots = snapshots;
+        self.leaf_pool = leaf_pool;
+        self.root_pool = root_pool;
+        Some(self)
     }
 
     /// Returns the page-id window `[lo, hi)` that may contain data from the
@@ -802,6 +866,104 @@ mod tests {
         let mut long = blob.clone();
         long.push(0);
         assert!(InvertedIndex::restore_checkpoint(*idx.params(), 4096, &long).is_none());
+    }
+
+    #[test]
+    fn a_full_checkpoint_plus_deltas_restores_the_live_index_exactly() {
+        let mut ssd = ssd();
+        let mut idx = small_index();
+        for p in 0..60u64 {
+            let tok = format!("tok-{}", p % 17);
+            idx.insert_page_tokens(&mut ssd, PageId(p), [tok.as_bytes(), b"hot".as_slice()])
+                .unwrap();
+        }
+        idx.seal_storage();
+        let full = idx.take_checkpoint();
+        let mut deltas = Vec::new();
+        for round in 0..3u64 {
+            for p in 60 + round * 20..80 + round * 20 {
+                let tok = format!("late-{}", p % (3 + round));
+                idx.insert_page_tokens(&mut ssd, PageId(p), [tok.as_bytes()])
+                    .unwrap();
+            }
+            if round == 1 {
+                let watermark = PageId(ssd.page_count());
+                idx.snapshot(&mut ssd, 900, watermark).unwrap();
+            }
+            idx.seal_storage();
+            deltas.push(idx.take_delta());
+        }
+        let mut restored =
+            InvertedIndex::restore_checkpoint(*idx.params(), 4096, &full).expect("valid blob");
+        for delta in &deltas {
+            restored = restored.apply_delta(delta).expect("valid delta");
+        }
+        assert_eq!(restored.checkpoint_bytes(), idx.checkpoint_bytes());
+        assert_eq!(restored.snapshots(), idx.snapshots());
+        // A snapshot that only gathers leaves an earlier delta already
+        // carried still writes those entries' heads.
+        for p in 200..216u64 {
+            idx.insert_page_tokens(&mut ssd, PageId(p), [b"solo".as_slice()])
+                .unwrap();
+        }
+        idx.seal_storage();
+        deltas.push(idx.take_delta());
+        let watermark = PageId(ssd.page_count());
+        idx.snapshot(&mut ssd, 950, watermark).unwrap();
+        idx.seal_storage();
+        deltas.push(idx.take_delta());
+        let mut restored =
+            InvertedIndex::restore_checkpoint(*idx.params(), 4096, &full).expect("valid blob");
+        for delta in &deltas {
+            restored = restored.apply_delta(delta).expect("valid delta");
+        }
+        assert_eq!(restored.checkpoint_bytes(), idx.checkpoint_bytes());
+        // A delta carries only what changed: with nothing written since the
+        // last blob it is the header alone, smaller than any full blob.
+        idx.seal_storage();
+        let empty = idx.take_delta();
+        assert!(empty.len() < deltas[0].len() && deltas[0].len() < full.len());
+        assert_eq!(
+            restored
+                .apply_delta(&empty)
+                .expect("header-only delta")
+                .checkpoint_bytes(),
+            idx.checkpoint_bytes()
+        );
+    }
+
+    #[test]
+    fn apply_delta_rejects_garbage_and_foreign_params() {
+        let mut ssd = ssd();
+        let mut idx = small_index();
+        idx.insert_page_tokens(&mut ssd, PageId(1), [b"t".as_slice()])
+            .unwrap();
+        idx.seal_storage();
+        let delta = idx.take_delta();
+        let base = || small_index();
+        assert!(base().apply_delta(&delta).is_some());
+        assert!(base().apply_delta(&delta[..delta.len() - 1]).is_none());
+        let mut long = delta.clone();
+        long.push(0);
+        assert!(base().apply_delta(&long).is_none());
+        let other = InvertedIndex::new(IndexParams {
+            probe_budget: 9,
+            ..IndexParams::small()
+        });
+        assert!(other.apply_delta(&delta).is_none());
+    }
+
+    #[test]
+    fn emptied_index_keeps_only_the_snapshot_list() {
+        let mut ssd = ssd();
+        let mut idx = small_index();
+        idx.insert_page_tokens(&mut ssd, PageId(3), [b"t".as_slice()])
+            .unwrap();
+        idx.snapshot(&mut ssd, 100, PageId(4)).unwrap();
+        let fresh = idx.emptied_keeping_snapshots();
+        assert_eq!(fresh.snapshots(), idx.snapshots());
+        assert_eq!(fresh.tokens_indexed(), 0);
+        assert!(fresh.lookup(&mut ssd, b"t").unwrap().is_empty());
     }
 
     #[test]

@@ -35,9 +35,11 @@ echo "==> ingest kernels (hashed page analysis == sort-based reference; bounded-
 cargo test -p mithrilog --lib -q hashed_walk_equals_the_sort_based_reference
 cargo test -p mithrilog-compress --lib -q bounded_trials_pack_exactly_like_trying_every_line
 
-echo "==> ingest identity (golden device image after ingest and rebuild; rebuild keeps the journal totals)"
+echo "==> ingest identity (golden device image after ingest and rebuild; rebuild keeps the journal totals and the snapshots; a remount after every commit equals the live system)"
 cargo test --test recovery -q -- --exact golden_device_image_after_ingest_and_after_rebuild
 cargo test --test recovery -q -- --exact rebuild_keeps_the_journal_totals_so_later_mounts_load_the_checkpoint
+cargo test --test checkpoint_chain -q -- --exact rebuild_index_keeps_snapshots_for_time_range_queries
+cargo test --test checkpoint_chain -q -- --exact remount_after_every_commit_equals_the_live_system
 
 echo "==> mithrilog recover --self-check (bounded crash-matrix smoke)"
 cargo run --release -p mithrilog-cli --quiet -- recover --self-check --points 12
@@ -83,8 +85,9 @@ cargo test -p mithrilog-service --lib -q cancelling_a_running_barrier_job_is_too
 echo "==> chaos soak (bounded smoke: submit/cancel/ingest storm under each fault mode)"
 cargo test --test chaos_soak -q
 
-echo "==> segment crash matrix (seal/retention-drop boundaries, every crash point)"
+echo "==> segment crash matrix (seal/retention-drop boundaries, every crash point; full and delta checkpoints mixed, every crash point)"
 cargo test --test segment_store -q
+cargo test --test checkpoint_chain -q -- --exact crash_at_every_operation_reopens_to_an_acknowledged_chain
 
 echo "==> negation bitmaps (pruning byte-identity under faults, sidecar corruption, property)"
 cargo test --test negation_bitmaps -q

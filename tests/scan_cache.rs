@@ -197,7 +197,7 @@ fn ingest_keeps_the_cache_warm_and_new_lines_are_observed() {
 }
 
 #[test]
-fn mutable_device_access_retires_every_cached_generation() {
+fn mutable_device_access_clears_the_cache() {
     let mut system = MithriLog::new(config(SystemConfig::DEFAULT_PAGE_CACHE_BYTES));
     system.ingest(corpus().text()).unwrap();
     let _ = system.query_str("NOT zz-absent-token-zz").unwrap();
