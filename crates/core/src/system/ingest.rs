@@ -292,8 +292,10 @@ impl<S: PageStore> MithriLog<S> {
     /// Runs the journaled commit protocol, making everything ingested since
     /// the last commit durable:
     ///
-    /// 1. seal the index pools (no later allocation may rewrite a page at
-    ///    or below the new committed frontier);
+    /// 1. seal the index pools: each writes its part-filled node page from
+    ///    its write buffer (a full page was written when it filled), and no
+    ///    later allocation may rewrite a page at or below the new committed
+    ///    frontier;
     /// 2. append the checkpoint blob: a **full** checkpoint when this commit
     ///    seals a segment, the store has no checkpoint to chain onto (a
     ///    fresh store, or the index was rebuilt from pages),
@@ -312,7 +314,7 @@ impl<S: PageStore> MithriLog<S> {
     /// superblock active and the whole commit, its blob included, in the
     /// discardable tail.
     pub(super) fn commit(&mut self) -> Result<(), MithriLogError> {
-        self.index.seal_storage();
+        self.index.seal_storage(&mut self.ssd)?;
         self.persist_segment_bitmaps()?;
         // Taking the blob clears the index's dirty set, so a commit that
         // fails from here on leaves the next one to write a full checkpoint.

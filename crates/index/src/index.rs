@@ -382,12 +382,17 @@ impl InvertedIndex {
         Ok(())
     }
 
-    /// Seals both node pools so no future allocation rewrites a page below
-    /// the current device frontier. Called at the start of a durability
-    /// commit, before serializing the checkpoint.
-    pub fn seal_storage(&mut self) {
-        self.leaf_pool.seal();
-        self.root_pool.seal();
+    /// Seals both node pools: each writes its buffered, part-filled page
+    /// once, and no future allocation rewrites a page below the current
+    /// device frontier. Called at the start of a durability commit, before
+    /// serializing the checkpoint.
+    ///
+    /// # Errors
+    ///
+    /// Propagates device errors.
+    pub fn seal_storage<S: PageStore>(&mut self, ssd: &mut SimSsd<S>) -> Result<(), StorageError> {
+        self.leaf_pool.seal(ssd)?;
+        self.root_pool.seal(ssd)
     }
 
     /// Serializes the complete in-memory index state (hash-table entries,
@@ -788,7 +793,7 @@ mod tests {
             idx.insert_page_tokens(&mut ssd, PageId(p), [b"hot".as_slice()])
                 .unwrap();
         }
-        idx.seal_storage();
+        idx.seal_storage(&mut ssd).unwrap();
         let blob = idx.checkpoint_bytes();
         let restored =
             InvertedIndex::restore_checkpoint(*idx.params(), 4096, &blob).expect("valid blob");
@@ -816,7 +821,7 @@ mod tests {
             idx.insert_page_tokens(&mut ssd, PageId(p), [b"t".as_slice()])
                 .unwrap();
         }
-        idx.seal_storage();
+        idx.seal_storage(&mut ssd).unwrap();
         let blob = idx.checkpoint_bytes();
         let frontier = ssd.page_count();
         let before: Vec<Vec<u8>> = (0..frontier)
@@ -847,7 +852,7 @@ mod tests {
             idx.insert_page_tokens(&mut ssd, PageId(p), [b"t".as_slice()])
                 .unwrap();
         }
-        idx.seal_storage();
+        idx.seal_storage(&mut ssd).unwrap();
         let blob = idx.checkpoint_bytes();
         assert!(InvertedIndex::restore_checkpoint(*idx.params(), 4096, &blob).is_some());
         // Different parameters must force the reindex fallback.
@@ -877,7 +882,7 @@ mod tests {
             idx.insert_page_tokens(&mut ssd, PageId(p), [tok.as_bytes(), b"hot".as_slice()])
                 .unwrap();
         }
-        idx.seal_storage();
+        idx.seal_storage(&mut ssd).unwrap();
         let full = idx.take_checkpoint();
         let mut deltas = Vec::new();
         for round in 0..3u64 {
@@ -890,7 +895,7 @@ mod tests {
                 let watermark = PageId(ssd.page_count());
                 idx.snapshot(&mut ssd, 900, watermark).unwrap();
             }
-            idx.seal_storage();
+            idx.seal_storage(&mut ssd).unwrap();
             deltas.push(idx.take_delta());
         }
         let mut restored =
@@ -906,11 +911,11 @@ mod tests {
             idx.insert_page_tokens(&mut ssd, PageId(p), [b"solo".as_slice()])
                 .unwrap();
         }
-        idx.seal_storage();
+        idx.seal_storage(&mut ssd).unwrap();
         deltas.push(idx.take_delta());
         let watermark = PageId(ssd.page_count());
         idx.snapshot(&mut ssd, 950, watermark).unwrap();
-        idx.seal_storage();
+        idx.seal_storage(&mut ssd).unwrap();
         deltas.push(idx.take_delta());
         let mut restored =
             InvertedIndex::restore_checkpoint(*idx.params(), 4096, &full).expect("valid blob");
@@ -920,7 +925,7 @@ mod tests {
         assert_eq!(restored.checkpoint_bytes(), idx.checkpoint_bytes());
         // A delta carries only what changed: with nothing written since the
         // last blob it is the header alone, smaller than any full blob.
-        idx.seal_storage();
+        idx.seal_storage(&mut ssd).unwrap();
         let empty = idx.take_delta();
         assert!(empty.len() < deltas[0].len() && deltas[0].len() < full.len());
         assert_eq!(
@@ -938,7 +943,7 @@ mod tests {
         let mut idx = small_index();
         idx.insert_page_tokens(&mut ssd, PageId(1), [b"t".as_slice()])
             .unwrap();
-        idx.seal_storage();
+        idx.seal_storage(&mut ssd).unwrap();
         let delta = idx.take_delta();
         let base = || small_index();
         assert!(base().apply_delta(&delta).is_some());

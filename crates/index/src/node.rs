@@ -47,16 +47,24 @@ impl NodeAddr {
 
 /// A pool allocating fixed-size nodes packed into storage pages.
 ///
-/// The current partially-filled page is shadowed in memory and rewritten in
-/// place as slots fill, so reads always go through the device and see the
-/// latest contents; this mirrors a controller's page write buffer.
+/// The page being filled lives in a page write buffer, as in a flash
+/// controller. Claiming a page appends it zeroed, so a node's address is
+/// known at once; [`NodePool::alloc`] only copies the node into the buffer;
+/// the buffer goes to the device once, when the page fills or when
+/// [`NodePool::seal`] runs. A page of `slots_per_page` nodes therefore
+/// costs two device writes, the claim and the final one, and ends with the
+/// same bytes as if every node had been written through.
+///
+/// A read of a node on the unflushed page still issues the device read, so
+/// it is charged, checksummed, quarantined and faulted exactly like any
+/// other read; only the node's bytes come from the buffer.
 #[derive(Debug, Clone)]
 pub struct NodePool {
     node_bytes: usize,
     slots_per_page: usize,
     current_page: Option<PageId>,
     used_slots: usize,
-    shadow: Vec<u8>,
+    buffer: Vec<u8>,
     nodes_allocated: u64,
     pages_allocated: u64,
 }
@@ -77,7 +85,7 @@ impl NodePool {
             slots_per_page,
             current_page: None,
             used_slots: 0,
-            shadow: vec![0u8; page_bytes],
+            buffer: vec![0u8; page_bytes],
             nodes_allocated: 0,
             pages_allocated: 0,
         }
@@ -121,9 +129,9 @@ impl NodePool {
         let page = match self.current_page {
             Some(p) if self.used_slots < self.slots_per_page => p,
             _ => {
-                self.shadow.fill(0);
+                self.buffer.fill(0);
                 self.used_slots = 0;
-                let p = ssd.append(&self.shadow)?;
+                let p = ssd.append(&self.buffer)?;
                 self.current_page = Some(p);
                 self.pages_allocated += 1;
                 p
@@ -131,8 +139,10 @@ impl NodePool {
         };
         let slot = self.used_slots;
         let off = slot * self.node_bytes;
-        self.shadow[off..off + self.node_bytes].copy_from_slice(data);
-        ssd.write(page, &self.shadow)?;
+        self.buffer[off..off + self.node_bytes].copy_from_slice(data);
+        if slot + 1 == self.slots_per_page {
+            ssd.write(page, &self.buffer)?;
+        }
         self.used_slots += 1;
         self.nodes_allocated += 1;
         Ok(NodeAddr::new(page, slot))
@@ -149,7 +159,7 @@ impl NodePool {
         addr: NodeAddr,
     ) -> Result<Vec<u8>, StorageError> {
         let page = ssd.read(addr.page())?;
-        Ok(self.slice(&page, addr.slot()))
+        Ok(self.slice(&page, addr))
     }
 
     /// Reads a node as a dependent (latency-exposed) access — used for the
@@ -164,28 +174,52 @@ impl NodePool {
         addr: NodeAddr,
     ) -> Result<Vec<u8>, StorageError> {
         let page = ssd.read_dependent(addr.page())?;
-        Ok(self.slice(&page, addr.slot()))
+        Ok(self.slice(&page, addr))
     }
 
-    fn slice(&self, page: &[u8], slot: usize) -> Vec<u8> {
-        let off = slot * self.node_bytes;
-        page[off..off + self.node_bytes].to_vec()
+    /// The node's bytes out of `page` as read from the device, or out of
+    /// the write buffer when the node sits on the unflushed page.
+    fn slice(&self, page: &[u8], addr: NodeAddr) -> Vec<u8> {
+        let src = if self.buffered_page() == Some(addr.page()) {
+            &self.buffer[..]
+        } else {
+            page
+        };
+        let off = addr.slot() * self.node_bytes;
+        src[off..off + self.node_bytes].to_vec()
     }
 
-    /// Seals the pool: the partially-filled current page is finalized and
-    /// the next allocation claims a fresh page.
+    /// The claimed page whose nodes sit only in the write buffer: not yet
+    /// full, so not yet written.
+    fn buffered_page(&self) -> Option<PageId> {
+        self.current_page
+            .filter(|_| self.used_slots > 0 && self.used_slots < self.slots_per_page)
+    }
+
+    /// Seals the pool: a partially-filled current page is written once
+    /// from the buffer (a full one was written when it filled), and the
+    /// next allocation claims a fresh page.
     ///
-    /// Called before a durability commit so the pool never rewrites a page
-    /// below the committed frontier — in-place rewrites of committed pages
-    /// would be torn by a crash.
-    pub fn seal(&mut self) {
+    /// Called before a durability commit so every node page reaches the
+    /// device above the committed frontier, and the pool never rewrites a
+    /// page below it — in-place rewrites of committed pages would be torn
+    /// by a crash.
+    ///
+    /// # Errors
+    ///
+    /// Propagates device errors; the pool is left unsealed.
+    pub fn seal<S: PageStore>(&mut self, ssd: &mut SimSsd<S>) -> Result<(), StorageError> {
+        if let Some(page) = self.buffered_page() {
+            ssd.write(page, &self.buffer)?;
+        }
         self.current_page = None;
         self.used_slots = 0;
+        Ok(())
     }
 
     /// Page size this pool was built for.
     pub(crate) fn page_bytes(&self) -> usize {
-        self.shadow.len()
+        self.buffer.len()
     }
 
     /// Serializes the pool state for an index checkpoint.
@@ -195,7 +229,7 @@ impl NodePool {
         put_u64(buf, self.used_slots as u64);
         put_u64(buf, self.nodes_allocated);
         put_u64(buf, self.pages_allocated);
-        put_bytes(buf, &self.shadow);
+        put_bytes(buf, &self.buffer);
     }
 
     /// Deserializes pool state written by [`NodePool::encode_into`].
@@ -206,11 +240,11 @@ impl NodePool {
         let used_slots = get_usize(cursor)?;
         let nodes_allocated = get_u64(cursor)?;
         let pages_allocated = get_u64(cursor)?;
-        let shadow = get_bytes(cursor)?;
-        if node_bytes == 0 || shadow.len() < node_bytes {
+        let buffer = get_bytes(cursor)?;
+        if node_bytes == 0 || buffer.len() < node_bytes {
             return None;
         }
-        let slots_per_page = shadow.len() / node_bytes;
+        let slots_per_page = buffer.len() / node_bytes;
         if used_slots > slots_per_page {
             return None;
         }
@@ -219,7 +253,7 @@ impl NodePool {
             slots_per_page,
             current_page: (current_raw != u64::MAX).then_some(PageId(current_raw)),
             used_slots,
-            shadow,
+            buffer,
             nodes_allocated,
             pages_allocated,
         })
@@ -305,11 +339,89 @@ mod tests {
         let mut ssd = ssd();
         let mut pool = NodePool::new(64, 4096);
         let a = pool.alloc(&mut ssd, &[1u8; 64]).unwrap();
-        pool.seal();
+        pool.seal(&mut ssd).unwrap();
         let b = pool.alloc(&mut ssd, &[2u8; 64]).unwrap();
         assert_ne!(a.page(), b.page(), "post-seal alloc claims a fresh page");
         assert_eq!(pool.read(&mut ssd, a).unwrap(), vec![1u8; 64]);
         assert_eq!(pool.read(&mut ssd, b).unwrap(), vec![2u8; 64]);
+    }
+
+    #[test]
+    fn a_filled_page_costs_two_writes() {
+        let mut ssd = ssd();
+        let mut pool = NodePool::new(128, 4096);
+        let mut addrs = Vec::new();
+        for i in 0..32u8 {
+            addrs.push(pool.alloc(&mut ssd, &[i; 128]).unwrap());
+        }
+        // The claim and the write when the 32nd node filled the page.
+        assert_eq!(ssd.ledger().pages_written, 2);
+        assert_eq!(pool.pages_allocated(), 1);
+        let page = ssd.read(addrs[0].page()).unwrap();
+        for (i, chunk) in page.chunks(128).enumerate() {
+            assert!(chunk.iter().all(|&b| b == i as u8), "slot {i} on device");
+        }
+        // The next node claims a fresh page: one more write.
+        pool.alloc(&mut ssd, &[99u8; 128]).unwrap();
+        assert_eq!(ssd.ledger().pages_written, 3);
+    }
+
+    #[test]
+    fn seal_writes_a_partial_page_once_and_a_full_or_empty_one_never() {
+        let mut ssd = ssd();
+        let mut pool = NodePool::new(128, 4096);
+        // Nothing claimed: sealing writes nothing.
+        pool.seal(&mut ssd).unwrap();
+        assert_eq!(ssd.ledger().pages_written, 0);
+        // A partial page: the claim, then exactly one write at the seal.
+        let a = pool.alloc(&mut ssd, &[5u8; 128]).unwrap();
+        pool.alloc(&mut ssd, &[6u8; 128]).unwrap();
+        assert_eq!(ssd.ledger().pages_written, 1);
+        pool.seal(&mut ssd).unwrap();
+        assert_eq!(ssd.ledger().pages_written, 2);
+        let page = ssd.read(a.page()).unwrap();
+        assert!(page[..128].iter().all(|&b| b == 5));
+        assert!(page[128..256].iter().all(|&b| b == 6));
+        assert!(page[256..].iter().all(|&b| b == 0));
+        // Sealing again writes nothing.
+        pool.seal(&mut ssd).unwrap();
+        assert_eq!(ssd.ledger().pages_written, 2);
+        // A full page was written when it filled; the seal adds nothing.
+        for i in 0..32u8 {
+            pool.alloc(&mut ssd, &[i; 128]).unwrap();
+        }
+        assert_eq!(ssd.ledger().pages_written, 4);
+        pool.seal(&mut ssd).unwrap();
+        assert_eq!(ssd.ledger().pages_written, 4);
+    }
+
+    #[test]
+    fn unflushed_node_reads_from_the_buffer_with_an_unchanged_ledger() {
+        let mut ssd = ssd();
+        let mut pool = NodePool::new(128, 4096);
+        let a = pool.alloc(&mut ssd, &[7u8; 128]).unwrap();
+        let b = pool.alloc(&mut ssd, &[8u8; 128]).unwrap();
+        // The device still holds the zeroed claim.
+        assert!(ssd.read(a.page()).unwrap().iter().all(|&x| x == 0));
+
+        let before = *ssd.ledger();
+        let buffered = (
+            pool.read(&mut ssd, a).unwrap(),
+            pool.read_dependent(&mut ssd, b).unwrap(),
+        );
+        let buffered_cost = ssd.ledger().since(&before);
+        assert_eq!(buffered, (vec![7u8; 128], vec![8u8; 128]));
+
+        pool.seal(&mut ssd).unwrap();
+        let before = *ssd.ledger();
+        let sealed = (
+            pool.read(&mut ssd, a).unwrap(),
+            pool.read_dependent(&mut ssd, b).unwrap(),
+        );
+        assert_eq!(sealed, buffered);
+        assert_eq!(ssd.ledger().since(&before), buffered_cost);
+        assert_eq!(buffered_cost.pages_read, 2);
+        assert_eq!(buffered_cost.dependent_visits, 1);
     }
 
     #[test]
@@ -341,7 +453,7 @@ mod tests {
     #[test]
     fn pool_decode_rejects_inconsistent_state() {
         let mut pool = NodePool::new(64, 4096);
-        pool.seal();
+        pool.seal(&mut ssd()).unwrap();
         let mut buf = Vec::new();
         pool.encode_into(&mut buf);
         // Truncated input.

@@ -1,9 +1,9 @@
+use std::borrow::Cow;
 use std::fs::{File, OpenOptions};
-use std::io::{Read, Seek, SeekFrom, Write};
+use std::os::unix::fs::FileExt;
 use std::path::Path;
 
 use bytes::Bytes;
-use parking_lot::Mutex;
 
 use std::collections::BTreeSet;
 
@@ -171,9 +171,12 @@ impl PageStore for MemStore {
 }
 
 /// File-backed page store for corpora larger than RAM.
+///
+/// Every page access is one positioned read or write at the page's offset
+/// (`pread`/`pwrite`), so the file needs no lock and no seek.
 #[derive(Debug)]
 pub struct FileStore {
-    file: Mutex<File>,
+    file: File,
     page_bytes: usize,
     page_count: u64,
 }
@@ -195,8 +198,8 @@ impl FileStore {
     /// Panics if `page_bytes` is zero.
     pub fn create(path: &Path, page_bytes: usize) -> Result<Self, StorageError> {
         assert!(page_bytes > 0, "page size must be positive");
-        if let Ok(mut existing) = File::open(path) {
-            if let Some((sb, _)) = Self::probe_superblock(&mut existing) {
+        if let Ok(existing) = File::open(path) {
+            if let Some((sb, _)) = Self::probe_superblock(&existing) {
                 return Err(StorageError::InvalidSuperblock(format!(
                     "refusing to truncate {}: it holds a formatted store \
                      (sequence {}, {} committed pages); open it with \
@@ -214,7 +217,7 @@ impl FileStore {
             .truncate(true)
             .open(path)?;
         Ok(FileStore {
-            file: Mutex::new(file),
+            file,
             page_bytes,
             page_count: 0,
         })
@@ -234,8 +237,7 @@ impl FileStore {
     /// from opening the file.
     pub fn open(path: &Path) -> Result<Self, StorageError> {
         let file = OpenOptions::new().read(true).write(true).open(path)?;
-        let mut file = file;
-        let (_, page_bytes) = Self::probe_superblock(&mut file).ok_or_else(|| {
+        let (_, page_bytes) = Self::probe_superblock(&file).ok_or_else(|| {
             StorageError::InvalidSuperblock(format!(
                 "{}: no valid superblock in either slot",
                 path.display()
@@ -244,7 +246,7 @@ impl FileStore {
         let len = file.metadata()?.len();
         let page_count = len / page_bytes as u64;
         Ok(FileStore {
-            file: Mutex::new(file),
+            file,
             page_bytes,
             page_count,
         })
@@ -253,11 +255,10 @@ impl FileStore {
     /// Tries to find a valid superblock in `file`: slot 0 at offset 0, then
     /// slot 1 at offset `p` for each supported page size `p`. Returns the
     /// decoded superblock and the store's page size.
-    fn probe_superblock(file: &mut File) -> Option<(Superblock, usize)> {
-        let mut read_at = |offset: u64| -> Option<Superblock> {
+    fn probe_superblock(file: &File) -> Option<(Superblock, usize)> {
+        let read_at = |offset: u64| -> Option<Superblock> {
             let mut buf = [0u8; Superblock::HEADER_BYTES];
-            file.seek(SeekFrom::Start(offset)).ok()?;
-            file.read_exact(&mut buf).ok()?;
+            file.read_exact_at(&mut buf, offset).ok()?;
             Superblock::decode(&buf).ok()
         };
         if let Some(sb) = read_at(0) {
@@ -272,6 +273,27 @@ impl FileStore {
             }
         }
         None
+    }
+
+    /// Writes `data`, zero-padded to a page, at page `id`'s offset. A full
+    /// page is written as it is, with no padding copy.
+    fn write_at(&self, id: PageId, data: &[u8]) -> Result<(), StorageError> {
+        if data.len() > self.page_bytes {
+            return Err(StorageError::Oversized {
+                got: data.len(),
+                page_bytes: self.page_bytes,
+            });
+        }
+        let page = if data.len() == self.page_bytes {
+            Cow::Borrowed(data)
+        } else {
+            let mut buf = vec![0u8; self.page_bytes];
+            buf[..data.len()].copy_from_slice(data);
+            Cow::Owned(buf)
+        };
+        self.file
+            .write_all_at(&page, id.0 * self.page_bytes as u64)?;
+        Ok(())
     }
 }
 
@@ -292,25 +314,14 @@ impl PageStore for FileStore {
             });
         }
         let mut buf = vec![0u8; self.page_bytes];
-        let mut file = self.file.lock();
-        file.seek(SeekFrom::Start(id.0 * self.page_bytes as u64))?;
-        file.read_exact(&mut buf)?;
+        self.file
+            .read_exact_at(&mut buf, id.0 * self.page_bytes as u64)?;
         Ok(Bytes::from(buf))
     }
 
     fn append_page(&mut self, data: &[u8]) -> Result<PageId, StorageError> {
-        if data.len() > self.page_bytes {
-            return Err(StorageError::Oversized {
-                got: data.len(),
-                page_bytes: self.page_bytes,
-            });
-        }
-        let mut buf = vec![0u8; self.page_bytes];
-        buf[..data.len()].copy_from_slice(data);
-        let mut file = self.file.lock();
-        file.seek(SeekFrom::Start(self.page_count * self.page_bytes as u64))?;
-        file.write_all(&buf)?;
         let id = PageId(self.page_count);
+        self.write_at(id, data)?;
         self.page_count += 1;
         Ok(id)
     }
@@ -322,28 +333,17 @@ impl PageStore for FileStore {
                 extent: self.page_count,
             });
         }
-        if data.len() > self.page_bytes {
-            return Err(StorageError::Oversized {
-                got: data.len(),
-                page_bytes: self.page_bytes,
-            });
-        }
-        let mut buf = vec![0u8; self.page_bytes];
-        buf[..data.len()].copy_from_slice(data);
-        let mut file = self.file.lock();
-        file.seek(SeekFrom::Start(id.0 * self.page_bytes as u64))?;
-        file.write_all(&buf)?;
-        Ok(())
+        self.write_at(id, data)
     }
 
     fn sync(&mut self) -> Result<(), StorageError> {
-        self.file.lock().sync_all()?;
+        self.file.sync_all()?;
         Ok(())
     }
 
     fn truncate(&mut self, pages: u64) -> Result<(), StorageError> {
         if pages < self.page_count {
-            self.file.lock().set_len(pages * self.page_bytes as u64)?;
+            self.file.set_len(pages * self.page_bytes as u64)?;
             self.page_count = pages;
         }
         Ok(())

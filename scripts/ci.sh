@@ -41,6 +41,12 @@ cargo test --test recovery -q -- --exact rebuild_keeps_the_journal_totals_so_lat
 cargo test --test checkpoint_chain -q -- --exact rebuild_index_keeps_snapshots_for_time_range_queries
 cargo test --test checkpoint_chain -q -- --exact remount_after_every_commit_equals_the_live_system
 
+echo "==> index node pool (a filled page costs two writes; unflushed nodes read from the write buffer with an unchanged ledger)"
+cargo test -p mithrilog-index --lib -q a_filled_page_costs_two_writes
+cargo test -p mithrilog-index --lib -q seal_writes_a_partial_page_once_and_a_full_or_empty_one_never
+cargo test -p mithrilog-index --lib -q unflushed_node_reads_from_the_buffer_with_an_unchanged_ledger
+cargo test --test checkpoint_chain -q -- --exact one_ingest_and_one_snapshot_write_each_added_page_at_most_twice
+
 echo "==> mithrilog recover --self-check (bounded crash-matrix smoke)"
 cargo run --release -p mithrilog-cli --quiet -- recover --self-check --points 12
 

@@ -221,6 +221,37 @@ fn rebuild_index_keeps_snapshots_for_time_range_queries() {
     );
 }
 
+/// Store operations one commit may spend beyond two per page it adds:
+/// the two sync barriers and the superblock write into its slot.
+const COMMIT_FIXED_OPS: u64 = 3;
+
+#[test]
+fn one_ingest_and_one_snapshot_write_each_added_page_at_most_twice() {
+    let config = config();
+    let text = corpus(8_000);
+    let batches = batches(&text, 2);
+    let store = CrashStore::new(MemStore::new(config.device.page_bytes), CrashPlan::never());
+    let mut system = MithriLog::with_store(store, config).unwrap();
+    // A snapshot after an ingest flushes every entry the ingest buffered
+    // into leaf and root nodes: the commit that writes the most node pages
+    // for the fewest data pages.
+    let steps = [Step::Ingest(0), Step::Snapshot(10)];
+    for step in steps {
+        let ops = system.device().store().ops();
+        let pages = system.device().page_count();
+        apply(&mut system, step, &batches).unwrap();
+        let ops = system.device().store().ops() - ops;
+        let added = system.device().page_count() - pages;
+        assert!(added > 0, "{step:?} added no page");
+        // Each added page is appended once and written at most once more
+        // (a node page, when it fills or at the pool seal).
+        assert!(
+            ops <= 2 * added + COMMIT_FIXED_OPS,
+            "{step:?}: {ops} store operations to add {added} pages"
+        );
+    }
+}
+
 fn is_crash(e: &MithriLogError) -> bool {
     matches!(e, MithriLogError::Storage(StorageError::Crashed { .. }))
 }

@@ -232,9 +232,25 @@ fn crash_recovery_report_is_deterministic_per_seed() {
     }
 
     // A different shred seed may leave different torn bytes, but recovery
-    // still lands on a committed frontier with the same acked lines.
+    // still lands on a committed frontier: the acked lines, or the whole
+    // in-flight batch when the torn cache kept the superblock flip (the
+    // durable-but-unacked outcome the module doc allows), nothing else.
     let plan = CrashPlan::crash_at(total_ops).with_seed(SHRED_SEED ^ 0x5A5A);
     let run = run_until_crash(&config, &text, plan);
     let (system, _) = recover(&config, &run).expect("late crash leaves a mountable store");
-    assert_eq!(system.lines(), run.acked_lines);
+    let next_boundary = batches(&text)
+        .iter()
+        .scan(0u64, |acc, b| {
+            *acc += b.split(|x| *x == b'\n').filter(|l| !l.is_empty()).count() as u64;
+            Some(*acc)
+        })
+        .find(|&b| b > run.acked_lines)
+        .unwrap_or(run.acked_lines);
+    let recovered = system.lines();
+    assert!(
+        recovered == run.acked_lines || recovered == next_boundary,
+        "late crash: recovered {recovered} lines, acked {acked}, next batch \
+         boundary {next_boundary}",
+        acked = run.acked_lines,
+    );
 }
