@@ -8,7 +8,7 @@ use mithrilog_storage::{
 };
 use mithrilog_tokenizer::Tokenizer;
 
-use super::{crc_summary, BitmapRef, MithriLog, OpenSegment, PendingCommit, Segment};
+use super::{crc_summary, BitmapRef, MithriLog, PendingCommit, Segment};
 use crate::bitmaps::{PageFacts, SegmentBitmaps};
 use crate::config::SystemConfig;
 use crate::error::MithriLogError;
@@ -187,7 +187,6 @@ impl<S: PageStore> MithriLog<S> {
             let page = self.ssd.append(frame.data())?;
             self.data_pages.push(page);
             self.pending.data_pages.push(page.0);
-            self.open.pages.push(page);
             self.open.page_marks.extend(facts.marks.clone());
             self.fold_page(page, &prep.text[raw_range.clone()], facts)?;
 
@@ -205,7 +204,7 @@ impl<S: PageStore> MithriLog<S> {
                 self.index
                     .snapshot(&mut self.ssd, self.logical_clock, watermark)?;
             }
-            if self.open.pages.len() as u64 >= self.config.segment_pages {
+            if self.open_pages().len() as u64 >= self.config.segment_pages {
                 self.seal_open();
             }
         }
@@ -234,59 +233,52 @@ impl<S: PageStore> MithriLog<S> {
         Ok(())
     }
 
-    /// Seals the whole open segment: the run of open pages becomes an
-    /// immutable [`Segment`] with a CRC summary over its per-page CRC32s
-    /// (sealing changes nothing about the pages, so cached text stays
-    /// live), and a [`SealRecord`] is queued for the next commit. A fresh
-    /// open segment takes over.
+    /// Seals the whole open segment: the open pages become an immutable
+    /// [`Segment`] with a CRC summary over their per-page CRC32s (sealing
+    /// changes nothing about the pages, so cached text stays live), and a
+    /// [`SealRecord`] is queued for the next commit. A fresh open segment
+    /// takes over the (empty) tail.
+    ///
+    /// The CRC summary comes from the device's checksum sidecar without
+    /// re-reading data. Pages whose sidecar entry is cold (appended before
+    /// the last mount) are read once; an unreadable page contributes a zero
+    /// placeholder so sealing never fails — a later
+    /// [`MithriLog::verify_segment`] correctly flags the segment instead.
     fn seal_open(&mut self) {
-        let pages = std::mem::take(&mut self.open.pages);
-        let crc = self.segment_crc(&pages);
-        let id = self.next_segment_id;
-        self.next_segment_id += 1;
-        let marks = std::mem::take(&mut self.open.page_marks);
+        let pages: Vec<u64> = self.open_pages().iter().map(|p| p.0).collect();
+        let ssd = &mut self.ssd;
+        let crc = crc_summary(pages.iter().map(|&page| {
+            ssd.page_crc(page)
+                .unwrap_or_else(|| ssd.read(PageId(page)).map(|raw| crc32(&raw)).unwrap_or(0))
+        }));
+        let open = std::mem::take(&mut self.open);
         // Freeze the pruning bitmaps only when every page carries marks —
         // a partially-marked run (bitmaps enabled mid-life) stays
         // conservative rather than lying about the unmarked pages.
-        let bitmaps = (self.config.bitmap_buckets > 0 && marks.len() == pages.len())
-            .then(|| SegmentBitmaps::build(self.config.bitmap_buckets, &marks));
-        let seg = Segment {
+        let bitmaps = (self.config.bitmap_buckets > 0 && open.page_marks.len() == pages.len())
+            .then(|| SegmentBitmaps::build(self.config.bitmap_buckets, &open.page_marks));
+        let id = self.next_segment_id;
+        self.next_segment_id += 1;
+        self.segments.push(Segment {
             id,
             crc,
-            pages,
-            lines: std::mem::take(&mut self.open.lines),
-            raw_bytes: std::mem::take(&mut self.open.raw_bytes),
-            compressed_bytes: std::mem::take(&mut self.open.compressed_bytes),
+            pages: pages.len(),
+            lines: open.lines,
+            raw_bytes: open.raw_bytes,
+            compressed_bytes: open.compressed_bytes,
             bitmaps,
-        };
-        self.open = OpenSegment::new();
+        });
         self.pending.seals.push(SealRecord {
             // The sealing commit's sequence is not known yet; commit()
             // stamps it when the record is journaled.
             sequence: 0,
-            segment_id: seg.id,
-            crc: seg.crc,
-            pages: seg.pages.iter().map(|p| p.0).collect(),
-            lines: seg.lines,
-            raw_bytes: seg.raw_bytes,
-            compressed_bytes: seg.compressed_bytes,
+            segment_id: id,
+            crc,
+            pages,
+            lines: open.lines,
+            raw_bytes: open.raw_bytes,
+            compressed_bytes: open.compressed_bytes,
         });
-        self.segments.push(seg);
-    }
-
-    /// The seal-time CRC summary of a page run: CRC32 over the
-    /// little-endian per-page CRC32s in page order — computed from the
-    /// device's checksum sidecar without re-reading data. Pages whose
-    /// sidecar entry is cold (appended before the last mount) are read
-    /// once; an unreadable page contributes a zero placeholder so sealing
-    /// never fails — a later [`MithriLog::verify_segment`] correctly flags
-    /// the segment instead.
-    fn segment_crc(&mut self, pages: &[PageId]) -> u32 {
-        let ssd = &mut self.ssd;
-        crc_summary(pages.iter().map(|page| {
-            ssd.page_crc(page.0)
-                .unwrap_or_else(|| ssd.read(*page).map(|raw| crc32(&raw)).unwrap_or(0))
-        }))
     }
 
     /// Runs the journaled commit protocol, making everything ingested since
@@ -312,7 +304,8 @@ impl<S: PageStore> MithriLog<S> {
     ///
     /// A crash anywhere before barrier 2 completes leaves the previous
     /// superblock active and the whole commit, its blob included, in the
-    /// discardable tail.
+    /// discardable tail. A commit that fails keeps its pending pages, seals
+    /// and drops, so the next commit to succeed journals them too.
     pub(super) fn commit(&mut self) -> Result<(), MithriLogError> {
         self.index.seal_storage(&mut self.ssd)?;
         self.persist_segment_bitmaps()?;
@@ -334,7 +327,7 @@ impl<S: PageStore> MithriLog<S> {
         let sequence = self.superblock.sequence + 1;
         let record = CommitRecord {
             sequence,
-            data_pages: std::mem::take(&mut self.pending.data_pages),
+            data_pages: self.pending.data_pages.clone(),
             lines: self.pending.lines,
             raw_bytes: self.pending.raw_bytes,
             compressed_bytes: self.pending.compressed_bytes,
@@ -343,14 +336,17 @@ impl<S: PageStore> MithriLog<S> {
         // Segment transitions ride the same commit: seal and drop records
         // chain behind the commit record, all under one superblock flip —
         // a crash anywhere before barrier 2 discards them together.
-        for mut seal in std::mem::take(&mut self.pending.seals) {
-            seal.sequence = sequence;
+        for seal in &self.pending.seals {
+            let seal = SealRecord {
+                sequence,
+                ..seal.clone()
+            };
             head = append_record(&mut self.ssd, Some(head), &JournalRecord::Seal(seal))?;
         }
         if !self.pending.drops.is_empty() {
             let drop = DropRecord {
                 sequence,
-                segments: std::mem::take(&mut self.pending.drops),
+                segments: self.pending.drops.clone(),
             };
             head = append_record(&mut self.ssd, Some(head), &JournalRecord::Drop(drop))?;
         }

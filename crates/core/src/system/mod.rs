@@ -46,10 +46,11 @@ pub struct MithriLog<S = MemStore> {
     ssd: SimSsd<S>,
     index: InvertedIndex,
     tokenizer: Tokenizer,
-    /// Live data pages in ingest order, so ascending by id: the sealed
-    /// segments' pages, oldest first, then the open segment's (index/leaf
-    /// pages interleave on the same device but are tracked by the index
-    /// itself). Plans filter stale index postings against it.
+    /// Live data pages in ingest order, so ascending by id — the one record
+    /// of them: each sealed segment is the next run of its page count,
+    /// oldest first, and the open segment is the tail after the sealed
+    /// runs (see [`MithriLog::runs`]). Index and leaf pages interleave on
+    /// the same device but are tracked by the index itself.
     data_pages: Vec<PageId>,
     /// Data pages retention has dropped since the store was formatted:
     /// with `data_pages`, every data page this device ever committed.
@@ -104,13 +105,14 @@ struct BitmapRef {
 }
 
 /// One sealed segment: an immutable run of data pages with its own CRC
-/// summary and totals — the store's fault and retention domain.
+/// summary and totals — the store's fault and retention domain. Its pages
+/// are the `pages` entries of `data_pages` after the earlier segments'.
 #[derive(Debug)]
 struct Segment {
     id: u64,
     /// CRC32 over the little-endian per-page CRC32s, in page order.
     crc: u32,
-    pages: Vec<PageId>,
+    pages: usize,
     lines: u64,
     raw_bytes: u64,
     compressed_bytes: u64,
@@ -130,34 +132,24 @@ fn crc_summary(page_crcs: impl IntoIterator<Item = u32>) -> u32 {
     summary.finalize()
 }
 
-/// The open segment: pages accumulate here until `segment_pages` is
-/// reached, then the whole run seals. Totals are aggregates — recovery
-/// reconstructs them exactly as Σcommits − Σdrops − Σactive seals.
-#[derive(Debug)]
+/// The open segment: the live pages after the sealed runs accumulate
+/// until `segment_pages` is reached, then the whole run seals. Totals are
+/// aggregates — recovery reconstructs them exactly as Σcommits − Σdrops −
+/// Σactive seals.
+#[derive(Debug, Default)]
 struct OpenSegment {
-    pages: Vec<PageId>,
     lines: u64,
     raw_bytes: u64,
     compressed_bytes: u64,
-    /// Per-page pruning marks, parallel to `pages` (empty when bitmaps are
-    /// disabled). Frozen into [`SegmentBitmaps`] at seal time; the open
-    /// segment itself is never pruned.
+    /// Per-page pruning marks, parallel to the open pages (empty when
+    /// bitmaps are disabled). Frozen into [`SegmentBitmaps`] at seal time;
+    /// the open segment itself is never pruned.
     page_marks: Vec<PageMarks>,
 }
 
-impl OpenSegment {
-    fn new() -> Self {
-        OpenSegment {
-            pages: Vec::new(),
-            lines: 0,
-            raw_bytes: 0,
-            compressed_bytes: 0,
-            page_marks: Vec::new(),
-        }
-    }
-}
-
-/// Uncommitted ingest work: the delta the next journal record will describe.
+/// Uncommitted ingest work: the delta the next journal record will
+/// describe. It is cleared only once a commit's superblock flip lands, so
+/// a failed commit's work rides the next one.
 #[derive(Debug, Default)]
 struct PendingCommit {
     data_pages: Vec<u64>,
@@ -172,6 +164,30 @@ struct PendingCommit {
 }
 
 impl<S: PageStore> MithriLog<S> {
+    /// The live pages as consecutive runs of `data_pages`: each sealed
+    /// segment's, oldest first, then the open segment's (`None`).
+    fn runs(&self) -> impl Iterator<Item = (Option<&Segment>, &[PageId])> {
+        let mut rest = self.data_pages.as_slice();
+        let sealed = self.segments.iter().map(Some);
+        sealed.chain([None]).map(move |seg| {
+            let (run, tail) = rest.split_at(seg.map_or(rest.len(), |s| s.pages));
+            rest = tail;
+            (seg, run)
+        })
+    }
+
+    /// The open segment's pages: the tail after the sealed runs.
+    fn open_pages(&self) -> &[PageId] {
+        let sealed: usize = self.segments.iter().map(|s| s.pages).sum();
+        &self.data_pages[sealed..]
+    }
+
+    /// Sealed segment `id` and its pages, or `None` for an unknown id.
+    fn sealed_run(&self, id: u64) -> Option<(&Segment, &[PageId])> {
+        self.runs()
+            .find_map(|(seg, run)| seg.filter(|s| s.id == id).map(|s| (s, run)))
+    }
+
     /// The configuration in use.
     pub fn config(&self) -> &SystemConfig {
         &self.config
@@ -233,13 +249,13 @@ impl<S: PageStore> MithriLog<S> {
 
     /// Summaries of the sealed segments, oldest first.
     pub fn sealed_segments(&self) -> Vec<SegmentSummary> {
-        self.segments
-            .iter()
-            .map(|s| SegmentSummary {
+        self.runs()
+            .filter_map(|(seg, run)| seg.map(|s| (s, run)))
+            .map(|(s, run)| SegmentSummary {
                 id: s.id,
-                pages: s.pages.len() as u64,
-                first_page: s.pages.first().map_or(0, |p| p.0),
-                last_page: s.pages.last().map_or(0, |p| p.0),
+                pages: run.len() as u64,
+                first_page: run.first().map_or(0, |p| p.0),
+                last_page: run.last().map_or(0, |p| p.0),
                 has_bitmaps: s.bitmaps.is_some(),
                 lines: s.lines,
                 raw_bytes: s.raw_bytes,
@@ -256,7 +272,7 @@ impl<S: PageStore> MithriLog<S> {
 
     /// Data pages in the (not yet sealed) open segment.
     pub fn open_segment_pages(&self) -> u64 {
-        self.open.pages.len() as u64
+        self.open_pages().len() as u64
     }
 
     /// The ids of the data pages, in ingest order.

@@ -1,4 +1,4 @@
-use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
+use std::collections::{BTreeMap, BTreeSet};
 
 use mithrilog_compress::{Codec, Lzah};
 use mithrilog_index::InvertedIndex;
@@ -97,7 +97,9 @@ impl<S: PageStore> MithriLog<S> {
     /// # Errors
     ///
     /// [`MithriLogError::Storage`] when no superblock slot validates or the
-    /// committed region is corrupt; [`MithriLogError::Config`] when the
+    /// committed region is corrupt; [`MithriLogError::Recovery`] when a
+    /// seal record does not list the next run of committed pages or a drop
+    /// names an unsealed segment; [`MithriLogError::Config`] when the
     /// store's page size disagrees with `config`.
     pub fn open_store(
         store: S,
@@ -158,61 +160,54 @@ impl<S: PageStore> MithriLog<S> {
             }
         }
 
-        // Dropped segments leave the store entirely: their pages and totals
-        // are subtracted, so a drop that was acknowledged (the superblock
-        // flipped past its record) can never resurrect.
-        let mut dropped_pages: HashSet<u64> = HashSet::new();
-        for id in &drops {
-            let seal = seals.get(id).ok_or_else(|| {
-                MithriLogError::Recovery(format!(
-                    "journal drops segment {id} but no seal record describes it"
-                ))
-            })?;
-            dropped_pages.extend(seal.pages.iter().copied());
-            system.total_lines -= seal.lines;
-            system.total_raw_bytes -= seal.raw_bytes;
-            system.total_compressed_bytes -= seal.compressed_bytes;
+        // Seals claim consecutive runs of the committed pages in seal
+        // order. A dropped segment's run and totals leave the store
+        // entirely, so a drop that was acknowledged (the superblock flipped
+        // past its record) can never resurrect; a kept one's run becomes a
+        // segment, and the pages after the last run are the open segment.
+        if let Some(id) = drops.iter().find(|id| !seals.contains_key(id)) {
+            return Err(MithriLogError::Recovery(format!(
+                "journal drops segment {id} but no seal record describes it"
+            )));
         }
-        system.data_pages = commit_pages
-            .into_iter()
-            .filter(|p| !dropped_pages.contains(&p.0))
-            .collect();
-        system.data_pages_dropped = dropped_pages.len() as u64;
-        system.logical_clock = system.total_lines;
-
-        // Active sealed segments, oldest first.
-        let mut sealed_pages: HashSet<u64> = HashSet::new();
+        let mut rest = commit_pages.as_slice();
         let mut sealed_totals = [0u64; 3];
-        for (id, seal) in &seals {
-            system.next_segment_id = system.next_segment_id.max(id + 1);
-            if drops.contains(id) {
+        for (&id, seal) in &seals {
+            let run = rest
+                .get(..seal.pages.len())
+                .filter(|run| run.iter().map(|p| p.0).eq(seal.pages.iter().copied()))
+                .ok_or_else(|| {
+                    MithriLogError::Recovery(format!(
+                        "seal of segment {id} does not list the next run of committed pages"
+                    ))
+                })?;
+            rest = &rest[run.len()..];
+            system.next_segment_id = id + 1;
+            if drops.contains(&id) {
+                system.data_pages_dropped += run.len() as u64;
+                system.total_lines -= seal.lines;
+                system.total_raw_bytes -= seal.raw_bytes;
+                system.total_compressed_bytes -= seal.compressed_bytes;
                 continue;
             }
-            sealed_pages.extend(seal.pages.iter().copied());
+            system.data_pages.extend_from_slice(run);
             sealed_totals[0] += seal.raw_bytes;
             sealed_totals[1] += seal.lines;
             sealed_totals[2] += seal.compressed_bytes;
             system.segments.push(Segment {
-                id: *id,
+                id,
                 crc: seal.crc,
-                pages: seal.pages.iter().map(|&p| PageId(p)).collect(),
+                pages: run.len(),
                 lines: seal.lines,
                 raw_bytes: seal.raw_bytes,
                 compressed_bytes: seal.compressed_bytes,
                 bitmaps: None,
             });
         }
-
-        // The open segment is whatever committed pages no active seal
-        // claims; its totals follow exactly by subtraction.
-        let open_pages: Vec<PageId> = system
-            .data_pages
-            .iter()
-            .filter(|p| !sealed_pages.contains(&p.0))
-            .copied()
-            .collect();
+        system.data_pages.extend_from_slice(rest);
+        system.logical_clock = system.total_lines;
+        // The open segment's totals follow exactly by subtraction.
         system.open = OpenSegment {
-            pages: open_pages,
             raw_bytes: system.total_raw_bytes - sealed_totals[0],
             lines: system.total_lines - sealed_totals[1],
             compressed_bytes: system.total_compressed_bytes - sealed_totals[2],
@@ -297,7 +292,7 @@ impl<S: PageStore> MithriLog<S> {
             page_cache: (config.page_cache_bytes > 0)
                 .then(|| PageCache::new(config.page_cache_bytes)),
             segments: Vec::new(),
-            open: OpenSegment::new(),
+            open: OpenSegment::default(),
             next_segment_id: 0,
             bitmap_refs: BTreeMap::new(),
             deltas_since_full: None,
@@ -341,11 +336,11 @@ impl<S: PageStore> MithriLog<S> {
         self.deltas_since_full = None;
         self.stats = DatapathStats::new();
         self.scatter = ScatterGather::new(self.config.tokenizer.lanes);
-        let mut marks_by_page: HashMap<u64, PageMarks> = HashMap::new();
+        let mut marks: Vec<Option<PageMarks>> = Vec::with_capacity(self.data_pages.len());
         for page in self.data_pages.clone() {
             let (text, facts) = self.analyse_page(page)?;
             self.fold_page(page, &text, &facts)?;
-            marks_by_page.extend(facts.marks.map(|m| (page.0, m)));
+            marks.push(facts.marks);
         }
         // Rebuild the pruning bitmaps from the same rescan: sealed
         // segments re-freeze deterministically (byte-identical to their
@@ -353,20 +348,13 @@ impl<S: PageStore> MithriLog<S> {
         // fresh sidecars become durable at the next commit.
         let buckets = self.config.bitmap_buckets;
         if buckets > 0 {
+            let mut marks = marks.into_iter();
             for seg in &mut self.segments {
-                let marks: Option<Vec<PageMarks>> = seg
-                    .pages
-                    .iter()
-                    .map(|p| marks_by_page.remove(&p.0))
-                    .collect();
-                seg.bitmaps = marks.map(|m| SegmentBitmaps::build(buckets, &m));
+                let run: Vec<Option<PageMarks>> = marks.by_ref().take(seg.pages).collect();
+                let run: Option<Vec<PageMarks>> = run.into_iter().collect();
+                seg.bitmaps = run.map(|m| SegmentBitmaps::build(buckets, &m));
             }
-            self.open.page_marks = self
-                .open
-                .pages
-                .iter()
-                .filter_map(|p| marks_by_page.remove(&p.0))
-                .collect();
+            self.open.page_marks = marks.flatten().collect();
         }
         Ok(())
     }
@@ -375,8 +363,9 @@ impl<S: PageStore> MithriLog<S> {
     /// mount path's counterpart to the marks [`PreparedIngest::build`]
     /// accumulates during normal ingest.
     fn rebuild_open_marks(&mut self) -> Result<(), MithriLogError> {
-        let mut marks = Vec::with_capacity(self.open.pages.len());
-        for page in self.open.pages.clone() {
+        let pages = self.open_pages().to_vec();
+        let mut marks = Vec::with_capacity(pages.len());
+        for page in pages {
             marks.extend(self.analyse_page(page)?.1.marks);
         }
         self.open.page_marks = marks;

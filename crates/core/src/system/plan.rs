@@ -1,4 +1,3 @@
-use std::collections::HashSet;
 use std::time::Duration;
 
 use mithrilog_index::QueryPlan;
@@ -133,72 +132,47 @@ impl<S: PageStore> MithriLog<S> {
             } else {
                 QueryPlan::FullScan
             };
-            let (mut pages, used_index): (Vec<PageId>, bool) = match &plan {
-                QueryPlan::Pages(p) => (p.clone(), true),
-                QueryPlan::FullScan => (self.data_pages.clone(), false),
+            // One ordered walk classifies every live page, run by run,
+            // against the ascending index plan and the segment bitmaps. A
+            // posting to a page that is no longer live (retention dropped
+            // it) is passed over by the walk and never planned.
+            let (mut postings, used_index) = match &plan {
+                QueryPlan::Pages(p) => (Some(p.iter().peekable()), true),
+                QueryPlan::FullScan => (None, false),
             };
-            if used_index {
-                // The index may still hold postings to retention-dropped
-                // pages; plans only ever scan live pages. `data_pages`
-                // ascends, so membership is a binary search.
-                pages.retain(|p| self.data_pages.binary_search(p).is_ok());
-            }
-            // Classify every live page against the index plan and the
-            // segment bitmaps; the sealed + open segments partition the
-            // live pages exactly.
-            let index_set: Option<HashSet<u64>> =
-                used_index.then(|| pages.iter().map(|p| p.0).collect());
-            let mut dead: HashSet<u64> = HashSet::new();
+            let mut pages = Vec::new();
             let mut segments: Vec<SegmentExplain> = Vec::with_capacity(self.segments.len() + 1);
-            for seg in &self.segments {
-                let alive = if bitmaps_on {
-                    seg.bitmaps.as_ref().map(|bm| bm.alive_pages(query))
-                } else {
-                    None
-                };
+            for (seg, run) in self.runs() {
+                let bitmaps = seg.and_then(|s| s.bitmaps.as_ref());
+                let alive = bitmaps
+                    .filter(|_| bitmaps_on)
+                    .map(|bm| bm.alive_pages(query));
                 let mut row = SegmentExplain {
-                    segment_id: Some(seg.id),
-                    live_pages: seg.pages.len() as u64,
+                    segment_id: seg.map(|s| s.id),
+                    live_pages: run.len() as u64,
                     planned_pages: 0,
                     pruned_by_index: 0,
                     pruned_by_bitmap: 0,
                     pruned_by_both: 0,
-                    has_bitmaps: seg.bitmaps.is_some(),
+                    has_bitmaps: bitmaps.is_some(),
                 };
-                for (i, p) in seg.pages.iter().enumerate() {
-                    let in_index = index_set.as_ref().is_none_or(|s| s.contains(&p.0));
+                for (i, &page) in run.iter().enumerate() {
+                    let in_index = postings.as_mut().is_none_or(|post| {
+                        while post.next_if(|&&p| p < page).is_some() {}
+                        post.next_if_eq(&&page).is_some()
+                    });
                     let bitmap_alive = alive.as_ref().is_none_or(|a| a.get(i));
-                    if !bitmap_alive {
-                        dead.insert(p.0);
-                    }
                     match (in_index, bitmap_alive) {
-                        (true, true) => row.planned_pages += 1,
+                        (true, true) => {
+                            row.planned_pages += 1;
+                            pages.push(page);
+                        }
                         (true, false) => row.pruned_by_bitmap += 1,
                         (false, true) => row.pruned_by_index += 1,
                         (false, false) => row.pruned_by_both += 1,
                     }
                 }
                 segments.push(row);
-            }
-            let mut open_row = SegmentExplain {
-                segment_id: None,
-                live_pages: self.open.pages.len() as u64,
-                planned_pages: 0,
-                pruned_by_index: 0,
-                pruned_by_bitmap: 0,
-                pruned_by_both: 0,
-                has_bitmaps: false,
-            };
-            for p in &self.open.pages {
-                if index_set.as_ref().is_none_or(|s| s.contains(&p.0)) {
-                    open_row.planned_pages += 1;
-                } else {
-                    open_row.pruned_by_index += 1;
-                }
-            }
-            segments.push(open_row);
-            if !dead.is_empty() {
-                pages.retain(|p| !dead.contains(&p.0));
             }
             let (budget_clipped, deadline_clipped) = self.clip_to_request(&mut pages, req);
             planned.push(PlannedQuery {

@@ -1,6 +1,4 @@
-use std::collections::HashSet;
-
-use mithrilog_storage::{crc32, read_blob, PageId, PageStore};
+use mithrilog_storage::{crc32, read_blob, PageStore};
 
 use super::{crc_summary, MithriLog};
 use crate::bitmaps::SegmentBitmaps;
@@ -31,15 +29,16 @@ impl<S: PageStore> MithriLog<S> {
     /// ever rebuilt. Entries for segments that no longer exist are
     /// discarded uncounted. Returns the number of sidecars dropped.
     pub(super) fn check_sidecars(&mut self) -> u64 {
-        let live: HashSet<u64> = self.segments.iter().map(|s| s.id).collect();
-        self.bitmap_refs.retain(|id, _| live.contains(id));
+        let segments = &self.segments;
+        self.bitmap_refs
+            .retain(|id, _| segments.binary_search_by_key(id, |s| s.id).is_ok());
         let buckets = self.config.bitmap_buckets;
         let mut dropped = 0;
         for seg in &mut self.segments {
             let Some(bref) = self.bitmap_refs.get(&seg.id) else {
                 continue;
             };
-            let pages = seg.pages.len();
+            let pages = seg.pages;
             let loaded = read_blob(&mut self.ssd, &bref.blob)
                 .and_then(|blob| SegmentBitmaps::from_bytes(&blob))
                 .filter(|b| b.buckets() == buckets && b.pages() == pages);
@@ -75,13 +74,13 @@ impl<S: PageStore> MithriLog<S> {
     /// one. `None` for an unknown (never sealed, or already dropped) id;
     /// `Some(false)` when any page is unreadable or the summary mismatches.
     pub fn verify_segment(&mut self, id: u64) -> Option<bool> {
-        let seg = self.segments.iter().find(|s| s.id == id)?;
-        let crcs: Option<Vec<u32>> = seg
-            .pages
+        let (seg, run) = self.sealed_run(id)?;
+        let (crc, run) = (seg.crc, run.to_vec());
+        let crcs: Option<Vec<u32>> = run
             .iter()
             .map(|page| self.ssd.read(*page).ok().map(|raw| crc32(&raw)))
             .collect();
-        Some(crcs.is_some_and(|crcs| crc_summary(crcs) == seg.crc))
+        Some(crcs.is_some_and(|crcs| crc_summary(crcs) == crc))
     }
 
     /// Scrubs exactly one sealed segment's pages (see
@@ -89,14 +88,7 @@ impl<S: PageStore> MithriLog<S> {
     /// the blast radius to queries that demand this segment. `None` for an
     /// unknown id.
     pub fn scrub_segment(&mut self, id: u64) -> Option<mithrilog_storage::ScrubReport> {
-        let pages: Vec<u64> = self
-            .segments
-            .iter()
-            .find(|s| s.id == id)?
-            .pages
-            .iter()
-            .map(|p| p.0)
-            .collect();
+        let pages: Vec<u64> = self.sealed_run(id)?.1.iter().map(|p| p.0).collect();
         Some(self.ssd.scrub_pages(&pages))
     }
 
@@ -107,7 +99,7 @@ impl<S: PageStore> MithriLog<S> {
     /// Returns the number of pages quarantined, or `None` for an unknown
     /// id.
     pub fn quarantine_segment(&mut self, id: u64) -> Option<u64> {
-        let pages: Vec<PageId> = self.segments.iter().find(|s| s.id == id)?.pages.clone();
+        let pages = self.sealed_run(id)?.1.to_vec();
         for page in &pages {
             self.ssd.quarantine_page(page.0);
         }
@@ -143,16 +135,14 @@ impl<S: PageStore> MithriLog<S> {
             return Ok(report);
         }
         let drop_count = self.segments.len() - keep;
-        // The dropped segments are the oldest, so their pages are exactly
+        // The dropped segments are the oldest, so their runs are exactly
         // the first live data pages.
-        let dropped_pages: usize = self.segments[..drop_count]
-            .iter()
-            .map(|seg| seg.pages.len())
-            .sum();
+        let mut dropped_pages = 0;
         for seg in self.segments.drain(..drop_count) {
+            dropped_pages += seg.pages;
             report.segments_dropped += 1;
-            report.pages_dropped += seg.pages.len() as u64;
-            self.data_pages_dropped += seg.pages.len() as u64;
+            report.pages_dropped += seg.pages as u64;
+            self.data_pages_dropped += seg.pages as u64;
             report.lines_dropped += seg.lines;
             report.raw_bytes_dropped += seg.raw_bytes;
             self.total_lines -= seg.lines;
@@ -188,21 +178,6 @@ mod tests {
         }
     }
 
-    /// The invariant plans and retention rest on: `data_pages` strictly
-    /// ascends and is the sealed segments' pages, oldest first, followed
-    /// by the open segment's.
-    fn assert_live_pages_are_segments_in_order(s: &MithriLog) {
-        let by_segment: Vec<PageId> = s
-            .segments
-            .iter()
-            .flat_map(|seg| &seg.pages)
-            .chain(&s.open.pages)
-            .copied()
-            .collect();
-        assert_eq!(s.data_pages, by_segment);
-        assert!(s.data_pages.windows(2).all(|w| w[0] < w[1]));
-    }
-
     #[test]
     fn live_pages_ascend_as_segments_through_retention_and_remount() {
         // A default-size index, so a rare token plans from the index (the
@@ -219,14 +194,12 @@ mod tests {
         s.ingest(b"a short tail for the open segment\n").unwrap();
         assert!(s.sealed_segment_count() >= 3);
         assert!(s.open_segment_pages() > 0);
-        assert_live_pages_are_segments_in_order(&s);
         let needle = QueryRequest::parse("needle").unwrap();
         assert_eq!(s.query_str("needle").unwrap().match_count(), 1);
 
         let report = s.apply_retention(1).unwrap();
         assert!(report.pages_dropped > 0);
         assert_eq!(s.sealed_segment_count(), 1);
-        assert_live_pages_are_segments_in_order(&s);
         // The index still posts the needle's dropped page; no plan takes it.
         let plan = s.explain(&needle).unwrap();
         assert!(plan.used_index);
@@ -234,8 +207,9 @@ mod tests {
 
         let store = s.device().store().clone();
         let (mounted, _) = MithriLog::open_store(store, config).unwrap();
-        assert_live_pages_are_segments_in_order(&mounted);
         assert_eq!(mounted.data_pages, s.data_pages);
+        assert_eq!(mounted.sealed_segments(), s.sealed_segments());
+        assert!(mounted.data_pages.windows(2).all(|w| w[0] < w[1]));
     }
 
     #[test]
@@ -347,7 +321,7 @@ mod tests {
 
         // Smash one page of the first segment behind the controller's back.
         let victim_seg = summaries[0].id;
-        let victim_page = s.segments[0].pages[0];
+        let victim_page = s.data_pages[0];
         s.device_mut()
             .store_mut()
             .write_page(victim_page, b"smashed")

@@ -30,13 +30,6 @@ pub enum QueryCompileError {
         /// The token whose insertion could not be placed.
         token: String,
     },
-    /// A token exceeds the overflow table capacity.
-    TokenTooLong {
-        /// The oversized token (possibly truncated for display).
-        token: String,
-        /// Maximum representable token length in bytes.
-        max_bytes: usize,
-    },
     /// A positional query requires the same token at two different columns;
     /// the hash entry's single column field cannot encode that (§4.3).
     ColumnConflict {
@@ -62,12 +55,6 @@ impl fmt::Display for QueryCompileError {
             }
             QueryCompileError::PlacementFailed { token } => {
                 write!(f, "cuckoo placement failed while inserting token {token:?}")
-            }
-            QueryCompileError::TokenTooLong { token, max_bytes } => {
-                write!(
-                    f,
-                    "token {token:?} exceeds the maximum of {max_bytes} bytes"
-                )
             }
             QueryCompileError::ColumnConflict { token } => {
                 write!(f, "token {token:?} is constrained to two different columns")

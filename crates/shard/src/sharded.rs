@@ -37,7 +37,6 @@
 //! merged outcome a page run at a time; it copies no line text.
 
 use std::any::Any;
-use std::collections::HashMap;
 use std::panic::{self, AssertUnwindSafe};
 use std::thread;
 use std::time::Instant;
@@ -47,7 +46,7 @@ use mithrilog::{
     QueryOutcome, QueryRequest, RecoveryReport, RetentionReport, SegmentSummary,
     SharedBatchOutcome, SharedScanReport, SystemConfig,
 };
-use mithrilog_storage::{MemStore, PageStore, ScrubReport, ScrubSlice};
+use mithrilog_storage::{MemStore, PageId, PageStore, ScrubReport, ScrubSlice};
 
 use crate::router::{ManifestError, RouteMode, RoutingEpoch, RoutingManifest};
 
@@ -292,7 +291,7 @@ impl<S: PageStore> ShardedLog<S> {
     /// frames the manifest never placed. A shard's frames are every data
     /// page it ever committed: the live ones plus the pages of segments
     /// retention dropped, which the manifest still places (see
-    /// `ordinal_maps`), so retention is never mistaken for loss.
+    /// `live_ordinals`), so retention is never mistaken for loss.
     ///
     /// # Errors
     ///
@@ -507,43 +506,32 @@ impl<S: PageStore> ShardedLog<S> {
         Ok(total)
     }
 
-    /// Per-shard maps from local data-page id to global frame ordinal,
-    /// accounting for retention having dropped each shard's oldest frames.
+    /// Per shard, the global frame ordinals of its live data pages,
+    /// position for position with its `data_pages()`. Retention drops
+    /// whole oldest segments, so the surviving pages are the newest
+    /// `data_pages().len()` frames ever placed on the shard.
     ///
     /// # Errors
     ///
     /// [`ShardError::Diverged`] when a shard holds more data pages than
     /// the manifest ever placed on it.
-    fn ordinal_maps(&self) -> Result<Vec<HashMap<u64, u64>>, ShardError> {
+    fn live_ordinals(&self) -> Result<Vec<Vec<u64>>, ShardError> {
         let mut placed: Vec<Vec<u64>> = (0..self.shards.len())
             .map(|s| Vec::with_capacity(self.manifest.frames_on(s) as usize))
             .collect();
         for (g, s) in self.manifest.replay().enumerate() {
             placed[s].push(g as u64);
         }
-        self.shards
-            .iter()
-            .zip(&placed)
-            .enumerate()
-            .map(|(i, (shard, ords))| {
-                let pages = shard.data_pages();
-                // Retention drops whole oldest segments, so the surviving
-                // pages are the newest `pages.len()` frames ever placed.
-                let dropped = ords
-                    .len()
-                    .checked_sub(pages.len())
-                    .ok_or(ShardError::Diverged {
-                        shard: i,
-                        referenced: ords.len() as u64,
-                        recovered: pages.len() as u64,
-                    })?;
-                Ok(pages
-                    .iter()
-                    .enumerate()
-                    .map(|(j, p)| (p.0, ords[dropped + j]))
-                    .collect())
-            })
-            .collect()
+        for (i, (shard, ords)) in self.shards.iter().zip(&mut placed).enumerate() {
+            let live = shard.data_pages().len();
+            let dropped = ords.len().checked_sub(live).ok_or(ShardError::Diverged {
+                shard: i,
+                referenced: ords.len() as u64,
+                recovered: live as u64,
+            })?;
+            ords.drain(..dropped);
+        }
+        Ok(placed)
     }
 
     /// Executes a batch of queries scatter-gather: every shard runs the
@@ -579,7 +567,7 @@ impl<S: PageStore> ShardedLog<S> {
     ) -> Result<SharedBatchOutcome, ShardError> {
         self.refuse_after_failed_ingest()?;
         let wall_start = Instant::now();
-        let maps = self.ordinal_maps()?;
+        let live = self.live_ordinals()?;
         let per_shard = fan_out(&mut self.shards, |_, shard| shard.query_shared(requests))
             .unwrap_or_else(|failure| failure.resume())
             .into_iter()
@@ -603,9 +591,18 @@ impl<S: PageStore> ShardedLog<S> {
 
         let total_lines: u64 = self.shards.iter().map(|s| s.lines()).sum();
         let total_pages: u64 = self.shards.iter().map(|s| s.data_page_count()).sum();
+        let ordinals: Vec<Ordinals<'_>> = self
+            .shards
+            .iter()
+            .zip(&live)
+            .map(|(shard, ordinals)| Ordinals {
+                pages: shard.data_pages(),
+                ordinals,
+            })
+            .collect();
         let outcomes = columns
             .into_iter()
-            .map(|outs| merge_outcomes(outs, &maps, total_lines, total_pages, wall_time))
+            .map(|outs| merge_outcomes(outs, &ordinals, total_lines, total_pages, wall_time))
             .collect();
         Ok(SharedBatchOutcome { outcomes, shared })
     }
@@ -812,11 +809,29 @@ where
         .collect()
 }
 
+/// One shard's live data pages and, position for position, their global
+/// frame ordinals.
+struct Ordinals<'a> {
+    pages: &'a [PageId],
+    ordinals: &'a [u64],
+}
+
+impl Ordinals<'_> {
+    /// The global ordinal of live data page `page`, found by its position.
+    fn of(&self, page: u64) -> u64 {
+        let at = self
+            .pages
+            .binary_search(&PageId(page))
+            .expect("a shard's outcome names only its live data pages");
+        self.ordinals[at]
+    }
+}
+
 /// One shard's kept lines during the merge, consumed a page run at a time.
 struct Cursor<'a> {
     lines: std::vec::IntoIter<String>,
     pages: Vec<u64>,
-    map: &'a HashMap<u64, u64>,
+    map: &'a Ordinals<'a>,
     /// Index into `pages` of the next line to move.
     at: usize,
     /// Global ordinal of the page run starting at `at`; `u64::MAX` once
@@ -825,11 +840,11 @@ struct Cursor<'a> {
 }
 
 impl<'a> Cursor<'a> {
-    fn new(out: &mut QueryOutcome, map: &'a HashMap<u64, u64>) -> Self {
+    fn new(out: &mut QueryOutcome, map: &'a Ordinals<'a>) -> Self {
         let pages = std::mem::take(&mut out.line_pages);
         Cursor {
             lines: std::mem::take(&mut out.lines).into_iter(),
-            ordinal: pages.first().map_or(u64::MAX, |page| map[page]),
+            ordinal: pages.first().map_or(u64::MAX, |&page| map.of(page)),
             pages,
             map,
             at: 0,
@@ -849,7 +864,7 @@ impl<'a> Cursor<'a> {
         self.ordinal = self
             .pages
             .get(self.at)
-            .map_or(u64::MAX, |page| self.map[page]);
+            .map_or(u64::MAX, |&page| self.map.of(page));
     }
 }
 
@@ -857,7 +872,7 @@ impl<'a> Cursor<'a> {
 /// outcome (see [`ShardedLog::query_shared`] for the field semantics).
 fn merge_outcomes(
     mut outs: Vec<QueryOutcome>,
-    maps: &[HashMap<u64, u64>],
+    maps: &[Ordinals<'_>],
     total_lines: u64,
     total_pages: u64,
     wall_time: std::time::Duration,
@@ -904,7 +919,7 @@ fn merge_outcomes(
     let mut degraded = DegradedRead::default();
     for (s, out) in outs.iter().enumerate() {
         for page in &out.degraded.skipped_pages {
-            degraded.skipped_pages.push(maps[s][page]);
+            degraded.skipped_pages.push(maps[s].of(*page));
         }
         degraded.retries += out.degraded.retries;
         degraded.index_fallback |= out.degraded.index_fallback;

@@ -5,7 +5,9 @@
 //! applied on every read of an affected page), torn writes (only a prefix of
 //! the page is persisted), and transient read episodes (a page fails a fixed
 //! number of consecutive read attempts, then recovers — modeling a flaky
-//! channel or a read needing voltage-shift retries).
+//! channel or a read needing voltage-shift retries). A plan can also fail
+//! one planned `sync` with an I/O error, as a host whose `fsync` reports
+//! a write-back error does.
 //!
 //! Faults are drawn from a SplitMix64 stream seeded by the plan, so a given
 //! plan over a given write sequence injects exactly the same faults every
@@ -72,6 +74,7 @@ pub struct FaultPlan {
     transient_rate: f64,
     transient_failures: u32,
     scheduled: Vec<(u64, FaultKind)>,
+    failed_sync: Option<u64>,
 }
 
 impl FaultPlan {
@@ -139,6 +142,15 @@ impl FaultPlan {
         self.scheduled.push((page, kind));
         self
     }
+
+    /// The `n`-th `sync` the store receives (counting from 1) returns
+    /// [`StorageError::Io`] once; every other sync passes through. The
+    /// writes before it have still reached the wrapped store.
+    #[must_use]
+    pub fn with_failed_sync(mut self, n: u64) -> Self {
+        self.failed_sync = Some(n);
+        self
+    }
 }
 
 #[derive(Debug)]
@@ -154,6 +166,8 @@ struct FaultState {
     panicking: std::collections::BTreeSet<u64>,
     /// Everything injected so far, in injection order.
     injected: Vec<InjectedFault>,
+    /// Syncs received so far.
+    syncs: u64,
 }
 
 /// A [`PageStore`] wrapper that injects faults per a [`FaultPlan`].
@@ -177,6 +191,7 @@ impl<S: PageStore> FaultyStore<S> {
             torn_pending: BTreeMap::new(),
             panicking: std::collections::BTreeSet::new(),
             injected: Vec::new(),
+            syncs: 0,
         };
         for &(page, kind) in &plan.scheduled {
             match kind {
@@ -330,6 +345,14 @@ impl<S: PageStore> PageStore for FaultyStore<S> {
     }
 
     fn sync(&mut self) -> Result<(), StorageError> {
+        let st = self
+            .state
+            .get_mut()
+            .unwrap_or_else(std::sync::PoisonError::into_inner);
+        st.syncs += 1;
+        if self.plan.failed_sync == Some(st.syncs) {
+            return Err(std::io::Error::other("injected sync failure").into());
+        }
         self.inner.sync()
     }
 
@@ -471,6 +494,16 @@ mod tests {
         .is_err());
         assert!(s.corrupted_pages().is_empty());
         assert_eq!(s.injected().len(), 1);
+    }
+
+    #[test]
+    fn a_planned_sync_fails_once_and_only_that_one() {
+        let mut s = store_with(FaultPlan::seeded(5).with_failed_sync(2));
+        s.append_page(b"kept").unwrap();
+        assert!(s.sync().is_ok());
+        assert!(matches!(s.sync(), Err(StorageError::Io(_))));
+        assert!(s.sync().is_ok());
+        assert_eq!(&s.read_page(PageId(0)).unwrap()[..4], b"kept");
     }
 
     #[test]

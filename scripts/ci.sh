@@ -35,11 +35,14 @@ echo "==> ingest kernels (hashed page analysis == sort-based reference; bounded-
 cargo test -p mithrilog --lib -q hashed_walk_equals_the_sort_based_reference
 cargo test -p mithrilog-compress --lib -q bounded_trials_pack_exactly_like_trying_every_line
 
-echo "==> ingest identity (golden device image after ingest and rebuild; rebuild keeps the journal totals and the snapshots; a remount after every commit equals the live system)"
+echo "==> ingest identity (golden device image after ingest and rebuild; rebuild keeps the journal totals and the snapshots; a remount after every commit equals the live system; a failed commit's work rides the next commit; mount refuses a seal that is not the next run)"
 cargo test --test recovery -q -- --exact golden_device_image_after_ingest_and_after_rebuild
 cargo test --test recovery -q -- --exact rebuild_keeps_the_journal_totals_so_later_mounts_load_the_checkpoint
 cargo test --test checkpoint_chain -q -- --exact rebuild_index_keeps_snapshots_for_time_range_queries
 cargo test --test checkpoint_chain -q -- --exact remount_after_every_commit_equals_the_live_system
+cargo test --test recovery -q -- --exact a_failed_ingest_commit_is_journaled_by_the_next_commit
+cargo test --test recovery -q -- --exact a_failed_retention_commit_is_journaled_by_the_next_commit
+cargo test --test recovery -q -- --exact mount_refuses_a_seal_that_is_not_the_next_run_of_committed_pages
 
 echo "==> index node pool (a filled page costs two writes; unflushed nodes read from the write buffer with an unchanged ledger)"
 cargo test -p mithrilog-index --lib -q a_filled_page_costs_two_writes

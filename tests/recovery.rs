@@ -1,12 +1,19 @@
 //! Recovery and correlation integration tests: index rebuild after a
 //! simulated host restart, a real on-disk unmount/remount round trip, the
 //! totals a rebuild must keep, a golden device image for ingest and
-//! rebuild, and the §8 join workflow over two filtered event classes.
+//! rebuild, the work a failed commit leaves to the next one, a journal
+//! whose seal mount must refuse, and the §8 join workflow over two
+//! filtered event classes.
 
-use mithrilog::{IndexRecovery, MithriLog, SystemConfig};
+use mithrilog::{IndexRecovery, MithriLog, MithriLogError, SystemConfig};
 use mithrilog_analytics::{correlate_counts, extract_node, join_on};
+use mithrilog_compress::{Codec, Lzah};
 use mithrilog_loggen::{generate, DatasetProfile, DatasetSpec};
-use mithrilog_storage::{crc32, Crc32, MemStore, PageId, PageStore};
+use mithrilog_storage::{
+    append_commit, append_record, crc32, format_device, write_superblock_commit, CommitRecord,
+    Crc32, FaultPlan, FaultyStore, JournalRecord, MemStore, PageId, PageStore, SealRecord, SimSsd,
+    Superblock,
+};
 
 fn corpus() -> Vec<u8> {
     generate(&DatasetSpec {
@@ -181,6 +188,118 @@ fn golden_device_image_after_ingest_and_after_rebuild() {
 
     system.rebuild_index().unwrap();
     assert_eq!(image_digest(system.device().store()), AFTER_REBUILD);
+}
+
+/// A system on a store whose `failed_sync`-th sync fails once (the
+/// format's sync is the first; every commit then syncs twice).
+fn system_failing_sync(
+    config: &SystemConfig,
+    failed_sync: u64,
+) -> MithriLog<FaultyStore<MemStore>> {
+    let store = FaultyStore::new(
+        MemStore::new(config.device.page_bytes),
+        FaultPlan::seeded(1).with_failed_sync(failed_sync),
+    );
+    MithriLog::with_store(store, config.clone()).unwrap()
+}
+
+/// `(lines, data pages, sealed segments, matches of `word`)` of a system.
+fn shape<S: PageStore>(system: &mut MithriLog<S>, word: &str) -> (u64, u64, u64, u64) {
+    let matches = system.query_str(word).unwrap().match_count();
+    let pages = system.data_page_count();
+    (
+        system.lines(),
+        pages,
+        system.sealed_segment_count(),
+        matches,
+    )
+}
+
+#[test]
+fn a_failed_ingest_commit_is_journaled_by_the_next_commit() {
+    let config = SystemConfig::for_tests();
+    // Sync 4 is the first barrier of the second ingest's commit.
+    let mut system = system_failing_sync(&config, 4);
+    system.ingest(b"alpha one\nalpha two\n").unwrap();
+    assert_eq!(system.device().ledger().syncs, 3);
+    assert!(system.ingest(b"bravo one\nbravo two\n").is_err());
+    system.ingest(b"charlie one\ncharlie two\n").unwrap();
+    assert_eq!(shape(&mut system, "bravo"), (6, 3, 0, 2));
+
+    let store = system.device().store().inner().clone();
+    let (mut mounted, _) = MithriLog::open_store(store, config).unwrap();
+    assert_eq!(shape(&mut mounted, "bravo"), (6, 3, 0, 2));
+    assert_eq!(mounted.data_pages(), system.data_pages());
+}
+
+#[test]
+fn a_failed_retention_commit_is_journaled_by_the_next_commit() {
+    let config = SystemConfig {
+        segment_pages: 1,
+        ..SystemConfig::for_tests()
+    };
+    // Three ingests sync 2..=7; sync 8 is retention's first barrier.
+    let mut system = system_failing_sync(&config, 8);
+    for word in ["alpha", "bravo", "charlie"] {
+        system.ingest(format!("{word} line\n").as_bytes()).unwrap();
+    }
+    assert_eq!(system.device().ledger().syncs, 7);
+    assert!(system.apply_retention(1).is_err());
+    system.ingest(b"delta line\n").unwrap();
+    assert_eq!(shape(&mut system, "alpha"), (2, 2, 2, 0));
+
+    let store = system.device().store().inner().clone();
+    let (mut mounted, report) = MithriLog::open_store(store, config).unwrap();
+    assert_eq!(report.segments_dropped, 2);
+    assert_eq!(shape(&mut mounted, "alpha"), (2, 2, 2, 0));
+    assert_eq!(mounted.sealed_segments(), system.sealed_segments());
+}
+
+#[test]
+fn mount_refuses_a_seal_that_is_not_the_next_run_of_committed_pages() {
+    let config = SystemConfig::for_tests();
+    let mut ssd = SimSsd::new(MemStore::new(config.device.page_bytes), config.device);
+    format_device(&mut ssd).unwrap();
+    let lzah = Lzah::new(config.lzah);
+    let texts: [&[u8]; 2] = [b"first page line\n", b"second page line\n"];
+    let mut pages = Vec::new();
+    for text in texts {
+        pages.push(ssd.append(&lzah.compress(text)).unwrap().0);
+    }
+    let commit = CommitRecord {
+        sequence: 1,
+        data_pages: pages.clone(),
+        lines: 2,
+        raw_bytes: texts.iter().map(|t| t.len() as u64).sum(),
+        compressed_bytes: 0,
+    };
+    let head = append_commit(&mut ssd, None, &commit).unwrap();
+    // The seal claims the commit's second page alone, skipping the first.
+    let seal = SealRecord {
+        sequence: 1,
+        segment_id: 0,
+        crc: 0,
+        pages: vec![pages[1]],
+        lines: 1,
+        raw_bytes: texts[1].len() as u64,
+        compressed_bytes: 0,
+    };
+    let head = append_record(&mut ssd, Some(head), &JournalRecord::Seal(seal)).unwrap();
+    ssd.sync().unwrap();
+    let superblock = Superblock {
+        format_version: Superblock::FORMAT_VERSION,
+        page_bytes: config.device.page_bytes as u32,
+        sequence: 1,
+        committed_pages: ssd.page_count(),
+        journal_head: Some(head),
+        checkpoint: None,
+    };
+    write_superblock_commit(&mut ssd, &superblock).unwrap();
+
+    match MithriLog::open_store(ssd.store().clone(), config) {
+        Err(MithriLogError::Recovery(reason)) => assert!(reason.contains("segment 0"), "{reason}"),
+        other => panic!("expected a recovery error, got {:?}", other.map(|(_, r)| r)),
+    }
 }
 
 #[test]
